@@ -11,9 +11,27 @@ preset; the saturation ablation runs the registered
 ``ablation-saturation`` sweep).  The hardware-energy benches (Tables
 IV-VI) run at the paper's full width since they need no training; the
 constants below are the paper's own bit/channel vectors they evaluate.
+
+The timing benches write their measurements through
+:func:`write_bench_record` into the gitignored ``.bench/`` directory;
+the committed ``BENCH_PR*.json`` files at the repo root are history
+and no run rewrites them.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / ".bench"
+
+
+def write_bench_record(name: str, payload: dict) -> Path:
+    """Write ``payload`` as ``.bench/<name>`` and return the path."""
+    BENCH_DIR.mkdir(exist_ok=True)
+    path = BENCH_DIR / name
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return path
 
 # Table II(a) iteration 2 bit-widths for VGG19/CIFAR-10 (17 layers).
 PAPER_VGG19_BITS_ITER2 = [16, 4, 5, 4, 3, 2, 2, 2, 3, 3, 3, 4, 3, 3, 3, 3, 16]

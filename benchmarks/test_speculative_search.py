@@ -24,9 +24,9 @@ ships for.
 
 Each mode is timed ``REPRO_BENCH_REPEATS`` times (the *minimum* is
 the honest cost) and the measured pair is written to
-``BENCH_PR9.json`` at the repo root — the recorded file is the PR's
-performance claim.  The test fails if speculation drops under 1.3x
-(the CI floor).
+``.bench/BENCH_PR9.json`` (gitignored; the committed ``BENCH_PR9.json``
+at the repo root is the historical record).  The test fails if
+speculation drops under 1.3x (the CI floor).
 
 Speculation is an execution knob, not a search knob, so the test also
 asserts the two runs chose the *same trials* and the same winning bit
@@ -34,15 +34,14 @@ vector — a speedup that changed the search's answer would be a bug,
 not a win.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.api import experiments
 from repro.orchestration.search import run_search
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_PR9.json"
+from common import write_bench_record
+
 TRIAL_SECONDS = 0.75
 LAYERS = tuple(f"layer{i:02d}" for i in range(17))
 # Geometrically decaying per-layer energy weights: the decay factor
@@ -148,7 +147,7 @@ def test_speculative_search_speedup():
     speedup = sequential_seconds / speculative_seconds
     stats = speculative.stats
 
-    payload = {
+    bench_path = write_bench_record("BENCH_PR9.json", {
         "workload": WORKLOAD,
         "repeats": repeats,
         "sequential_seconds": round(sequential_seconds, 3),
@@ -159,8 +158,7 @@ def test_speculative_search_speedup():
         "confirmed": stats["confirmed"],
         "cancelled": stats["cancelled"],
         "wasted_trials": stats["wasted_trials"],
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    })
 
     print()
     print(f"sequential:  {sequential_seconds:6.2f}s  "
@@ -168,7 +166,7 @@ def test_speculative_search_speedup():
     print(f"speculative: {speculative_seconds:6.2f}s  "
           f"({stats['confirmed']}/{stats['speculated']} bets confirmed, "
           f"{stats['wasted_trials']} wasted)")
-    print(f"speedup:     {speedup:.2f}x  -> {BENCH_PATH.name}")
+    print(f"speedup:     {speedup:.2f}x  -> {bench_path}")
 
     # Bit-identity first: the races must not change the search's answer.
     assert [p.label for p in speculative.points] \

@@ -1,12 +1,11 @@
 """Composite differentiable functions: softmax, log-softmax, one-hot CE.
 
-Numerically-stable formulations, dispatched to the active backend's
-fused kernels (the default).  The fused kernels save only the minimal
-backward residual: log-softmax and cross-entropy recompute ``exp`` in
-backward instead of pinning the softmax matrix inside the closure for
-the graph's lifetime — the legacy in-module closures (kept below for
-``use_fusion(False)``) retained those forward temporaries, which is the
-behaviour the release-regression test guards against.
+Numerically-stable formulations, each recorded as one graph node that
+dispatches to the active backend's fused forward/backward kernels.
+The kernels save only the minimal backward residual: log-softmax and
+cross-entropy recompute ``exp`` in backward instead of pinning the
+softmax matrix inside the closure for the graph's lifetime (the
+release-regression test in ``tests/test_backend_fused.py`` guards it).
 """
 
 from __future__ import annotations
@@ -14,49 +13,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.backend import active_backend, fusion_enabled
+from repro.backend import active_backend
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    if fusion_enabled():
-        backend = active_backend()
-        out = backend.softmax_fwd(x.data, axis)
-
-        def backward(grad):
-            return (backend.softmax_bwd(grad, out, axis),)
-
-        return Tensor.from_op(out, (x,), backward, "softmax")
-
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out = exp / exp.sum(axis=axis, keepdims=True)
+    backend = active_backend()
+    out = backend.softmax_fwd(x.data, axis)
 
     def backward(grad):
-        dot = (grad * out).sum(axis=axis, keepdims=True)
-        return (out * (grad - dot),)
+        return (backend.softmax_bwd(grad, out, axis),)
 
     return Tensor.from_op(out, (x,), backward, "softmax")
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
-    if fusion_enabled():
-        backend = active_backend()
-        out = backend.log_softmax_fwd(x.data, axis)
-
-        def backward(grad):
-            return (backend.log_softmax_bwd(grad, out, axis),)
-
-        return Tensor.from_op(out, (x,), backward, "log_softmax")
-
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - log_sum
-    soft = np.exp(out)
+    backend = active_backend()
+    out = backend.log_softmax_fwd(x.data, axis)
 
     def backward(grad):
-        return (grad - soft * grad.sum(axis=axis, keepdims=True),)
+        return (backend.log_softmax_bwd(grad, out, axis),)
 
     return Tensor.from_op(out, (x,), backward, "log_softmax")
 
@@ -73,27 +50,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     if targets.shape[0] != n:
         raise ValueError("batch size mismatch between logits and targets")
 
-    if fusion_enabled():
-        backend = active_backend()
-        loss, log_probs = backend.cross_entropy_fwd(logits.data, targets)
-
-        def backward(grad):
-            return (backend.cross_entropy_bwd(grad, log_probs, targets),)
-
-        return Tensor.from_op(loss, (logits,), backward, "cross_entropy")
-
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_sum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_sum
-    loss = -log_probs[np.arange(n), targets].mean()
-    soft = np.exp(log_probs)
+    backend = active_backend()
+    loss, log_probs = backend.cross_entropy_fwd(logits.data, targets)
 
     def backward(grad):
-        g = soft.copy()
-        g[np.arange(n), targets] -= 1.0
-        return (g * (grad / n),)
+        return (backend.cross_entropy_bwd(grad, log_probs, targets),)
 
-    return Tensor.from_op(np.asarray(loss), (logits,), backward, "cross_entropy")
+    return Tensor.from_op(loss, (logits,), backward, "cross_entropy")
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -105,11 +68,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     # The keep-mask is drawn in float64 (identical random stream on every
     # backend) and cast to the tensor dtype before scaling so a float32
     # run is not silently promoted back to float64.
-    if fusion_enabled():
-        mask = active_backend().dropout_mask(rng.random(x.data.shape), p)
-    else:
-        keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
-        mask = keep / (1.0 - p)
+    mask = active_backend().dropout_mask(rng.random(x.data.shape), p)
     out = x.data * mask
 
     def backward(grad):

@@ -19,7 +19,7 @@ import threading
 
 import numpy as np
 
-from repro.backend import active_backend, fusion_enabled
+from repro.backend import active_backend
 
 _GRAD_STATE = threading.local()
 
@@ -320,19 +320,11 @@ class Tensor:
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
     def relu(self) -> "Tensor":
-        if fusion_enabled():
-            backend = active_backend()
-            out_data, residual = backend.relu_fwd(self.data)
-
-            def backward(grad):
-                return (backend.relu_bwd(grad, residual),)
-
-            return Tensor.from_op(out_data, (self,), backward, "relu")
-        mask = self.data > 0
-        out_data = self.data * mask
+        backend = active_backend()
+        out_data, residual = backend.relu_fwd(self.data)
 
         def backward(grad):
-            return (grad * mask,)
+            return (backend.relu_bwd(grad, residual),)
 
         return Tensor.from_op(out_data, (self,), backward, "relu")
 

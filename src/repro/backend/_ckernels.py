@@ -1,24 +1,23 @@
-"""Optional compiled C kernels, behind a feature probe (cffi + a C compiler).
+"""Compiled C kernels for the fast backend (cffi + a C compiler).
 
-Second tier of the fast backend's kernel ladder: when numba is absent
-(it is not a dependency) but cffi and a working C toolchain are present,
-the single-pass float32 chains — fused batchnorm(+relu) forward and
-backward, and the col2im scatter — come from a small C module compiled
-once per source revision.  The build is cached on disk keyed by a hash
-of the C source, so worker subprocesses and later runs import the
-shared object instantly instead of re-invoking the compiler.
+The fast backend's hot float32 loops — fused batchnorm(+relu) forward
+and backward, im2col/col2im, max pooling, one-pass Adam and fused
+fake-quant — come from a small C module compiled once per source
+revision.  Each kernel computes what its numpy fallback in
+:mod:`repro.backend.fast` computes; the fallbacks define the semantics
+and run whenever this tier cannot load (no cffi, no compiler, a build
+failure).  There is no switch: :func:`kernels` either yields the whole
+table or an empty one.
 
-Probe rules mirror :mod:`repro.backend._numba`:
+The build is cached on disk under ``REPRO_CKERNEL_CACHE`` (default
+``~/.cache/repro-ckernels``) keyed by a hash of the C source, so worker
+subprocesses and later runs import the shared object instantly instead
+of re-invoking the compiler.  A build runs in a private temp directory
+and is published with one atomic rename, so a process killed mid-build
+never leaves a partial shared object for others to load.
 
-* every accessor returns ``None`` when the tier is unavailable (no
-  cffi, no compiler, build failure) or disabled, and callers fall back
-  to the vectorized numpy path;
-* ``REPRO_NO_CKERNELS`` disables the whole tier;
-* ``REPRO_DISABLE_KERNELS`` (comma-separated kernel names, or ``all``)
-  disables individual kernels across *both* the numba and C tiers —
-  the benchmark suite uses it to reconstruct the pre-fusion fast path.
-
-Nothing outside this module may import cffi directly.
+Nothing outside this module may import cffi directly, and nothing here
+runs at import time: the compiler starts on the first kernel lookup.
 """
 
 from __future__ import annotations
@@ -313,23 +312,6 @@ void maxpool_bwd(const float* grad, const signed char* idx, float* gx,
 }
 """
 
-_LIB = None
-_FAILED = False
-
-
-def kernel_disabled(name: str) -> bool:
-    """Whether ``name`` is switched off via ``REPRO_DISABLE_KERNELS``.
-
-    Consulted by both the numba and C probes; the env var is read per
-    call so benchmark legs can flip it inside one process.
-    """
-    raw = os.environ.get("REPRO_DISABLE_KERNELS", "")
-    if not raw:
-        return False
-    names = {part.strip() for part in raw.split(",") if part.strip()}
-    return "all" in names or name in names
-
-
 def _cache_dir() -> str:
     root = os.environ.get("REPRO_CKERNEL_CACHE")
     if not root:
@@ -338,26 +320,26 @@ def _cache_dir() -> str:
 
 
 def _load():
-    """Compile (or load from the disk cache) the C module; None on failure."""
-    global _LIB, _FAILED
-    if _LIB is not None or _FAILED:
-        return _LIB
-    try:
-        import importlib.util
+    """Import the compiled module, building and publishing it on a cache miss."""
+    import importlib.util
+    import shutil
+    import sysconfig
+    import tempfile
 
-        import cffi
+    import cffi
 
-        digest = hashlib.sha256((_CDEF + _SOURCE).encode()).hexdigest()[:16]
-        modname = f"_repro_ck_{digest}"
-        moddir = os.path.join(_cache_dir(), digest)
-        sofile = None
-        if os.path.isdir(moddir):
-            for entry in os.listdir(moddir):
-                if entry.startswith(modname) and entry.endswith(".so"):
-                    sofile = os.path.join(moddir, entry)
-                    break
-        if sofile is None:
-            os.makedirs(moddir, exist_ok=True)
+    digest = hashlib.sha256((_CDEF + _SOURCE).encode()).hexdigest()[:16]
+    modname = f"_repro_ck_{digest}"
+    root = _cache_dir()
+    sofile = os.path.join(root, digest,
+                          modname + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not os.path.exists(sofile):
+        # Other processes load whatever sits at ``sofile``: compile in a
+        # private directory and publish with one rename, so a build that
+        # dies half-way (a killed worker) is never seen as finished.
+        os.makedirs(os.path.dirname(sofile), exist_ok=True)
+        tmpdir = tempfile.mkdtemp(prefix=f".build-{digest}-", dir=root)
+        try:
             ffi = cffi.FFI()
             ffi.cdef(_CDEF)
             ffi.set_source(
@@ -366,42 +348,34 @@ def _load():
                 extra_compile_args=["-O3", "-march=native", "-funroll-loops"],
                 libraries=["m"],
             )
-            sofile = ffi.compile(tmpdir=moddir, verbose=False)
-        spec = importlib.util.spec_from_file_location(modname, sofile)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        _LIB = module
-    except Exception:  # no cffi / no compiler / broken toolchain
-        _FAILED = True
-        return None
-    return _LIB
+            os.replace(ffi.compile(tmpdir=tmpdir, verbose=False), sofile)
+        finally:
+            shutil.rmtree(tmpdir, ignore_errors=True)
+    spec = importlib.util.spec_from_file_location(modname, sofile)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_KERNELS: dict | None = None
+
+
+def kernels() -> dict:
+    """Every C kernel by name, loaded once per process; empty when unavailable."""
+    global _KERNELS
+    if _KERNELS is None:
+        try:
+            module = _load()
+        except Exception:  # no cffi / no compiler / broken toolchain
+            _KERNELS = {}
+        else:
+            _KERNELS = {name: wrap(module) for name, wrap in _WRAPPERS.items()}
+    return _KERNELS
 
 
 def get_kernel(name: str):
-    """Return a callable for C kernel ``name``, or None when unavailable.
-
-    ``REPRO_NO_CKERNELS`` is consulted per call (not only at build time)
-    so one process can run legs with and without the compiled tier.
-    """
-    if os.environ.get("REPRO_NO_CKERNELS") or kernel_disabled(name):
-        return None
-    module = _load()
-    if module is None:
-        return None
-    key = (id(module), name)
-    try:
-        return _WRAPPER_CACHE[key]
-    except KeyError:
-        wrapper = _WRAPPERS.get(name, _missing)(module)
-        _WRAPPER_CACHE[key] = wrapper
-        return wrapper
-
-
-_WRAPPER_CACHE: dict = {}
-
-
-def _missing(module):
-    return None
+    """Return a callable for C kernel ``name``, or None when unavailable."""
+    return kernels().get(name)
 
 
 def _ptr(ffi, array):

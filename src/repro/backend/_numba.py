@@ -1,251 +1,5 @@
-"""Optional numba acceleration, behind a feature probe.
-
-The fast backend asks this module for jitted kernels; when numba is not
-importable (the common case — it is not a dependency) every accessor
-returns None and the caller falls back to the compiled-C tier
-(:mod:`repro.backend._ckernels`) or the vectorized numpy path.  Nothing
-outside this module may import numba directly.
-
-Individual kernels can be switched off with ``REPRO_DISABLE_KERNELS``
-(comma-separated names, or ``all``) — shared with the C tier so the
-benchmark suite can reconstruct historical fast-path configurations.
-"""
-
-from __future__ import annotations
-
-from repro.backend._ckernels import kernel_disabled
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the default environment
-    numba = None
-    HAVE_NUMBA = False
-
-_KERNELS: dict = {}
-
-
-def _build_kernels():  # pragma: no cover - requires numba
-    """Compile the jitted hot loops once, lazily."""
-    jit = numba.njit(cache=True, fastmath=True)
-
-    @jit
-    def sgd_momentum(param, grad, velocity, lr, momentum, weight_decay):
-        p = param.ravel()
-        g = grad.ravel()
-        vel = velocity.ravel()
-        for i in range(p.size):
-            gi = g[i] + weight_decay * p[i]
-            vel[i] = momentum * vel[i] + gi
-            p[i] -= lr * vel[i]
-
-    @jit
-    def fused_fake_quant(x, out, lo, scale, inv_scale):
-        xf = x.ravel()
-        of = out.ravel()
-        for i in range(xf.size):
-            of[i] = round((xf[i] - lo) * scale) * inv_scale + lo
-
-    @jit
-    def adam_update(param, grad, m, v, lr, beta1, beta2, eps, weight_decay,
-                    bias1, bias2):
-        p = param.ravel()
-        g = grad.ravel()
-        mf = m.ravel()
-        vf = v.ravel()
-        inv_b1 = 1.0 / bias1
-        inv_b2 = 1.0 / bias2
-        for i in range(p.size):
-            gi = g[i] + weight_decay * p[i]
-            mf[i] = beta1 * mf[i] + (1.0 - beta1) * gi
-            vf[i] = beta2 * vf[i] + (1.0 - beta2) * gi * gi
-            p[i] -= lr * (mf[i] * inv_b1) / ((vf[i] * inv_b2) ** 0.5 + eps)
-
-    @jit
-    def im2col(x, cols, kernel, stride, padding, out_h, out_w):
-        # x: (N, C, H, W) contiguous; cols: (C*k*k, N*out_h*out_w).
-        # Padding is implicit — out-of-range taps write zero, so no
-        # padded copy of x is ever materialized.
-        n, c, h, w = x.shape
-        for ci in range(c):
-            for ki in range(kernel):
-                for kj in range(kernel):
-                    row = (ci * kernel + ki) * kernel + kj
-                    for ni in range(n):
-                        for io in range(out_h):
-                            ih = io * stride + ki - padding
-                            col0 = (ni * out_h + io) * out_w
-                            if ih < 0 or ih >= h:
-                                for jo in range(out_w):
-                                    cols[row, col0 + jo] = 0.0
-                                continue
-                            for jo in range(out_w):
-                                iw = jo * stride + kj - padding
-                                if iw < 0 or iw >= w:
-                                    cols[row, col0 + jo] = 0.0
-                                else:
-                                    cols[row, col0 + jo] = x[ni, ci, ih, iw]
-
-    @jit
-    def col2im(cols, gx, kernel, stride, padding, out_h, out_w):
-        # Adjoint scatter into a pre-zeroed gx: accumulate directly,
-        # no padded intermediate and no np.add.at.
-        n, c, h, w = gx.shape
-        for ci in range(c):
-            for ki in range(kernel):
-                for kj in range(kernel):
-                    row = (ci * kernel + ki) * kernel + kj
-                    for ni in range(n):
-                        for io in range(out_h):
-                            ih = io * stride + ki - padding
-                            if ih < 0 or ih >= h:
-                                continue
-                            col0 = (ni * out_h + io) * out_w
-                            for jo in range(out_w):
-                                iw = jo * stride + kj - padding
-                                if 0 <= iw < w:
-                                    gx[ni, ci, ih, iw] += cols[row, col0 + jo]
-
-    @jit
-    def batchnorm_train_fwd(x, gamma, beta, eps, relu, out, x_hat, mean,
-                            var, inv_std):
-        # One double-accumulated stats pass + one normalize/scale/shift
-        # (+relu) pass per channel over (N, C, P) with P = H*W.
-        n, c, p = x.shape
-        m = n * p
-        for ci in range(c):
-            s = 0.0
-            ss = 0.0
-            for ni in range(n):
-                for pi in range(p):
-                    v = x[ni, ci, pi]
-                    s += v
-                    ss += v * v
-            mu = s / m
-            va = ss / m - mu * mu
-            if va < 0.0:
-                va = 0.0
-            mean[ci] = mu
-            var[ci] = va
-            inv = 1.0 / (va + eps) ** 0.5
-            inv_std[ci] = inv
-            g = gamma[ci]
-            b = beta[ci]
-            for ni in range(n):
-                for pi in range(p):
-                    xv = (x[ni, ci, pi] - mu) * inv
-                    x_hat[ni, ci, pi] = xv
-                    ov = g * xv + b
-                    if relu and ov < 0.0:
-                        ov = 0.0
-                    out[ni, ci, pi] = ov
-
-    @jit
-    def batchnorm_eval_fwd(x, gamma, beta, mean, var, eps, relu, out,
-                           x_hat, inv_std):
-        n, c, p = x.shape
-        for ci in range(c):
-            inv = 1.0 / (var[ci] + eps) ** 0.5
-            inv_std[ci] = inv
-            g = gamma[ci]
-            b = beta[ci]
-            mu = mean[ci]
-            for ni in range(n):
-                for pi in range(p):
-                    xv = (x[ni, ci, pi] - mu) * inv
-                    x_hat[ni, ci, pi] = xv
-                    ov = g * xv + b
-                    if relu and ov < 0.0:
-                        ov = 0.0
-                    out[ni, ci, pi] = ov
-
-    @jit
-    def batchnorm_bwd(grad, x_hat, inv_std, gamma, out, relu, training,
-                      gx, ggamma, gbeta):
-        # The relu gate reads the saved post-relu output (node data) —
-        # out > 0 iff the pre-relu activation was > 0.
-        n, c, p = grad.shape
-        m = n * p
-        for ci in range(c):
-            sg = 0.0
-            sgx = 0.0
-            for ni in range(n):
-                for pi in range(p):
-                    gv = grad[ni, ci, pi]
-                    if relu and out[ni, ci, pi] <= 0.0:
-                        gv = 0.0
-                    sg += gv
-                    sgx += gv * x_hat[ni, ci, pi]
-            ggamma[ci] = sgx
-            gbeta[ci] = sg
-            scale = gamma[ci] * inv_std[ci]
-            mean_dy = sg / m
-            mean_dy_xhat = sgx / m
-            for ni in range(n):
-                for pi in range(p):
-                    gv = grad[ni, ci, pi]
-                    if relu and out[ni, ci, pi] <= 0.0:
-                        gv = 0.0
-                    if training:
-                        gx[ni, ci, pi] = scale * (gv - mean_dy
-                                                  - x_hat[ni, ci, pi] * mean_dy_xhat)
-                    else:
-                        gx[ni, ci, pi] = scale * gv
-
-    @jit
-    def maxpool_fwd(x, out, idx, k):
-        # Non-overlapping pool over (planes, H, W); idx stores the
-        # flattened window offset of the (first) max, argmax-compatible.
-        planes, h, w = x.shape
-        oh = h // k
-        ow = w // k
-        for pl in range(planes):
-            for io in range(oh):
-                for jo in range(ow):
-                    best = x[pl, io * k, jo * k]
-                    bi = 0
-                    for ki in range(k):
-                        for kj in range(k):
-                            v = x[pl, io * k + ki, jo * k + kj]
-                            if v > best:
-                                best = v
-                                bi = ki * k + kj
-                    out[pl, io, jo] = best
-                    idx[pl, io, jo] = bi
-
-    @jit
-    def maxpool_bwd(grad, idx, gx, k):
-        # gx pre-zeroed; windows are disjoint so plain stores suffice.
-        planes, h, w = gx.shape
-        oh = h // k
-        ow = w // k
-        for pl in range(planes):
-            for io in range(oh):
-                for jo in range(ow):
-                    b = idx[pl, io, jo]
-                    gx[pl, io * k + b // k, jo * k + b % k] = grad[pl, io, jo]
-
-    return {
-        "sgd_momentum": sgd_momentum,
-        "fused_fake_quant": fused_fake_quant,
-        "adam_update": adam_update,
-        "im2col": im2col,
-        "col2im": col2im,
-        "batchnorm_train_fwd": batchnorm_train_fwd,
-        "batchnorm_eval_fwd": batchnorm_eval_fwd,
-        "batchnorm_bwd": batchnorm_bwd,
-        "maxpool_fwd": maxpool_fwd,
-        "maxpool_bwd": maxpool_bwd,
-    }
+"""Retired numba tier; kept because ``perfbench/child.py`` still probes it."""
 
 
 def get_kernel(name: str):
-    """Return the jitted kernel ``name``, or None when numba is absent."""
-    if not HAVE_NUMBA:
-        return None
-    if kernel_disabled(name):  # pragma: no cover - requires numba
-        return None
-    if not _KERNELS:  # pragma: no cover - requires numba
-        _KERNELS.update(_build_kernels())
-    return _KERNELS.get(name)  # pragma: no cover - requires numba
+    return None

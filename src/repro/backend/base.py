@@ -8,17 +8,20 @@ by calling ``np.*`` directly:
 * the conv lowering (im2col gather, col2im scatter, matmul dispatch);
 * the fused hot loops — fake-quant round-clip and the SGD/Adam
   parameter updates — which the fast backend collapses into in-place
-  chains (optionally jitted via numba when it is importable);
+  chains (or single-pass C kernels when the compiled tier loads);
 * the fused elementwise chains — relu, batchnorm (train/eval, with an
   optional trailing relu), softmax/log-softmax/cross-entropy, bias add,
   linear, mse — each exposed as a forward kernel returning an opaque
   *residual* plus a matching backward kernel, so the autograd layer can
   record one graph node per chain instead of one per primitive.
 
-The base-class implementations of the fused chains compose the exact
-float64-era op sequence of the seed engine, in the same order — the
-reference backend inherits them unchanged, which is what keeps fused
-reference runs bit-identical to the historical per-primitive graphs.
+The autograd/nn layers always dispatch through these fused chains;
+there is no second, per-primitive graph in the library.  The
+base-class implementations compose the exact float64-era op sequence
+of the seed engine, in the same order — the reference backend inherits
+them unchanged, which is what keeps reference runs bit-identical to
+the historical per-primitive graphs (kept as the test oracle in
+``tests/test_backend_fused.py``).
 Residuals are backend-opaque: each backend saves exactly what its own
 backward needs (a bool mask for relu, ``(x_hat, inv_std, ...)`` for
 batchnorm), and nothing else — forward temporaries die with the

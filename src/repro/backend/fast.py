@@ -6,7 +6,7 @@ Four levers, in order of measured impact on an AD-search trial:
    ``@`` onto BLAS sgemm;
 2. conv lowering without ``np.add.at`` — ``as_strided`` window views
    for im2col and k*k strided-slice accumulation for col2im, with
-   jitted/compiled scatter-gather loops when a kernel tier is up;
+   compiled gather/scatter loops when the C tier is up;
 3. fused elementwise chains — fake-quant as an in-place
    round-scale-shift (no int64 round-trip, no float64 upcast) and
    in-place SGD/Adam parameter updates;
@@ -14,11 +14,12 @@ Four levers, in order of measured impact on an AD-search trial:
    mean/var/normalize/scale/shift(/relu) chain in one kernel call,
    and a two-pass zero-temporary backward.
 
-Kernels probe two acceleration tiers before falling back to numpy:
-numba ``njit`` loops (:mod:`repro.backend._numba`, when numba is
-importable) and cffi-compiled C (:mod:`repro.backend._ckernels`, when a
-C toolchain is present).  Every tier computes the same values — the
-numpy fallbacks below are the semantics, the tiers are speed.
+Each hot kernel has exactly two implementations: a cffi-compiled C
+kernel (:mod:`repro.backend._ckernels`) and the vectorized numpy
+fallback below.  The numpy code is the semantics; the C table is
+looked up once per backend instance, on first use, and is empty when
+the C tier cannot load (no cffi or no compiler), in which case every
+op runs its fallback.  There is no switch between them.
 
 Numerics agree with the reference backend to float32 tolerances; the
 differential test suite pins that op by op.
@@ -26,21 +27,15 @@ differential test suite pins that op by op.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from repro.backend import _ckernels, _numba
+from repro.backend import _ckernels
 from repro.backend._im2col import col2im_sliced, conv_output_size, im2col_strided
 from repro.backend.base import ArrayBackend
 
 _BN_AXES = (0, 2, 3)
-
-
-def _fused_kernel(name: str):
-    """Probe the tiers for a batchnorm/conv kernel: numba, then C."""
-    kernel = _numba.get_kernel(name)
-    if kernel is not None:  # pragma: no cover - requires numba
-        return kernel
-    return _ckernels.get_kernel(name)
 
 
 class FastBackend(ArrayBackend):
@@ -49,28 +44,35 @@ class FastBackend(ArrayBackend):
     name = "fast"
     dtype = np.dtype(np.float32)
 
+    @functools.cached_property
+    def _kernels(self) -> dict:
+        # name -> C kernel, resolved on first use so importing the
+        # backend never starts a compiler; tests assign {} on a fresh
+        # instance to run every op on its numpy fallback.
+        return _ckernels.kernels()
+
     def im2col(self, x, kernel, stride, padding):
-        jitted = _fused_kernel("im2col")
-        if (jitted is not None and x.flags.c_contiguous
+        ck = self._kernels.get("im2col")
+        if (ck is not None and x.flags.c_contiguous
                 and x.dtype == self.dtype):
             n, c, h, w = x.shape
             out_h = conv_output_size(h, kernel, stride, padding)
             out_w = conv_output_size(w, kernel, stride, padding)
             cols = np.empty((c * kernel * kernel, n * out_h * out_w),
                             dtype=x.dtype)
-            jitted(x, cols, kernel, stride, padding, out_h, out_w)
+            ck(x, cols, kernel, stride, padding, out_h, out_w)
             return cols, out_h, out_w
         return im2col_strided(x, kernel, stride, padding)
 
     def col2im(self, cols, x_shape, kernel, stride, padding):
-        scatter = _fused_kernel("col2im")
-        if (scatter is not None and cols.flags.c_contiguous
+        ck = self._kernels.get("col2im")
+        if (ck is not None and cols.flags.c_contiguous
                 and cols.dtype == self.dtype):
             n, c, h, w = x_shape
             out_h = conv_output_size(h, kernel, stride, padding)
             out_w = conv_output_size(w, kernel, stride, padding)
             gx = np.zeros(x_shape, dtype=cols.dtype)
-            scatter(cols, gx, kernel, stride, padding, out_h, out_w)
+            ck(cols, gx, kernel, stride, padding, out_h, out_w)
             return gx
         return col2im_sliced(cols, x_shape, kernel, stride, padding)
 
@@ -80,7 +82,7 @@ class FastBackend(ArrayBackend):
     def batchnorm_train(self, x, gamma, beta, eps, fuse_relu=False):
         x = np.ascontiguousarray(x, dtype=self.dtype)
         n, c, h, w = x.shape
-        kernel = _fused_kernel("batchnorm_train_fwd")
+        kernel = self._kernels.get("batchnorm_train_fwd")
         if kernel is not None:
             out = np.empty_like(x)
             x_hat = np.empty_like(x)
@@ -113,7 +115,7 @@ class FastBackend(ArrayBackend):
                        fuse_relu=False):
         x = np.ascontiguousarray(x, dtype=self.dtype)
         n, c, h, w = x.shape
-        kernel = _fused_kernel("batchnorm_eval_fwd")
+        kernel = self._kernels.get("batchnorm_eval_fwd")
         if kernel is not None:
             out = np.empty_like(x)
             x_hat = np.empty_like(x)
@@ -141,7 +143,7 @@ class FastBackend(ArrayBackend):
         x_hat, inv_std, gate = residual
         grad = np.ascontiguousarray(grad, dtype=self.dtype)
         n, c, h, w = grad.shape
-        kernel = _fused_kernel("batchnorm_bwd")
+        kernel = self._kernels.get("batchnorm_bwd")
         if kernel is not None and x_hat.flags.c_contiguous:
             gx = np.empty_like(grad)
             ggamma = np.empty(c, dtype=self.dtype)
@@ -166,7 +168,7 @@ class FastBackend(ArrayBackend):
         return gx, ggamma, gbeta
 
     def maxpool_fwd(self, x, kernel):
-        ck = _fused_kernel("maxpool_fwd")
+        ck = self._kernels.get("maxpool_fwd")
         if (ck is not None and kernel * kernel <= 127
                 and x.flags.c_contiguous and x.dtype == self.dtype):
             n, c, h, w = x.shape
@@ -188,7 +190,7 @@ class FastBackend(ArrayBackend):
         n, c, out_h, out_w = idx.shape
         h, w = out_h * kernel, out_w * kernel
         gx = np.zeros((n, c, h, w), dtype=self.dtype)
-        ck = _fused_kernel("maxpool_bwd")
+        ck = self._kernels.get("maxpool_bwd")
         if ck is not None:
             ck(grad.reshape(n * c, out_h, out_w),
                idx.reshape(n * c, out_h, out_w),
@@ -214,7 +216,7 @@ class FastBackend(ArrayBackend):
             x = np.clip(x, lo, hi)
         scale = levels / (hi - lo)
         inv_scale = (hi - lo) / levels
-        kernel = _fused_kernel("fused_fake_quant")
+        kernel = self._kernels.get("fused_fake_quant")
         if kernel is not None and x.flags.c_contiguous:
             out = np.empty_like(x)
             kernel(x, out, lo, scale, inv_scale)
@@ -230,12 +232,6 @@ class FastBackend(ArrayBackend):
         return out
 
     def sgd_update(self, param, grad, velocity, lr, momentum, weight_decay):
-        if momentum:
-            kernel = _numba.get_kernel("sgd_momentum")
-            if (kernel is not None and param.flags.c_contiguous
-                    and grad.flags.c_contiguous):  # pragma: no cover
-                kernel(param, grad, velocity, lr, momentum, weight_decay)
-                return param
         if weight_decay:
             grad = grad + weight_decay * param
         if momentum:
@@ -247,7 +243,7 @@ class FastBackend(ArrayBackend):
 
     def adam_update(self, param, grad, m, v, lr, beta1, beta2, eps,
                     weight_decay, bias1, bias2):
-        kernel = _fused_kernel("adam_update")
+        kernel = self._kernels.get("adam_update")
         if (kernel is not None and param.flags.c_contiguous
                 and grad.flags.c_contiguous and m.flags.c_contiguous
                 and v.flags.c_contiguous):

@@ -17,7 +17,7 @@ import numpy as np
 from repro.autograd import Tensor
 from repro.autograd import conv as conv_ops
 from repro.autograd import functional as F
-from repro.backend import active_backend, fusion_enabled
+from repro.backend import active_backend
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
@@ -110,7 +110,7 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         weight = self.effective_weight()
-        if fusion_enabled() and x.data.ndim == 2:
+        if x.data.ndim == 2:
             backend = active_backend()
             bias = self.bias
             out = backend.linear_fwd(
@@ -171,47 +171,12 @@ class BatchNorm2d(Module):
                 f"expected {self.num_features} channels, got {x.data.shape[1]}"
             )
         gamma, beta = self.gamma, self.beta
-        if fusion_enabled():
-            backend = active_backend()
-            training = self.training
-            if training:
-                out, mean, var, residual = backend.batchnorm_train(
-                    x.data, gamma.data, beta.data, self.eps, fuse_relu
-                )
-                m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-                unbiased = var * m / max(m - 1, 1)
-                self._set_buffer(
-                    "running_mean",
-                    (1 - self.momentum) * self.running_mean + self.momentum * mean,
-                )
-                self._set_buffer(
-                    "running_var",
-                    (1 - self.momentum) * self.running_var + self.momentum * unbiased,
-                )
-            else:
-                out, residual = backend.batchnorm_eval(
-                    x.data, gamma.data, beta.data, self.running_mean,
-                    self.running_var, self.eps, fuse_relu,
-                )
-
-            def backward(grad):
-                return backend.batchnorm_bwd(grad, gamma.data, residual, training)
-
-            op = "batchnorm2d_relu" if fuse_relu else "batchnorm2d"
-            return Tensor.from_op(out, (x, gamma, beta), backward, op)
-
-        out = self._forward_unfused(x)
-        if fuse_relu:
-            out = out.relu()
-        return out
-
-    def _forward_unfused(self, x: Tensor) -> Tensor:
-        """The per-primitive seed path, kept for ``use_fusion(False)``."""
-        gamma, beta = self.gamma, self.beta
-        axes = (0, 2, 3)
-        if self.training:
-            mean = x.data.mean(axis=axes)
-            var = x.data.var(axis=axes)
+        backend = active_backend()
+        training = self.training
+        if training:
+            out, mean, var, residual = backend.batchnorm_train(
+                x.data, gamma.data, beta.data, self.eps, fuse_relu
+            )
             m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
             unbiased = var * m / max(m - 1, 1)
             self._set_buffer(
@@ -223,26 +188,16 @@ class BatchNorm2d(Module):
                 (1 - self.momentum) * self.running_var + self.momentum * unbiased,
             )
         else:
-            mean = self.running_mean
-            var = self.running_var
-
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = gamma.data[None, :, None, None] * x_hat + beta.data[None, :, None, None]
-        training = self.training
+            out, residual = backend.batchnorm_eval(
+                x.data, gamma.data, beta.data, self.running_mean,
+                self.running_var, self.eps, fuse_relu,
+            )
 
         def backward(grad):
-            grad_gamma = (grad * x_hat).sum(axis=axes)
-            grad_beta = grad.sum(axis=axes)
-            scale = (gamma.data * inv_std)[None, :, None, None]
-            if not training:
-                return (grad * scale, grad_gamma, grad_beta)
-            mean_dy = grad.mean(axis=axes)[None, :, None, None]
-            mean_dy_xhat = (grad * x_hat).mean(axis=axes)[None, :, None, None]
-            grad_x = scale * (grad - mean_dy - x_hat * mean_dy_xhat)
-            return (grad_x, grad_gamma, grad_beta)
+            return backend.batchnorm_bwd(grad, gamma.data, residual, training)
 
-        return Tensor.from_op(out, (x, gamma, beta), backward, "batchnorm2d")
+        op = "batchnorm2d_relu" if fuse_relu else "batchnorm2d"
+        return Tensor.from_op(out, (x, gamma, beta), backward, op)
 
     def __repr__(self) -> str:
         return f"BatchNorm2d({self.num_features})"
