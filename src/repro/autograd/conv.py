@@ -13,19 +13,14 @@ from repro.autograd.tensor import Tensor
 from repro.backend import active_backend
 # conv_output_size is re-exported: callers size conv/pool outputs with it.
 from repro.backend._im2col import conv_output_size as conv_output_size
-from repro.backend._im2col import im2col_indices
-
-
-def _im2col_indices(height, width, kernel, stride, padding):
-    """Index arrays that gather conv patches into a matrix."""
-    return im2col_indices(height, width, kernel, stride, padding)
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int):
     """Rearrange (N, C, H, W) into (C*k*k, N*out_h*out_w) patch columns.
 
-    Dispatches to the active backend's kernel (dtype-preserving on both;
-    the fast backend uses an ``as_strided`` gather).
+    Dispatches to the active backend's kernel (dtype-preserving; both
+    backends share the numpy ``as_strided`` gather, which the fast
+    backend replaces with a C loop where its kernels load).
     """
     return active_backend().im2col(x, kernel, stride, padding)
 

@@ -1,19 +1,22 @@
-"""Shared im2col/col2im kernels used by the array backends.
+"""The numpy conv lowering, shared by every array backend.
 
 This module is intentionally free of any :mod:`repro.autograd` import:
 the backends own the conv lowering, and the autograd conv ops dispatch
-to the active backend.  Two families live here:
+to the active backend.  :class:`~repro.backend.base.ArrayBackend` runs
+these two kernels for both backends (the fast backend whenever its C
+kernels do not take an input):
 
-* the *reference* kernels — the seed implementation, bit-for-bit:
-  fancy-indexing gather for ``im2col`` and a buffered ``np.add.at``
-  scatter for ``col2im`` (float64 semantics come from the caller's
-  arrays, not from this module);
-* the *fast* kernels — a zero-copy ``as_strided`` window view feeding
-  one contiguous reshape for ``im2col``, and a k*k strided-slice
-  accumulation for ``col2im`` that replaces ``np.add.at`` (whose
-  buffered fancy-indexing path dominates conv backward wall-clock).
+* ``im2col`` — a zero-copy ``as_strided`` window view, copied once
+  into a fresh (C*k*k, N*out_h*out_w) column matrix;
+* ``col2im`` — a k*k strided-slice accumulation into a zeroed image,
+  in place of a buffered ``np.add.at`` scatter.
 
-Both families are dtype-preserving: padding and scatter targets are
+Both return the seed engine's fancy-index gather and ``np.add.at``
+scatter byte for byte, with the same strides: every pixel receives its
+k*k contributions in the same order, and the column matrix keeps the
+seed's memory layout, which the GEMMs downstream round by.
+``tests/test_backend_conv_lowering.py`` keeps the seed kernels as the
+oracle.  Both are dtype-preserving: padding and scatter targets are
 allocated with the input's dtype, never numpy's float64 default.
 """
 
@@ -33,61 +36,16 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def im2col_indices(height, width, kernel, stride, padding):
-    """Index arrays that gather conv patches into a matrix."""
-    out_h = conv_output_size(height, kernel, stride, padding)
-    out_w = conv_output_size(width, kernel, stride, padding)
-    i0 = np.repeat(np.arange(kernel), kernel)
-    j0 = np.tile(np.arange(kernel), kernel)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    rows = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    cols = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    return rows, cols, out_h, out_w
-
-
-# ---------------------------------------------------------------------------
-# Reference kernels (seed semantics).
-# ---------------------------------------------------------------------------
-
-def im2col_reference(x: np.ndarray, kernel: int, stride: int, padding: int):
-    """Rearrange (N, C, H, W) into (C*k*k, N*out_h*out_w) patch columns."""
-    n, c, h, w = x.shape
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    rows, cols, out_h, out_w = im2col_indices(h, w, kernel, stride, padding)
-    # Shape: (N, C, k*k, out_h*out_w)
-    patches = x[:, :, rows, cols]
-    # -> (C, k*k, N, out_h*out_w) -> (C*k*k, N*out_h*out_w)
-    patches = patches.transpose(1, 2, 0, 3).reshape(c * kernel * kernel, -1)
-    return patches, out_h, out_w
-
-
-def col2im_reference(cols: np.ndarray, x_shape, kernel: int, stride: int,
-                     padding: int) -> np.ndarray:
-    """Adjoint of im2col: scatter patch columns back, accumulating."""
-    n, c, h, w = x_shape
-    h_pad, w_pad = h + 2 * padding, w + 2 * padding
-    x_padded = np.zeros((n, c, h_pad, w_pad), dtype=cols.dtype)
-    rows, cols_idx, out_h, out_w = im2col_indices(h, w, kernel, stride, padding)
-    reshaped = cols.reshape(c, kernel * kernel, n, out_h * out_w).transpose(2, 0, 1, 3)
-    np.add.at(x_padded, (slice(None), slice(None), rows, cols_idx), reshaped)
-    if padding > 0:
-        return x_padded[:, :, padding:-padding, padding:-padding]
-    return x_padded
-
-
-# ---------------------------------------------------------------------------
-# Fast kernels.
-# ---------------------------------------------------------------------------
-
 def im2col_strided(x: np.ndarray, kernel: int, stride: int, padding: int):
-    """im2col via an ``as_strided`` window view + one contiguous reshape.
+    """Rearrange (N, C, H, W) into (C*k*k, N*out_h*out_w) patch columns.
 
-    The view costs nothing; the reshape performs the single gather copy
-    that hands BLAS a C-contiguous (C*k*k, N*out_h*out_w) matrix.  The
-    column ordering matches :func:`im2col_reference` exactly (row-major
-    within the k*k patch, output positions row-major).
+    Columns run row-major within the k*k patch, output positions
+    row-major.  The result is always a fresh, writeable array, laid out
+    as the seed's fancy-index gather left it.  That gather stored output
+    positions outermost, then N and C in ``x``'s own stride order, and
+    its final reshape kept this layout only for 1x1 windows at N == 1,
+    or at a single output position unless N is the faster of N and C:
+    those columns are channel-fastest, all others C-contiguous.
     """
     n, c, h, w = x.shape
     if padding > 0:
@@ -97,26 +55,26 @@ def im2col_strided(x: np.ndarray, kernel: int, stride: int, padding: int):
     s0, s1, s2, s3 = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
-        shape=(n, c, kernel, kernel, out_h, out_w),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        shape=(c, kernel, kernel, n, out_h, out_w),
+        strides=(s1, s2, s3, s0, s2 * stride, s3 * stride),
         writeable=False,
     )
-    cols = windows.transpose(1, 2, 3, 0, 4, 5).reshape(
-        c * kernel * kernel, n * out_h * out_w
-    )
+    if kernel == 1 and (n == 1 or (out_h * out_w == 1 and abs(s1) <= abs(s0))):
+        cols = windows[:, 0, 0].transpose(1, 2, 3, 0).copy().reshape(-1, c).T
+    else:
+        cols = windows.copy().reshape(c * kernel * kernel, -1)
     return cols, out_h, out_w
 
 
 def col2im_sliced(cols: np.ndarray, x_shape, kernel: int, stride: int,
                   padding: int) -> np.ndarray:
-    """col2im as k*k strided-slice accumulations (no ``np.add.at``).
+    """Adjoint of :func:`im2col_strided`: scatter columns back, accumulating.
 
     For each of the k*k positions inside the patch, all output windows
     touch *distinct* input pixels, so a vectorized ``+=`` on a strided
     slice is exact; overlap between positions accumulates across the
-    k*k loop iterations.  Orders of magnitude faster than the buffered
-    fancy-indexing scatter for the 3x3 kernels that dominate the paper's
-    workloads.
+    k*k loop iterations, in the order the seed's ``np.add.at`` added
+    them.
     """
     n, c, h, w = x_shape
     h_pad, w_pad = h + 2 * padding, w + 2 * padding

@@ -6,6 +6,8 @@ by calling ``np.*`` directly:
 * the floating dtype (``float64`` for the reference engine, ``float32``
   for the fast path) and all array creation/coercion;
 * the conv lowering (im2col gather, col2im scatter, matmul dispatch);
+  the numpy im2col/col2im in :mod:`repro.backend._im2col` is the one
+  both backends run, the fast backend only where its C kernels decline;
 * the fused hot loops — fake-quant round-clip and the SGD/Adam
   parameter updates — which the fast backend collapses into in-place
   chains (or single-pass C kernels when the compiled tier loads);
@@ -34,6 +36,8 @@ via ``ExperimentConfig.backend`` / ``repro ... --backend``.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.backend._im2col import col2im_sliced, im2col_strided
 
 
 class ArrayBackend:
@@ -84,11 +88,13 @@ class ArrayBackend:
         return a @ b
 
     def im2col(self, x: np.ndarray, kernel: int, stride: int, padding: int):
-        raise NotImplementedError
+        """(N, C, H, W) -> ``(cols, out_h, out_w)``, cols fresh (C*k*k, N*out_h*out_w)."""
+        return im2col_strided(x, kernel, stride, padding)
 
     def col2im(self, cols: np.ndarray, x_shape, kernel: int, stride: int,
                padding: int) -> np.ndarray:
-        raise NotImplementedError
+        """Adjoint of :meth:`im2col`: scatter columns back, accumulating."""
+        return col2im_sliced(cols, x_shape, kernel, stride, padding)
 
     # ------------------------------------------------------------------
     # Fused hot loops

@@ -4,9 +4,10 @@ Four levers, in order of measured impact on an AD-search trial:
 
 1. float32 everywhere — halves memory traffic and switches every
    ``@`` onto BLAS sgemm;
-2. conv lowering without ``np.add.at`` — ``as_strided`` window views
-   for im2col and k*k strided-slice accumulation for col2im, with
-   compiled gather/scatter loops when the C tier is up;
+2. compiled conv lowering — C gather/scatter loops for im2col and
+   col2im when the C tier is up; otherwise the numpy lowering
+   (``as_strided`` windows, k*k slice accumulation) that the base
+   class runs for the reference backend too;
 3. fused elementwise chains — fake-quant as an in-place
    round-scale-shift (no int64 round-trip, no float64 upcast) and
    in-place SGD/Adam parameter updates;
@@ -16,10 +17,11 @@ Four levers, in order of measured impact on an AD-search trial:
 
 Each hot kernel has exactly two implementations: a cffi-compiled C
 kernel (:mod:`repro.backend._ckernels`) and the vectorized numpy
-fallback below.  The numpy code is the semantics; the C table is
-looked up once per backend instance, on first use, and is empty when
-the C tier cannot load (no cffi or no compiler), in which case every
-op runs its fallback.  There is no switch between them.
+fallback — below, or for im2col/col2im the base class's shared one.
+The numpy code is the semantics; the C table is looked up once per
+backend instance, on first use, and is empty when the C tier cannot
+load (no cffi or no compiler), in which case every op runs its
+fallback.  There is no switch between them.
 
 Numerics agree with the reference backend to float32 tolerances; the
 differential test suite pins that op by op.
@@ -32,7 +34,7 @@ import functools
 import numpy as np
 
 from repro.backend import _ckernels
-from repro.backend._im2col import col2im_sliced, conv_output_size, im2col_strided
+from repro.backend._im2col import conv_output_size
 from repro.backend.base import ArrayBackend
 
 _BN_AXES = (0, 2, 3)
@@ -62,7 +64,7 @@ class FastBackend(ArrayBackend):
                             dtype=x.dtype)
             ck(x, cols, kernel, stride, padding, out_h, out_w)
             return cols, out_h, out_w
-        return im2col_strided(x, kernel, stride, padding)
+        return super().im2col(x, kernel, stride, padding)
 
     def col2im(self, cols, x_shape, kernel, stride, padding):
         ck = self._kernels.get("col2im")
@@ -74,7 +76,7 @@ class FastBackend(ArrayBackend):
             gx = np.zeros(x_shape, dtype=cols.dtype)
             ck(cols, gx, kernel, stride, padding, out_h, out_w)
             return gx
-        return col2im_sliced(cols, x_shape, kernel, stride, padding)
+        return super().col2im(cols, x_shape, kernel, stride, padding)
 
     # ------------------------------------------------------------------
     # Fused elementwise chains

@@ -1,23 +1,27 @@
 """The ``reference`` backend: the seed's float64 semantics, bit-for-bit.
 
-Every kernel here reproduces the exact operation order the engine used
-before the backend seam existed.  Floating-point arithmetic is
-deterministic given identical operand order, so "same ops, same order"
-is a bit-identity guarantee — the façade/regression suites pin it.
-Do not "optimize" this file; that is what :mod:`repro.backend.fast`
-is for.
+The contract: every kernel this backend runs — the overrides here and
+the base-class compositions it inherits, the conv lowering included —
+returns the same bytes *and* the same strides as the engine did before
+the backend seam existed.  Floating-point results are deterministic
+given identical operands in identical order, and layout counts: a GEMM
+over a transposed operand may round its last bit differently.  A
+faster kernel is welcome here only if it keeps that contract.  The
+tests that pin it compare against test-local copies of the seed code:
+``tests/test_backend_conv_lowering.py`` (im2col/col2im, conv2d),
+``tests/test_backend_fused.py`` (the fused elementwise chains and whole
+training steps) and the façade/regression suites.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend._im2col import col2im_reference, im2col_reference
 from repro.backend.base import ArrayBackend
 
 
 class ReferenceBackend(ArrayBackend):
-    """float64 engine with the seed's un-fused kernels."""
+    """float64 engine with the seed's numerics."""
 
     name = "reference"
     dtype = np.dtype(np.float64)
@@ -25,12 +29,6 @@ class ReferenceBackend(ArrayBackend):
     def rng_array(self, value) -> np.ndarray:
         # rng output is already float64; this must stay a no-op view.
         return value.astype(self.dtype, copy=False)
-
-    def im2col(self, x, kernel, stride, padding):
-        return im2col_reference(x, kernel, stride, padding)
-
-    def col2im(self, cols, x_shape, kernel, stride, padding):
-        return col2im_reference(cols, x_shape, kernel, stride, padding)
 
     def fake_quant(self, x, quantizer):
         # The quantizer's own float64 quantize -> int64 round -> dequantize
