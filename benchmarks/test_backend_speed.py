@@ -13,12 +13,16 @@ Each leg is timed ``REPRO_BENCH_REPEATS`` times (the host is shared, so
 the *minimum* is the honest cost of the code) and the measured pair is
 written to ``.bench/BENCH_PR10.json`` (gitignored; the committed
 ``BENCH_PR10.json`` at the repo root is the historical record).  The
-test fails if the fast backend drops under 2.5x over the reference.
-That floor is the old 5x one, restated when the reference backend
-moved to the shared strided/sliced conv lowering: its leg of this
-trial fell from 16.5 s to 8.4 s on a 2-core host (medians of three
-alternating runs each) while the fast leg stayed put, so the same
-bound on the fast leg reads 5.0 x 8.4 / 16.5 = 2.55x, rounded down.
+test fails if the fast backend drops under 2.1x over the reference.
+That floor is the original 5x one, restated each time the reference
+leg got faster while the fast leg stayed put, so that it keeps the
+same bound on the fast leg.  The shared strided/sliced conv lowering
+took the reference leg from 16.5 s to 8.4 s on a 2-core host (5.0 x
+8.4 / 16.5 = 2.55x, rounded down to 2.5x); running the compiled conv
+lowering in float64 as well took it from 10.9 s to 9.5 s on a 2-core
+host (2.5 x 9.5 / 10.9 = 2.17x, rounded down to 2.1x).  Each pair of
+timings is the median of alternating back-to-back runs of both
+commits: three runs each in the first case, six in the second.
 
 The fast run must also land in the reference run's accuracy
 neighbourhood: a speedup bought with a broken training loop is a bug,
@@ -39,7 +43,7 @@ WORKLOAD = {
     "max_iterations": 1,
     "epochs_per_iteration": 1,
 }
-MIN_FUSED_OVER_REFERENCE = 2.5
+MIN_FUSED_OVER_REFERENCE = 2.1
 
 
 def _trial(backend: str):

@@ -19,8 +19,8 @@ def im2col(x: np.ndarray, kernel: int, stride: int, padding: int):
     """Rearrange (N, C, H, W) into (C*k*k, N*out_h*out_w) patch columns.
 
     Dispatches to the active backend's kernel (dtype-preserving; both
-    backends share the numpy ``as_strided`` gather, which the fast
-    backend replaces with a C loop where its kernels load).
+    backends run the compiled gather where the C kernels load and the
+    numpy ``as_strided`` gather otherwise).
     """
     return active_backend().im2col(x, kernel, stride, padding)
 

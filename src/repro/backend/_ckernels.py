@@ -1,20 +1,30 @@
-"""Compiled C kernels for the fast backend (cffi + a C compiler).
+"""Compiled C kernels for both backends (cffi + a C compiler).
 
-The fast backend's hot float32 loops — fused batchnorm(+relu) forward
-and backward, im2col/col2im, max pooling, one-pass Adam and fused
-fake-quant — come from a small C module compiled once per source
-revision.  Each kernel computes what its numpy fallback in
-:mod:`repro.backend.fast` computes; the fallbacks define the semantics
-and run whenever this tier cannot load (no cffi, no compiler, a build
-failure).  There is no switch: :func:`kernels` either yields the whole
-table or an empty one.
+Two groups of loops come from one small C module, compiled once per
+source revision and flag set:
+
+* the conv lowering — im2col and col2im, each instantiated for float32
+  and float64 and addressing its image through plane strides, so both
+  backends run it in place on their own layouts.  It returns the bytes
+  of the numpy lowering in :mod:`repro.backend._im2col`, which stays
+  the fallback and is what the seed oracle checks;
+* the fast backend's hot float32 loops — fused batchnorm(+relu) forward
+  and backward, max pooling, one-pass Adam and fused fake-quant — each
+  computing what its numpy fallback in :mod:`repro.backend.fast`
+  computes.
+
+The fallbacks define the semantics and run whenever this tier cannot
+load (no cffi, no compiler, a build failure), or when a conv kernel
+cannot address its operands.  There is no switch: :func:`kernels`
+either yields the whole table or an empty one.
 
 The build is cached on disk under ``REPRO_CKERNEL_CACHE`` (default
-``~/.cache/repro-ckernels``) keyed by a hash of the C source, so worker
-subprocesses and later runs import the shared object instantly instead
-of re-invoking the compiler.  A build runs in a private temp directory
-and is published with one atomic rename, so a process killed mid-build
-never leaves a partial shared object for others to load.
+``~/.cache/repro-ckernels``) keyed by a hash of the C source and the
+compiler flags, so worker subprocesses and later runs import the shared
+object instantly instead of re-invoking the compiler.  A build runs in
+a private temp directory and is published with one atomic rename, so a
+process killed mid-build never leaves a partial shared object for
+others to load.
 
 Nothing outside this module may import cffi directly, and nothing here
 runs at import time: the compiler starts on the first kernel lookup.
@@ -24,6 +34,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import string
+
+import numpy as np
 
 _CDEF = """
 void bn_train_fwd(const float* x, const float* gamma, const float* beta,
@@ -37,10 +50,6 @@ void bn_eval_fwd(const float* x, const float* gamma, const float* beta,
 void bn_bwd(const float* grad, const float* x_hat, const float* inv_std,
             const float* gamma, const float* out, int relu, int training,
             long n, long c, long p, float* gx, float* ggamma, float* gbeta);
-void im2col(const float* x, float* cols, long n, long c, long h, long w,
-            long kernel, long stride, long padding, long oh, long ow);
-void col2im(const float* cols, float* gx, long n, long c, long h, long w,
-            long kernel, long stride, long padding, long oh, long ow);
 void adam_update(float* p, const float* g, float* m, float* v, long size,
                  float lr, float beta1, float beta2, float eps,
                  float weight_decay, float bias1, float bias2);
@@ -164,84 +173,6 @@ void bn_bwd(const float* grad, const float* x_hat, const float* inv_std,
     }
 }
 
-/* im2col gather with implicit zero padding: writes each (channel,
-   ki, kj) row of the column matrix contiguously, no padded copy and
-   no strided-view reshape on the way out.  At stride 1 each output
-   row is a shifted copy of the input row, so the interior is a
-   memcpy and only the padding fringe is written scalar. */
-void im2col(const float* x, float* cols, long n, long c, long h, long w,
-            long kernel, long stride, long padding, long oh, long ow) {
-    long ncols = n * oh * ow;
-    for (long ci = 0; ci < c; ci++) {
-        for (long ki = 0; ki < kernel; ki++) {
-            for (long kj = 0; kj < kernel; kj++) {
-                float* dst = cols + ((ci * kernel + ki) * kernel + kj) * ncols;
-                long j0 = padding - kj > 0 ? padding - kj : 0;
-                long j1 = w + padding - kj < ow ? w + padding - kj : ow;
-                for (long ni = 0; ni < n; ni++) {
-                    const float* src = x + (ni * c + ci) * h * w;
-                    for (long io = 0; io < oh; io++) {
-                        long ih = io * stride + ki - padding;
-                        float* d = dst + (ni * oh + io) * ow;
-                        if (ih < 0 || ih >= h) {
-                            for (long jo = 0; jo < ow; jo++) d[jo] = 0.0f;
-                            continue;
-                        }
-                        const float* s = src + ih * w;
-                        if (stride == 1) {
-                            for (long jo = 0; jo < j0; jo++) d[jo] = 0.0f;
-                            memcpy(d + j0, s + j0 + kj - padding,
-                                   (size_t)(j1 - j0) * sizeof(float));
-                            for (long jo = j1; jo < ow; jo++) d[jo] = 0.0f;
-                            continue;
-                        }
-                        for (long jo = 0; jo < ow; jo++) {
-                            long iw = jo * stride + kj - padding;
-                            d[jo] = (iw >= 0 && iw < w) ? s[iw] : 0.0f;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/* col2im scatter with implicit zero padding: accumulates directly into
-   the (already zeroed) gradient buffer, no padded intermediate.  The
-   stride-1 interior is a branch-free shifted accumulate the compiler
-   can vectorize; only out-of-image columns are skipped. */
-void col2im(const float* cols, float* gx, long n, long c, long h, long w,
-            long kernel, long stride, long padding, long oh, long ow) {
-    long ncols = n * oh * ow;
-    for (long ci = 0; ci < c; ci++) {
-        for (long ki = 0; ki < kernel; ki++) {
-            for (long kj = 0; kj < kernel; kj++) {
-                const float* src = cols + ((ci * kernel + ki) * kernel + kj) * ncols;
-                long j0 = padding - kj > 0 ? padding - kj : 0;
-                long j1 = w + padding - kj < ow ? w + padding - kj : ow;
-                for (long ni = 0; ni < n; ni++) {
-                    float* dst = gx + (ni * c + ci) * h * w;
-                    for (long io = 0; io < oh; io++) {
-                        long ih = io * stride + ki - padding;
-                        if (ih < 0 || ih >= h) continue;
-                        const float* s = src + (ni * oh + io) * ow;
-                        float* d = dst + ih * w;
-                        if (stride == 1) {
-                            float* base = d + kj - padding;
-                            for (long jo = j0; jo < j1; jo++) base[jo] += s[jo];
-                            continue;
-                        }
-                        for (long jo = 0; jo < ow; jo++) {
-                            long iw = jo * stride + kj - padding;
-                            if (iw >= 0 && iw < w) d[iw] += s[jo];
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /* One-pass bias-corrected Adam: param and both moment buffers are
    updated in a single sweep instead of numpy's seven. */
 void adam_update(float* p, const float* g, float* m, float* v, long size,
@@ -312,6 +243,149 @@ void maxpool_bwd(const float* grad, const signed char* idx, float* gx,
 }
 """
 
+# The conv lowering, instantiated once per dtype ($T is the C type, $S
+# the name suffix).  Image plane (ni, ci) starts at element ni*sn +
+# ci*sc, and its rows start sh elements apart and are contiguous, so
+# both backends' image layouts (and the seed's padded gradient buffer)
+# are addressed in place.  The column matrix is C-ordered (C*k*k,
+# N*oh*ow): row (ci*k + ki)*k + kj holds tap (ki, kj) of channel ci at
+# every output position, N outermost.
+_CONV_CDEF = string.Template("""
+void im2col_$S(const $T* x, $T* cols, long n, long c, long h, long w,
+               long sn, long sc, long sh, long kernel, long stride,
+               long padding, long oh, long ow);
+void col2im_$S(const $T* cols, $T* gx, long n, long c, long h, long w,
+               long sn, long sc, long sh, long kernel, long stride,
+               long padding, long oh, long ow);
+""")
+
+_CONV_SOURCE = string.Template(r"""
+/* im2col gather with implicit zero padding.  At stride 1 a tap that
+   misses the image is one memset.  Otherwise each N block is the image
+   shifted by the tap: one span copy when block and image rows line up
+   (ow == sh, a "same" plane), spanning every N plane at once when they
+   sit end to end (sn == oh*ow, a channel-major image), else a copy per
+   row.  In-image segments then alternate with zero runs: a head before
+   the first, a gap between rows and a tail after the last. */
+void im2col_$S(const $T* x, $T* cols, long n, long c, long h, long w,
+               long sn, long sc, long sh, long kernel, long stride,
+               long padding, long oh, long ow) {
+    long block = oh * ow, ncols = n * block;
+    for (long ci = 0; ci < c; ci++) {
+        for (long ki = 0; ki < kernel; ki++) {
+            for (long kj = 0; kj < kernel; kj++) {
+                $T* dst = cols + ((ci * kernel + ki) * kernel + kj) * ncols;
+                if (stride != 1) {
+                    for (long ni = 0; ni < n; ni++) {
+                        const $T* src = x + ni * sn + ci * sc;
+                        $T* d = dst + ni * block;
+                        for (long io = 0; io < oh; io++) {
+                            long ih = io * stride + ki - padding;
+                            for (long jo = 0; jo < ow; jo++) {
+                                long iw = jo * stride + kj - padding;
+                                d[io * ow + jo] = (ih >= 0 && ih < h
+                                                   && iw >= 0 && iw < w)
+                                    ? src[ih * sh + iw] : 0;
+                            }
+                        }
+                    }
+                    continue;
+                }
+                long i0 = padding - ki > 0 ? padding - ki : 0;
+                long i1 = h + padding - ki < oh ? h + padding - ki : oh;
+                long j0 = padding - kj > 0 ? padding - kj : 0;
+                long j1 = w + padding - kj < ow ? w + padding - kj : ow;
+                if (i0 >= i1 || j0 >= j1) {
+                    memset(dst, 0, (size_t) ncols * sizeof($T));
+                    continue;
+                }
+                /* Output (io, jo) reads src[io*sh + jo + shift]. */
+                long shift = (ki - padding) * sh + kj - padding;
+                long run = (ow == sh && sn == block) ? n : 1;
+                for (long n0 = 0; n0 < n; n0 += run) {
+                    const $T* src = x + n0 * sn + ci * sc;
+                    $T* d = dst + n0 * block;
+                    if (ow == sh) {
+                        long a = i0 * ow + j0;
+                        long b = (run - 1) * block + (i1 - 1) * ow + j1;
+                        memcpy(d + a, src + a + shift,
+                               (size_t)(b - a) * sizeof($T));
+                    } else {
+                        for (long io = i0; io < i1; io++)
+                            memcpy(d + io * ow + j0, src + io * sh + j0 + shift,
+                                   (size_t)(j1 - j0) * sizeof($T));
+                    }
+                }
+                long head = i0 * ow + j0, gap = ow - (j1 - j0);
+                long tail = (oh - i1) * ow + ow - j1;
+                for (long ni = 0; ni < n; ni++) {
+                    $T* d = dst + ni * block;
+                    for (long t = 0; t < head; t++) d[t] = 0;
+                    for (long io = i0; io < i1 - 1; io++)
+                        for (long t = j1; t < j1 + gap; t++) d[io * ow + t] = 0;
+                    for (long t = 0; t < tail; t++) d[(i1 - 1) * ow + j1 + t] = 0;
+                }
+            }
+        }
+    }
+}
+
+/* col2im scatter, the adjoint: adds each tap into the (already zeroed)
+   image, taps in (ki, kj) order, so every pixel sums its contributions
+   in the seed's order.  At stride 1 a tap that misses the image is
+   skipped, and the rest add only their in-image rows and columns. */
+void col2im_$S(const $T* restrict cols, $T* restrict gx, long n, long c,
+               long h, long w, long sn, long sc, long sh, long kernel,
+               long stride, long padding, long oh, long ow) {
+    long block = oh * ow, ncols = n * block;
+    for (long ci = 0; ci < c; ci++) {
+        for (long ki = 0; ki < kernel; ki++) {
+            for (long kj = 0; kj < kernel; kj++) {
+                const $T* src = cols + ((ci * kernel + ki) * kernel + kj) * ncols;
+                if (stride != 1) {
+                    for (long ni = 0; ni < n; ni++) {
+                        const $T* s = src + ni * block;
+                        $T* d = gx + ni * sn + ci * sc;
+                        for (long io = 0; io < oh; io++) {
+                            long ih = io * stride + ki - padding;
+                            if (ih < 0 || ih >= h) continue;
+                            for (long jo = 0; jo < ow; jo++) {
+                                long iw = jo * stride + kj - padding;
+                                if (iw >= 0 && iw < w)
+                                    d[ih * sh + iw] += s[io * ow + jo];
+                            }
+                        }
+                    }
+                    continue;
+                }
+                long i0 = padding - ki > 0 ? padding - ki : 0;
+                long i1 = h + padding - ki < oh ? h + padding - ki : oh;
+                long j0 = padding - kj > 0 ? padding - kj : 0;
+                long j1 = w + padding - kj < ow ? w + padding - kj : ow;
+                if (i0 >= i1 || j0 >= j1) continue;
+                for (long ni = 0; ni < n; ni++) {
+                    const $T* s = src + ni * block;
+                    $T* d = gx + ni * sn + ci * sc;
+                    for (long io = i0; io < i1; io++) {
+                        const $T* sr = s + io * ow;
+                        $T* dr = d + (io + ki - padding) * sh + kj - padding + j0;
+                        for (long jo = 0; jo < j1 - j0; jo++) dr[jo] += sr[j0 + jo];
+                    }
+                }
+            }
+        }
+    }
+}
+""")
+
+_CONV_TYPES = (("float", "f32", np.float32), ("double", "f64", np.float64))
+_CDEF += "".join(_CONV_CDEF.substitute(T=t, S=s) for t, s, _ in _CONV_TYPES)
+_SOURCE += "".join(_CONV_SOURCE.substitute(T=t, S=s) for t, s, _ in _CONV_TYPES)
+# Part of the build's cache key: other flags compile other code.
+_COMPILE_ARGS = ("-O3", "-march=native", "-funroll-loops")
+_LIBRARIES = ("m",)
+
+
 def _cache_dir() -> str:
     root = os.environ.get("REPRO_CKERNEL_CACHE")
     if not root:
@@ -319,34 +393,41 @@ def _cache_dir() -> str:
     return root
 
 
+def _build_path() -> tuple[str, str]:
+    """``(module name, shared-object path)`` of this source under these flags."""
+    import sysconfig
+
+    build = repr((_CDEF, _SOURCE, _COMPILE_ARGS, _LIBRARIES))
+    digest = hashlib.sha256(build.encode()).hexdigest()[:16]
+    modname = f"_repro_ck_{digest}"
+    return modname, os.path.join(_cache_dir(), digest,
+                                 modname + sysconfig.get_config_var("EXT_SUFFIX"))
+
+
 def _load():
     """Import the compiled module, building and publishing it on a cache miss."""
     import importlib.util
     import shutil
-    import sysconfig
     import tempfile
 
     import cffi
 
-    digest = hashlib.sha256((_CDEF + _SOURCE).encode()).hexdigest()[:16]
-    modname = f"_repro_ck_{digest}"
-    root = _cache_dir()
-    sofile = os.path.join(root, digest,
-                          modname + sysconfig.get_config_var("EXT_SUFFIX"))
+    modname, sofile = _build_path()
     if not os.path.exists(sofile):
         # Other processes load whatever sits at ``sofile``: compile in a
         # private directory and publish with one rename, so a build that
         # dies half-way (a killed worker) is never seen as finished.
         os.makedirs(os.path.dirname(sofile), exist_ok=True)
-        tmpdir = tempfile.mkdtemp(prefix=f".build-{digest}-", dir=root)
+        tmpdir = tempfile.mkdtemp(prefix=f".build-{modname}-",
+                                  dir=_cache_dir())
         try:
             ffi = cffi.FFI()
             ffi.cdef(_CDEF)
             ffi.set_source(
                 modname,
                 _SOURCE,
-                extra_compile_args=["-O3", "-march=native", "-funroll-loops"],
-                libraries=["m"],
+                extra_compile_args=list(_COMPILE_ARGS),
+                libraries=list(_LIBRARIES),
             )
             os.replace(ffi.compile(tmpdir=tmpdir, verbose=False), sofile)
         finally:
@@ -426,28 +507,69 @@ def _wrap_bn_bwd(module):
     return bn_bwd
 
 
+def _conv_strides(image, cols, kernel, out_h, out_w):
+    """Element strides ``(sn, sc, sh)`` of ``image`` for a conv kernel, or None.
+
+    None when the kernels cannot address the pair: ``cols`` is not the
+    C-ordered (C*k*k, N*out_h*out_w) matrix over ``image`` in its dtype,
+    the rows of ``image`` are not contiguous, or either is misaligned.
+    """
+    n, c, h, w = image.shape
+    item = image.itemsize
+    sn, sc, sh, sw = image.strides
+    if (cols.dtype != image.dtype or not cols.flags.c_contiguous
+            or cols.shape != (c * kernel * kernel, n * out_h * out_w)
+            or (w > 1 and sw != item) or sn % item or sc % item or sh % item
+            or not (image.flags.aligned and cols.flags.aligned)):
+        return None
+    # One row's stride is never stepped: call it w, so a one-row plane
+    # counts as a "same" plane whenever its width matches.
+    return sn // item, sc // item, sh // item if h > 1 else w
+
+
+def _addr(ffi, ctype, array):
+    """A ``ctype *`` to element 0 of ``array``, whatever its strides."""
+    if array.flags.c_contiguous:
+        return ffi.from_buffer(ctype + "[]", array)
+    return ffi.cast(ctype + " *", array.ctypes.data)
+
+
+def _conv_instances(module, op):
+    """``{dtype: (C function, C type)}`` of conv kernel ``op``."""
+    return {np.dtype(dtype): (getattr(module.lib, f"{op}_{suffix}"), ctype)
+            for ctype, suffix, dtype in _CONV_TYPES}
+
+
 def _wrap_im2col(module):
-    lib, ffi = module.lib, module.ffi
+    ffi, instances = module.ffi, _conv_instances(module, "im2col")
 
     def im2col(x, cols, kernel, stride, padding, out_h, out_w):
-        n, c, h, w = x.shape
-        lib.im2col(
-            _ptr(ffi, x), _ptr(ffi, cols), n, c, h, w,
-            kernel, stride, padding, out_h, out_w,
-        )
+        """Fill ``cols`` from ``x``; False, writing nothing, if they do not fit."""
+        instance = instances.get(x.dtype)
+        strides = _conv_strides(x, cols, kernel, out_h, out_w)
+        if instance is None or strides is None or not cols.flags.writeable:
+            return False
+        fn, ctype = instance
+        fn(_addr(ffi, ctype, x), _addr(ffi, ctype, cols), *x.shape, *strides,
+           kernel, stride, padding, out_h, out_w)
+        return True
 
     return im2col
 
 
 def _wrap_col2im(module):
-    lib, ffi = module.lib, module.ffi
+    ffi, instances = module.ffi, _conv_instances(module, "col2im")
 
     def col2im(cols, gx, kernel, stride, padding, out_h, out_w):
-        n, c, h, w = gx.shape
-        lib.col2im(
-            _ptr(ffi, cols), _ptr(ffi, gx), n, c, h, w,
-            kernel, stride, padding, out_h, out_w,
-        )
+        """Add ``cols`` into ``gx``; False, writing nothing, if they do not fit."""
+        instance = instances.get(gx.dtype)
+        strides = _conv_strides(gx, cols, kernel, out_h, out_w)
+        if instance is None or strides is None or not gx.flags.writeable:
+            return False
+        fn, ctype = instance
+        fn(_addr(ffi, ctype, cols), _addr(ffi, ctype, gx), *gx.shape, *strides,
+           kernel, stride, padding, out_h, out_w)
+        return True
 
     return col2im
 

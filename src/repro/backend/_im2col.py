@@ -3,8 +3,9 @@
 This module is intentionally free of any :mod:`repro.autograd` import:
 the backends own the conv lowering, and the autograd conv ops dispatch
 to the active backend.  :class:`~repro.backend.base.ArrayBackend` runs
-these two kernels for both backends (the fast backend whenever its C
-kernels do not take an input):
+the compiled im2col/col2im of :mod:`repro.backend._ckernels` for both
+backends where it loads and can address the operands; these two
+kernels are the fallback, and what the seed oracle checks:
 
 * ``im2col`` — a zero-copy ``as_strided`` window view, copied once
   into a fresh (C*k*k, N*out_h*out_w) column matrix;
@@ -16,8 +17,9 @@ scatter byte for byte, with the same strides: every pixel receives its
 k*k contributions in the same order, and the column matrix keeps the
 seed's memory layout, which the GEMMs downstream round by.
 ``tests/test_backend_conv_lowering.py`` keeps the seed kernels as the
-oracle.  Both are dtype-preserving: padding and scatter targets are
-allocated with the input's dtype, never numpy's float64 default.
+oracle, and holds the compiled kernels to it as well.  Both are
+dtype-preserving: padding and scatter targets are allocated with the
+input's dtype, never numpy's float64 default.
 """
 
 from __future__ import annotations

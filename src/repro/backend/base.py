@@ -6,8 +6,10 @@ by calling ``np.*`` directly:
 * the floating dtype (``float64`` for the reference engine, ``float32``
   for the fast path) and all array creation/coercion;
 * the conv lowering (im2col gather, col2im scatter, matmul dispatch);
-  the numpy im2col/col2im in :mod:`repro.backend._im2col` is the one
-  both backends run, the fast backend only where its C kernels decline;
+  both backends run the compiled im2col/col2im of
+  :mod:`repro.backend._ckernels` in their own dtype where it loads, and
+  the numpy lowering in :mod:`repro.backend._im2col` as the fallback,
+  which is also what the seed oracle checks;
 * the fused hot loops — fake-quant round-clip and the SGD/Adam
   parameter updates — which the fast backend collapses into in-place
   chains (or single-pass C kernels when the compiled tier loads);
@@ -35,9 +37,12 @@ via ``ExperimentConfig.backend`` / ``repro ... --backend``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from repro.backend._im2col import col2im_sliced, im2col_strided
+from repro.backend import _ckernels
+from repro.backend._im2col import col2im_sliced, conv_output_size, im2col_strided
 
 
 class ArrayBackend:
@@ -87,13 +92,44 @@ class ArrayBackend:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b
 
+    @functools.cached_property
+    def _kernels(self) -> dict:
+        # name -> C kernel, resolved on first use so importing a backend
+        # never starts a compiler; tests assign {} on a fresh instance to
+        # run every op on its numpy fallback.
+        return _ckernels.kernels()
+
     def im2col(self, x: np.ndarray, kernel: int, stride: int, padding: int):
         """(N, C, H, W) -> ``(cols, out_h, out_w)``, cols fresh (C*k*k, N*out_h*out_w)."""
+        gather = self._kernels.get("im2col")
+        if gather is not None:
+            n, c, h, w = x.shape
+            out_h = conv_output_size(h, kernel, stride, padding)
+            out_w = conv_output_size(w, kernel, stride, padding)
+            # The seed's 1x1 columns at N == 1 or one output position may
+            # be channel-fastest, a layout only the numpy lowering makes.
+            if kernel > 1 or (n > 1 and out_h * out_w > 1):
+                cols = np.empty((c * kernel * kernel, n * out_h * out_w),
+                                dtype=x.dtype)
+                if gather(x, cols, kernel, stride, padding, out_h, out_w):
+                    return cols, out_h, out_w
         return im2col_strided(x, kernel, stride, padding)
 
     def col2im(self, cols: np.ndarray, x_shape, kernel: int, stride: int,
                padding: int) -> np.ndarray:
         """Adjoint of :meth:`im2col`: scatter columns back, accumulating."""
+        scatter = self._kernels.get("col2im")
+        if scatter is not None:
+            n, c, h, w = x_shape
+            out_h = conv_output_size(h, kernel, stride, padding)
+            out_w = conv_output_size(w, kernel, stride, padding)
+            # The seed's result is the interior view of a zeroed padded
+            # buffer; later reductions block by its strides.
+            padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding),
+                              dtype=cols.dtype)
+            gx = padded[:, :, padding:padding + h, padding:padding + w]
+            if scatter(cols, gx, kernel, stride, padding, out_h, out_w):
+                return gx
         return col2im_sliced(cols, x_shape, kernel, stride, padding)
 
     # ------------------------------------------------------------------

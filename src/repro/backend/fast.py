@@ -4,10 +4,10 @@ Four levers, in order of measured impact on an AD-search trial:
 
 1. float32 everywhere — halves memory traffic and switches every
    ``@`` onto BLAS sgemm;
-2. compiled conv lowering — C gather/scatter loops for im2col and
-   col2im when the C tier is up; otherwise the numpy lowering
-   (``as_strided`` windows, k*k slice accumulation) that the base
-   class runs for the reference backend too;
+2. compiled conv lowering — the base class's C gather/scatter loops
+   for im2col and col2im, run in float32 here and in float64 for the
+   reference backend, where the C tier is up; otherwise the numpy
+   lowering (``as_strided`` windows, k*k slice accumulation);
 3. fused elementwise chains — fake-quant as an in-place
    round-scale-shift (no int64 round-trip, no float64 upcast) and
    in-place SGD/Adam parameter updates;
@@ -19,9 +19,9 @@ Each hot kernel has exactly two implementations: a cffi-compiled C
 kernel (:mod:`repro.backend._ckernels`) and the vectorized numpy
 fallback — below, or for im2col/col2im the base class's shared one.
 The numpy code is the semantics; the C table is looked up once per
-backend instance, on first use, and is empty when the C tier cannot
-load (no cffi or no compiler), in which case every op runs its
-fallback.  There is no switch between them.
+backend instance, on first use (``ArrayBackend._kernels``), and is
+empty when the C tier cannot load (no cffi or no compiler), in which
+case every op runs its fallback.  There is no switch between them.
 
 Numerics agree with the reference backend to float32 tolerances; the
 differential test suite pins that op by op.
@@ -29,12 +29,8 @@ differential test suite pins that op by op.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from repro.backend import _ckernels
-from repro.backend._im2col import conv_output_size
 from repro.backend.base import ArrayBackend
 
 _BN_AXES = (0, 2, 3)
@@ -45,38 +41,6 @@ class FastBackend(ArrayBackend):
 
     name = "fast"
     dtype = np.dtype(np.float32)
-
-    @functools.cached_property
-    def _kernels(self) -> dict:
-        # name -> C kernel, resolved on first use so importing the
-        # backend never starts a compiler; tests assign {} on a fresh
-        # instance to run every op on its numpy fallback.
-        return _ckernels.kernels()
-
-    def im2col(self, x, kernel, stride, padding):
-        ck = self._kernels.get("im2col")
-        if (ck is not None and x.flags.c_contiguous
-                and x.dtype == self.dtype):
-            n, c, h, w = x.shape
-            out_h = conv_output_size(h, kernel, stride, padding)
-            out_w = conv_output_size(w, kernel, stride, padding)
-            cols = np.empty((c * kernel * kernel, n * out_h * out_w),
-                            dtype=x.dtype)
-            ck(x, cols, kernel, stride, padding, out_h, out_w)
-            return cols, out_h, out_w
-        return super().im2col(x, kernel, stride, padding)
-
-    def col2im(self, cols, x_shape, kernel, stride, padding):
-        ck = self._kernels.get("col2im")
-        if (ck is not None and cols.flags.c_contiguous
-                and cols.dtype == self.dtype):
-            n, c, h, w = x_shape
-            out_h = conv_output_size(h, kernel, stride, padding)
-            out_w = conv_output_size(w, kernel, stride, padding)
-            gx = np.zeros(x_shape, dtype=cols.dtype)
-            ck(cols, gx, kernel, stride, padding, out_h, out_w)
-            return gx
-        return super().col2im(cols, x_shape, kernel, stride, padding)
 
     # ------------------------------------------------------------------
     # Fused elementwise chains

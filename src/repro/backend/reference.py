@@ -6,9 +6,13 @@ returns the same bytes *and* the same strides as the engine did before
 the backend seam existed.  Floating-point results are deterministic
 given identical operands in identical order, and layout counts: a GEMM
 over a transposed operand may round its last bit differently.  A
-faster kernel is welcome here only if it keeps that contract.  The
-tests that pin it compare against test-local copies of the seed code:
-``tests/test_backend_conv_lowering.py`` (im2col/col2im, conv2d),
+faster kernel is welcome here only if it keeps that contract.  The conv
+lowering is the compiled float64 im2col/col2im where the C tier loads
+and the numpy lowering otherwise; both keep it, so a run's bytes do not
+depend on the host's kernel tier.  The tests that pin it compare
+against test-local copies of the seed code:
+``tests/test_backend_conv_lowering.py`` (im2col/col2im on both tiers,
+conv2d, whole runs with and without the C kernels),
 ``tests/test_backend_fused.py`` (the fused elementwise chains and whole
 training steps) and the façade/regression suites.
 """

@@ -6,10 +6,13 @@ Two guarantees:
    float32 inputs — bit for bit for the pure data movement (im2col,
    col2im, max pooling), within float32 round-off for the arithmetic
    (batchnorm, Adam, fake-quant);
-2. the on-disk kernel cache never serves a partial build: a process
-   killed mid-build leaves nothing a later process would load.
+2. the on-disk kernel cache never serves a partial build, nor one
+   compiled from other source or flags: a process killed mid-build
+   leaves nothing a later process would load.
 
-Both skip where the C tier cannot load (no cffi or no C compiler).
+The first and the killed build skip where the C tier cannot load (no
+cffi or no C compiler).  ``tests/test_backend_conv_lowering.py`` holds
+both backends' im2col/col2im, in both dtypes, to the seed's lowering.
 """
 
 import importlib
@@ -23,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.backend import _ckernels
 from repro.backend.fast import FastBackend
 from repro.quant import UniformQuantizer
 
@@ -184,6 +188,16 @@ kernel(x, cols, 3, 1, 1, 5, 5)
 assert np.array_equal(cols, im2col_strided(x, 3, 1, 1)[0])
 print("ok")
 """
+
+
+def test_build_cache_key_covers_compile_flags(monkeypatch):
+    """A build under other flags is other code: it gets its own cache entry."""
+    modname, sofile = _ckernels._build_path()
+    monkeypatch.setattr(_ckernels, "_COMPILE_ARGS",
+                        _ckernels._COMPILE_ARGS + ("-g",))
+    other_modname, other_sofile = _ckernels._build_path()
+    assert other_modname != modname
+    assert os.path.dirname(other_sofile) != os.path.dirname(sofile)
 
 
 @pytest.mark.skipif(not _c_toolchain_present(),

@@ -1,37 +1,44 @@
-"""The numpy conv lowering against the seed's, byte for byte and stride for stride.
+"""The conv lowering against the seed's, byte for byte and stride for stride.
 
-Both backends run one numpy im2col/col2im (``ArrayBackend``; the fast
-backend when its C kernels decline an input).  The seed engine lowered
-convs with a fancy-index gather and a buffered ``np.add.at`` scatter;
-those two functions live on here, verbatim, as the oracle.  Three
-guarantees:
+Both backends run one im2col/col2im (``ArrayBackend``): the compiled C
+kernels where they load and take the input, else the numpy lowering.
+The seed engine lowered convs with a fancy-index gather and a buffered
+``np.add.at`` scatter; those two functions live on here, verbatim, as
+the oracle.  Four guarantees:
 
-1. over a grid of shapes, input layouts and dtypes, ``im2col`` returns
-   the seed's bytes with the seed's strides, in a fresh writeable
-   array, and ``col2im`` does the same for C-ordered, F-ordered and
-   broadcast columns;
+1. over a grid of shapes, input layouts and dtypes, on each backend
+   with and without its C kernels, ``im2col`` returns the seed's bytes
+   with the seed's strides, in a fresh writeable array, and ``col2im``
+   does the same for C-ordered, F-ordered and broadcast columns, and
+   raises the numpy lowering's error for columns that do not fit;
 2. a 1x1 ``conv2d`` at N == 1 — where the seed's columns are
    channel-fastest — gives the oracle's output and gradients exactly;
 3. whole ResNet training steps on the reference backend, 1x1 stride-2
    shortcuts included, replay the oracle's losses, gradients and
-   parameters exactly.
+   parameters exactly;
+4. reference runs give the same bytes with and without the C kernels,
+   which is what lets the result cache ignore the kernel tier.
 """
 
 import collections
 import contextlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from repro.api import experiments
 from repro.autograd import Tensor
 from repro.autograd.conv import conv2d, conv_output_size
-from repro.backend import use_backend
+from repro.backend import _ckernels, get_backend, use_backend
+from repro.backend._im2col import col2im_sliced
 from repro.backend.fast import FastBackend
 from repro.backend.reference import ReferenceBackend
 from repro.models import resnet18
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.optim import SGD
+from repro.orchestration.runner import run_payload
 
 
 # ----------------------------------------------------------------------
@@ -82,21 +89,29 @@ GRID = [
 ]
 # Shapes with a single output position (the seed's 1x1 columns then
 # follow the input's N/C memory order, and a full k > 1 window is one
-# strided view), and 1x1 windows at N == 1.
+# strided view), 1x1 windows at N == 1, and the bench trial's 1x1 and
+# 2x2 planes under a padded 3x3 window, where most taps leave the image.
 EDGE = [
     (n, c, 1, 1, s, p)
     for n, c, s, p in itertools.product((1, 3), (1, 4), (1, 3), (0, 1))
-] + [(3, 4, 3, 1, 3, 0), (3, 4, 4, 1, 4, 0), (1, 4, 5, 1, 2, 1), (3, 4, 2, 2, 1, 0)]
+] + [(3, 4, 3, 1, 3, 0), (3, 4, 4, 1, 4, 0), (1, 4, 5, 1, 2, 1), (3, 4, 2, 2, 1, 0)] + [
+    (n, c, hw, 3, 1, 1)
+    for n, c, hw in itertools.product((1, 3), (1, 4), (1, 2))
+]
 
 
-def _numpy_backends():
-    """The backends whose numpy lowering is under test (fast with no C table)."""
-    fast = FastBackend()
-    fast._kernels = {}
-    return [ReferenceBackend(), fast]
+def _lowerings():
+    """Each backend as shipped (C kernels where they load) and with none."""
+    params = []
+    for backend_type in (ReferenceBackend, FastBackend):
+        shipped, numpy_only = backend_type(), backend_type()
+        numpy_only._kernels = {}
+        params += [pytest.param(shipped, id=shipped.name),
+                   pytest.param(numpy_only, id=f"{shipped.name}-numpy")]
+    return params
 
 
-BACKENDS = _numpy_backends()
+LOWERINGS = _lowerings()
 
 
 def _layouts(x):
@@ -150,7 +165,7 @@ def _check_lowering(backend, x, kernel, stride, padding):
 # ----------------------------------------------------------------------
 # 1. kernel against the oracle
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS, ids=["reference", "fast-numpy"])
+@pytest.mark.parametrize("backend", LOWERINGS)
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 class TestLoweringMatchesSeed:
     def test_grid(self, backend, dtype):
@@ -169,6 +184,14 @@ class TestLoweringMatchesSeed:
                 failures += [f"{layout} {(n, c, hw, k, s, p)} {why}"
                              for why in _check_lowering(backend, view, k, s, p)]
         assert not failures, f"{len(failures)} mismatches, e.g. {failures[:5]}"
+
+    def test_columns_that_do_not_fit_raise_the_numpy_error(self, backend, dtype):
+        cols, x_shape = np.ones((5, 5), dtype), (2, 3, 7, 7)
+        with pytest.raises(ValueError) as numpy_error:
+            col2im_sliced(cols, x_shape, 3, 1, 1)
+        with pytest.raises(ValueError) as error:
+            backend.col2im(cols, x_shape, 3, 1, 1)
+        assert str(error.value) == str(numpy_error.value)
 
 
 # ----------------------------------------------------------------------
@@ -259,4 +282,64 @@ def test_resnet_steps_match_seed(batch):
         for name in seed[index]:
             assert shared[index][name].tobytes() == seed[index][name].tobytes(), (
                 f"{what} {name} moved"
+            )
+
+
+# ----------------------------------------------------------------------
+# 4. reference runs with and without the C kernels
+# ----------------------------------------------------------------------
+needs_c_tier = pytest.mark.skipif(not _ckernels.kernels(),
+                                  reason="the C kernel tier cannot load here")
+
+
+@contextlib.contextmanager
+def reference_kernels(table):
+    """Give the registered reference backend the C kernel ``table``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(get_backend("reference"), "_kernels", table)
+        yield
+
+
+def _counted(calls):
+    """The C conv kernels, counting the calls each one took."""
+    def counting(name, kernel):
+        def run(*args):
+            ran = kernel(*args)
+            calls[name] += ran
+            return ran
+        return run
+
+    return {name: counting(name, _ckernels.kernels()[name])
+            for name in ("im2col", "col2im")}
+
+
+def _smoke_run():
+    """Cache payload and final parameters of a ``vgg11-micro-smoke`` run."""
+    experiment = experiments.Experiment(
+        experiments.get_config("vgg11-micro-smoke"))
+    report = experiment.run()
+    payload = json.dumps(run_payload(report, experiment.artifacts),
+                         sort_keys=True)
+    params = {name: value.tobytes()
+              for name, value in experiment.model.state_dict().items()}
+    return payload, params
+
+
+@needs_c_tier
+def test_reference_runs_do_not_depend_on_the_kernel_tier():
+    calls = collections.Counter()
+    with reference_kernels(_counted(calls)):
+        compiled = _smoke_run(), _resnet_steps(3)
+    assert calls["im2col"] > 0 and calls["col2im"] > 0
+    with reference_kernels({}):
+        numpy_only = _smoke_run(), _resnet_steps(3)
+    (payload, params), resnet = compiled
+    (numpy_payload, numpy_params), numpy_resnet = numpy_only
+    assert payload == numpy_payload, "report or artifacts moved"
+    assert params == numpy_params, "parameters moved"
+    assert resnet[0] == numpy_resnet[0], "ResNet loss trajectory moved"
+    for index, what in ((1, "gradient"), (2, "parameter")):
+        for name, value in numpy_resnet[index].items():
+            assert resnet[index][name].tobytes() == value.tobytes(), (
+                f"ResNet {what} {name} moved"
             )
