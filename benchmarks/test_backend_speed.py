@@ -13,20 +13,22 @@ Each leg is timed ``REPRO_BENCH_REPEATS`` times (the host is shared, so
 the *minimum* is the honest cost of the code) and the measured pair is
 written to ``.bench/BENCH_PR10.json`` (gitignored; the committed
 ``BENCH_PR10.json`` at the repo root is the historical record).  The
-test fails if the fast backend drops under 2.1x over the reference.
-That floor is the original 5x one, restated each time the reference
-leg got faster while the fast leg stayed put, so that it keeps the
-same bound on the fast leg.  The shared strided/sliced conv lowering
-took the reference leg from 16.5 s to 8.4 s on a 2-core host (5.0 x
-8.4 / 16.5 = 2.55x, rounded down to 2.5x); running the compiled conv
-lowering in float64 as well took it from 10.9 s to 9.5 s on a 2-core
-host (2.5 x 9.5 / 10.9 = 2.17x, rounded down to 2.1x).  Each pair of
-timings is the median of alternating back-to-back runs of both
-commits: three runs each in the first case, six in the second.
+test asserts no timing, so a slow host phase cannot fail it: CI's
+``bench-smoke`` job reads the record right after this test and fails
+if the fast backend is under 2.1x the reference.  That floor is the
+original 5x one, restated each time the reference leg got faster while
+the fast leg stayed put, so that it keeps the same bound on the fast
+leg.  The shared strided/sliced conv lowering took the reference leg
+from 16.5 s to 8.4 s on a 2-core host (5.0 x 8.4 / 16.5 = 2.55x,
+rounded down to 2.5x); running the compiled conv lowering in float64
+as well took it from 10.9 s to 9.5 s on a 2-core host (2.5 x 9.5 /
+10.9 = 2.17x, rounded down to 2.1x).  Each pair of timings is the
+median of alternating back-to-back runs of both commits: three runs
+each in the first case, six in the second.
 
-The fast run must also land in the reference run's accuracy
-neighbourhood: a speedup bought with a broken training loop is a bug,
-not a win.
+One epoch leaves both legs at chance accuracy, so their accuracies are
+recorded but not compared here; ``tests/test_backend_e2e.py`` compares
+the backends' accuracy on the full trial, which learns.
 """
 
 import os
@@ -43,7 +45,6 @@ WORKLOAD = {
     "max_iterations": 1,
     "epochs_per_iteration": 1,
 }
-MIN_FUSED_OVER_REFERENCE = 2.1
 
 
 def _trial(backend: str):
@@ -90,9 +91,3 @@ def test_fused_fast_backend_speedup_on_bench_trial():
           f"(acc {reference_accuracy:.3f})")
     print(f"fused fast: {fused_seconds:6.2f}s  (acc {fused_accuracy:.3f})")
     print(f"fused/reference: {fused_over_reference:.2f}x  -> {bench_path}")
-
-    assert abs(fused_accuracy - reference_accuracy) <= 0.15
-    assert fused_over_reference >= MIN_FUSED_OVER_REFERENCE, (
-        f"fused fast is only {fused_over_reference:.2f}x over reference "
-        f"(floor {MIN_FUSED_OVER_REFERENCE}x)"
-    )

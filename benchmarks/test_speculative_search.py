@@ -25,13 +25,15 @@ ships for.
 Each mode is timed ``REPRO_BENCH_REPEATS`` times (the *minimum* is
 the honest cost) and the measured pair is written to
 ``.bench/BENCH_PR9.json`` (gitignored; the committed ``BENCH_PR9.json``
-at the repo root is the historical record).  The test fails if
-speculation drops under 1.3x (the CI floor).
+at the repo root is the historical record).  The test asserts no
+timing, so a slow host phase cannot fail it: CI's ``bench-smoke`` job
+reads the record right after this test and fails if speculation is
+under 1.3x.
 
-Speculation is an execution knob, not a search knob, so the test also
+Speculation is an execution knob, not a search knob, so the test
 asserts the two runs chose the *same trials* and the same winning bit
 vector — a speedup that changed the search's answer would be a bug,
-not a win.
+not a win — and that every bet was either confirmed or cancelled.
 """
 
 import os
@@ -60,7 +62,6 @@ WORKLOAD = {
     "jobs": 4,
     "speculate": 3,
 }
-MIN_SPEEDUP = 1.3
 
 
 def _vector_of(config_dict: dict) -> dict:
@@ -174,7 +175,3 @@ def test_speculative_search_speedup():
     assert (speculative.best.key if speculative.best else None) \
         == (sequential.best.key if sequential.best else None)
     assert stats["speculated"] == stats["confirmed"] + stats["cancelled"]
-    assert speedup >= MIN_SPEEDUP, (
-        f"speculative search is only {speedup:.2f}x over sequential "
-        f"(floor {MIN_SPEEDUP}x)"
-    )

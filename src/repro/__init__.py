@@ -11,7 +11,7 @@ From-scratch reproduction of Vasquez, Venkatesha et al., DATE 2021
 `models`       instrumented VGG11/16/19 and ResNet18
 `quant`        eqn-1 quantizer, STE fake-quant, plans, hw snapping
 `density`      AD metric (eqn 2), monitoring, saturation detection
-`core`         Algorithm 1, AD pruning (eqn 5), eqn-4 complexity, runner
+`core`         Algorithm 1, AD pruning (eqn 5), eqn-4 complexity, reports
 `energy`       analytical energy model (Table I)
 `pim`          functional PIM accelerator + Table IV energy model
 `data`         synthetic CIFAR/TinyImageNet stand-ins, loaders
@@ -19,14 +19,10 @@ From-scratch reproduction of Vasquez, Venkatesha et al., DATE 2021
 `cli`          the ``repro`` / ``python -m repro`` console entry point
 =============  =========================================================
 
-The most common entry points:
+The library entry point:
 
 >>> from repro.api import experiments
 >>> report = experiments.build("vgg19-cifar10-quant").run()
-
-or the original imperative harness (a façade over the same pipeline):
-
->>> from repro.core import ExperimentRunner, QuantizationSchedule
 """
 
 __version__ = "1.1.0"

@@ -2,8 +2,7 @@
 
 These are the paper's one-off report variants that do not fit the
 stage-per-phase shape — currently the Table II row-2a manoeuvre of
-removing a dead layer and retraining.  Both the pipeline API and the
-:class:`~repro.core.runner.ExperimentRunner` façade share this code.
+removing a dead layer and retraining.
 """
 
 from __future__ import annotations
@@ -20,6 +19,8 @@ def remove_layer_and_retrain(
     Only layers whose removal preserves tensor shapes (equal in/out
     channels) can be removed; the unit is disabled in place.  Requires a
     prepared context (i.e. after a pipeline / ``run()`` has executed).
+    The row is numbered one past the last reported row and returned, not
+    appended; the caller decides where it goes.
     """
     if not ctx.prepared or ctx.complexity is None or ctx.baseline_profiles is None:
         raise RuntimeError(
@@ -44,8 +45,9 @@ def remove_layer_and_retrain(
     bit_widths = [
         spec.bits for spec in ctx.quantizer.plan if spec.name != layer_name
     ]
+    last_iter = ctx.report.rows[-1].iteration if ctx.report.rows else 0
     return TableRow(
-        iteration=len(ctx.quantizer.records) + 1,
+        iteration=last_iter + 1,
         bit_widths=bit_widths,
         test_accuracy=ctx.trainer.evaluate(ctx.test_loader),
         total_ad=ctx.trainer.monitor.total_density(),

@@ -14,7 +14,7 @@ against test-local copies of the seed code:
 ``tests/test_backend_conv_lowering.py`` (im2col/col2im on both tiers,
 conv2d, whole runs with and without the C kernels),
 ``tests/test_backend_fused.py`` (the fused elementwise chains and whole
-training steps) and the façade/regression suites.
+training steps) and the regression suites.
 """
 
 from __future__ import annotations

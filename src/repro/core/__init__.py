@@ -2,19 +2,22 @@
 
 * :class:`~repro.core.trainer.Trainer` — quantization-aware training
   loop with per-epoch AD collection.
-* :class:`~repro.core.ad_quant.ADQuantizer` — Algorithm 1: train until
-  AD saturates, re-quantize every layer to ``round(k_l * AD_l)`` bits
-  (eqn. 3), repeat until the bit-widths stop changing.
+* :class:`~repro.core.ad_quant.ADQuantizer` — the steps of Algorithm 1:
+  train until AD saturates, then re-quantize every layer to
+  ``round(k_l * AD_l)`` bits (eqn. 3).
 * :class:`~repro.core.ad_prune.ADPruner` — AD-based channel pruning
   (eqn. 5), composable with quantization (Table III).
 * :class:`~repro.core.complexity.TrainingComplexity` — eqn. 4 metric.
-* :class:`~repro.core.runner.ExperimentRunner` — end-to-end harness
-  producing rows shaped like the paper's Tables II and III.
+* :class:`~repro.core.report.ExperimentReport` /
+  :class:`~repro.core.report.TableRow` — report rows shaped like the
+  paper's Tables II and III.
+
+The loop that repeats those steps until the bit-widths stop changing
+is the pipeline's :class:`~repro.api.stages.QuantizeStage`.
 """
 
 from repro.core.ad_prune import ADPruner, PruningPlan
-from repro.core.ad_quant import (ADQuantizer, IterationRecord,
-                                 QuantizationSchedule, scale_bits)
+from repro.core.ad_quant import ADQuantizer, QuantizationSchedule, scale_bits
 from repro.core.complexity import TrainingComplexity
 from repro.core.export import (
     load_report_json,
@@ -22,7 +25,7 @@ from repro.core.export import (
     save_report_csv,
     save_report_json,
 )
-from repro.core.runner import ExperimentReport, ExperimentRunner, TableRow
+from repro.core.report import ExperimentReport, TableRow
 from repro.core.trainer import EpochStats, Trainer
 
 __all__ = [
@@ -30,11 +33,9 @@ __all__ = [
     "EpochStats",
     "ADQuantizer",
     "QuantizationSchedule",
-    "IterationRecord",
     "ADPruner",
     "PruningPlan",
     "TrainingComplexity",
-    "ExperimentRunner",
     "ExperimentReport",
     "TableRow",
     "report_to_dict",

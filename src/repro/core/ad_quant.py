@@ -18,6 +18,10 @@ convergence "within 3 to 4 iterations" starting from 16-bit.  The first
 and last layers are never re-quantized (kept at ``frozen_bits``), and
 ResNet skip branches follow their destination layer via the registry's
 follower mechanism (Fig. 2).
+
+:class:`ADQuantizer` holds the steps (plans, eqn.-3 updates, the
+train-until-saturation phase); the outer loop is
+:class:`repro.api.stages.QuantizeStage`.
 """
 
 from __future__ import annotations
@@ -43,19 +47,6 @@ def scale_bits(bits: int, density: float, min_bits: int = 1) -> int:
     if min_bits < 1:
         raise ValueError("min_bits must be >= 1")
     return max(min_bits, int(round(bits * density)))
-
-
-@dataclass
-class IterationRecord:
-    """Outcome of one quantization iteration (one row of Table II)."""
-
-    iteration: int
-    plan: QuantizationPlan
-    epochs_trained: int
-    densities: dict[str, float]
-    total_density: float
-    train_accuracy: float
-    test_accuracy: float | None = None
 
 
 @dataclass
@@ -102,7 +93,7 @@ class QuantizationSchedule:
 
 
 class ADQuantizer:
-    """Runs Algorithm 1 on a model through a :class:`Trainer`.
+    """The steps of Algorithm 1 on a model, through a :class:`Trainer`.
 
     Parameters
     ----------
@@ -124,7 +115,6 @@ class ADQuantizer:
         self.schedule = schedule or QuantizationSchedule()
         self.saturation = saturation or SaturationDetector(window=5, tolerance=0.02)
         self.registry = trainer.registry
-        self.records: list[IterationRecord] = []
         self._plan: QuantizationPlan | None = None
 
     # ------------------------------------------------------------------
@@ -176,7 +166,10 @@ class ADQuantizer:
     @property
     def plan(self) -> QuantizationPlan:
         if self._plan is None:
-            raise RuntimeError("no plan applied yet — call run() or apply_plan()")
+            raise RuntimeError(
+                "no plan applied yet — prepare the experiment context "
+                "or call apply_plan()"
+            )
         return self._plan
 
     def update_plan(self, densities: dict[str, float]) -> QuantizationPlan:
@@ -216,9 +209,7 @@ class ADQuantizer:
         spuriously trigger an immediate re-quantization.
 
         This is the inner "for epoch = 1 to #(epochs)" phase of
-        Algorithm 1, exposed publicly so experiment harnesses can drive
-        the iteration loop themselves (the plan bookkeeping stays with
-        :meth:`update_plan` / :meth:`apply_plan`).
+        Algorithm 1.
         """
         iteration_history: dict[str, list[float]] = {
             name: [] for name in self.registry.names()
@@ -237,37 +228,3 @@ class ADQuantizer:
             ):
                 break
         return epochs, accuracy
-
-    def run(self, train_loader, test_loader=None) -> list[IterationRecord]:
-        """Execute Algorithm 1 end to end; returns per-iteration records."""
-        self.apply_plan(self.initial_plan())
-        for iteration in range(1, self.schedule.max_iterations + 1):
-            epochs, accuracy = self.train_until_saturation(train_loader)
-            densities = self.trainer.monitor.latest()
-            total_density = self.trainer.monitor.total_density()
-            record = IterationRecord(
-                iteration=iteration,
-                plan=self.plan.copy(),
-                epochs_trained=epochs,
-                densities=dict(densities),
-                total_density=total_density,
-                train_accuracy=accuracy,
-                test_accuracy=(
-                    self.trainer.evaluate(test_loader) if test_loader else None
-                ),
-            )
-            self.records.append(record)
-            new_plan = self.update_plan(densities)
-            if new_plan.bit_widths() == self.plan.bit_widths():
-                break  # AD ~ 1 everywhere: further quantization impossible.
-            self.apply_plan(new_plan)
-        if self.schedule.final_epochs > 0:
-            self.trainer.fit(train_loader, self.schedule.final_epochs)
-            final = self.records[-1]
-            final.epochs_trained += self.schedule.final_epochs
-            final.densities = dict(self.trainer.monitor.latest())
-            final.total_density = self.trainer.monitor.total_density()
-            final.train_accuracy = self.trainer.history[-1].accuracy
-            if test_loader is not None:
-                final.test_accuracy = self.trainer.evaluate(test_loader)
-        return self.records

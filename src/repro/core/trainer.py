@@ -100,14 +100,9 @@ class Trainer:
         self.history.append(stats)
         return stats
 
-    def fit(self, loader, epochs: int, scheduler=None) -> list[EpochStats]:
+    def fit(self, loader, epochs: int) -> list[EpochStats]:
         """Train for a fixed number of epochs."""
-        stats = []
-        for _ in range(epochs):
-            stats.append(self.train_epoch(loader))
-            if scheduler is not None:
-                scheduler.step()
-        return stats
+        return [self.train_epoch(loader) for _ in range(epochs)]
 
     # ------------------------------------------------------------------
     def evaluate(self, loader) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +16,13 @@ def atomic_write(path, write) -> None:
     ``write`` receives a binary file handle.  A crash (or raised
     exception) mid-write never leaves a partial file at ``path`` — an
     existing file there survives untouched, and the temp file is
-    removed.
+    removed.  The file gets the mode a plain ``open()`` would give it,
+    ``0o666`` less the process umask (``mkstemp`` would force 0600).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}-", suffix=".tmp"
-    )
+    tmp_name = path.parent / f".{path.name}-{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             write(handle)
@@ -36,10 +36,9 @@ def atomic_write(path, write) -> None:
 
 
 def save_json(path, payload: dict) -> None:
-    """Write a JSON-serializable payload, creating parent directories."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+    """Write a JSON-serializable payload atomically (see :func:`atomic_write`)."""
+    data = (json.dumps(payload, indent=2, sort_keys=False) + "\n").encode("utf-8")
+    atomic_write(path, lambda handle: handle.write(data))
 
 
 def load_json(path) -> dict:

@@ -87,6 +87,9 @@ class TestBuildAndRun:
         assert second is not first
         iterations = [row.iteration for row in second.rows]
         assert iterations == sorted(set(iterations))  # no duplicated sequence
+        assert len(second.rows) <= experiment.config.quant.max_iterations
+        # The initial plan is re-applied; trained weights persist.
+        assert second.rows[0].bit_widths == first.rows[0].bit_widths
         assert second.rows[0].energy_efficiency == 1.0
 
     def test_run_callbacks_are_per_run(self):

@@ -118,10 +118,16 @@ def live_master(tmp_path):
         target=lambda: asyncio.run(master.serve()), daemon=True
     )
     thread.start()
+    # The socket file appears at bind(), before listen(): wait for a
+    # completed handshake, not for the file.
     deadline = time.time() + 10
-    while not socket_path.exists():
-        assert time.time() < deadline, "master never bound its socket"
-        time.sleep(0.01)
+    while True:
+        try:
+            MasterClient(socket_path, timeout=30).close()
+            break
+        except MasterError:
+            assert time.time() < deadline, "master never listened on its socket"
+            time.sleep(0.01)
     yield socket_path
     try:
         with MasterClient(socket_path) as client:

@@ -2,6 +2,16 @@
 
 import pytest
 
+from repro.api import (
+    DataConfig,
+    ExperimentConfig,
+    FinalTuneStage,
+    ModelConfig,
+    Pipeline,
+    QuantConfig,
+    QuantizeStage,
+    build_context,
+)
 from repro.core import ADQuantizer, QuantizationSchedule, Trainer
 from repro.density import SaturationDetector
 from repro.nn import Adam, CrossEntropyLoss
@@ -126,63 +136,74 @@ class TestEqn3Update:
             quantizer.update_plan(densities)
 
 
+def micro_config(**updates) -> ExperimentConfig:
+    config = ExperimentConfig(
+        model=ModelConfig(arch="vgg11", num_classes=10, width_multiplier=0.0625,
+                          image_size=8, seed=0),
+        data=DataConfig(train_per_class=2, test_per_class=2, image_size=8,
+                        seed=0, train_batch_size=8, test_batch_size=16),
+        quant=QuantConfig(max_epochs_per_iteration=3, min_epochs_per_iteration=2,
+                          saturation_window=2, saturation_tolerance=0.5),
+    )
+    return config.evolve(**updates) if updates else config
+
+
 class TestRun:
-    def test_records_and_monotone_bits(self, micro_vgg, tiny_loader):
-        schedule = QuantizationSchedule(
-            max_iterations=3, max_epochs_per_iteration=3, min_epochs_per_iteration=2
-        )
-        quantizer = make_quantizer(micro_vgg, schedule)
-        records = quantizer.run(tiny_loader)
-        assert 1 <= len(records) <= 3
-        for record in records:
-            assert record.epochs_trained <= 3
-            assert 0.0 <= record.total_density <= 1.0
+    """Algorithm 1 as the pipeline's QuantizeStage runs it."""
+
+    def test_records_and_monotone_bits(self):
+        config = micro_config(quant={"max_iterations": 3})
+        report = Pipeline([QuantizeStage()]).run(build_context(config))
+        assert 1 <= len(report.rows) <= 3
+        for row in report.rows:
+            assert row.epochs <= 3
+            assert 0.0 <= row.total_ad <= 1.0
         # Bit-widths never increase between consecutive iterations.
-        for earlier, later in zip(records, records[1:]):
-            for b_early, b_late in zip(
-                earlier.plan.bit_widths(), later.plan.bit_widths()
-            ):
+        for earlier, later in zip(report.rows, report.rows[1:]):
+            for b_early, b_late in zip(earlier.bit_widths, later.bit_widths):
                 assert b_late <= b_early
 
-    def test_test_loader_accuracy_recorded(self, micro_vgg, tiny_loader):
-        schedule = QuantizationSchedule(
-            max_iterations=1, max_epochs_per_iteration=2, min_epochs_per_iteration=1
+    def test_test_loader_accuracy_recorded(self):
+        config = micro_config(quant={"max_iterations": 1,
+                                     "max_epochs_per_iteration": 2,
+                                     "min_epochs_per_iteration": 1})
+        ctx = build_context(config)
+        report = Pipeline([QuantizeStage()]).run(ctx)
+        assert report.rows[0].test_accuracy == ctx.trainer.evaluate(
+            ctx.test_loader
         )
-        quantizer = make_quantizer(micro_vgg, schedule)
-        records = quantizer.run(tiny_loader, test_loader=tiny_loader)
-        assert records[0].test_accuracy is not None
 
-    def test_final_epochs_extend_last_record(self, micro_vgg, tiny_loader):
-        schedule = QuantizationSchedule(
-            max_iterations=1,
-            max_epochs_per_iteration=2,
-            min_epochs_per_iteration=1,
-            final_epochs=2,
-        )
-        quantizer = make_quantizer(micro_vgg, schedule)
-        records = quantizer.run(tiny_loader)
-        assert records[-1].epochs_trained == 4
+    def test_final_epochs_extend_last_record(self):
+        config = micro_config(quant={"max_iterations": 1,
+                                     "max_epochs_per_iteration": 2,
+                                     "min_epochs_per_iteration": 1,
+                                     "final_epochs": 2})
+        ctx = build_context(config)
+        report = Pipeline([QuantizeStage(), FinalTuneStage()]).run(ctx)
+        last = report.rows[-1]
+        assert last.epochs == 4
+        assert ctx.trainer.epochs_completed == 4
+        # The row reports the state after the extra epochs.
+        assert last.total_ad == ctx.trainer.monitor.total_density()
+        assert last.test_accuracy == ctx.trainer.evaluate(ctx.test_loader)
 
-    def test_saturation_breaks_early(self, micro_vgg, tiny_loader):
+    def test_saturation_breaks_early(self):
         # Huge tolerance -> saturated immediately at the window size.
-        schedule = QuantizationSchedule(
-            max_iterations=1, max_epochs_per_iteration=50, min_epochs_per_iteration=1
-        )
-        quantizer = make_quantizer(
-            micro_vgg, schedule, SaturationDetector(window=2, tolerance=0.9)
-        )
-        records = quantizer.run(tiny_loader)
-        assert records[0].epochs_trained == 2
+        config = micro_config(quant={"max_iterations": 1,
+                                     "max_epochs_per_iteration": 50,
+                                     "min_epochs_per_iteration": 1,
+                                     "saturation_tolerance": 0.9})
+        report = Pipeline([QuantizeStage()]).run(build_context(config))
+        assert report.rows[0].epochs == 2
 
-    def test_skip_quant_follows_destination_for_resnet(
-        self, micro_resnet, tiny_loader
-    ):
-        schedule = QuantizationSchedule(
-            max_iterations=2, max_epochs_per_iteration=2, min_epochs_per_iteration=1
-        )
-        quantizer = make_quantizer(micro_resnet, schedule)
-        quantizer.run(tiny_loader)
-        for handle in micro_resnet.layer_handles():
+    def test_skip_quant_follows_destination_for_resnet(self):
+        config = micro_config(model={"arch": "resnet18"},
+                              quant={"max_iterations": 2,
+                                     "max_epochs_per_iteration": 2,
+                                     "min_epochs_per_iteration": 1})
+        ctx = build_context(config)
+        Pipeline([QuantizeStage()]).run(ctx)
+        for handle in ctx.model.layer_handles():
             if handle.name.endswith("conv2"):
                 block = handle.host
                 assert block.skip_quant.bits == handle.current_bits()

@@ -1,16 +1,18 @@
-"""Training complexity (eqn. 4) and the experiment runner."""
+"""Training complexity (eqn. 4) and the Algorithm-1 report rows."""
 
-import numpy as np
 import pytest
 
-from repro.core import (
-    ExperimentRunner,
-    QuantizationSchedule,
-    TrainingComplexity,
+from repro.api import (
+    DataConfig,
+    ExperimentConfig,
+    ModelConfig,
+    Pipeline,
+    QuantConfig,
+    QuantizeStage,
+    build_context,
+    remove_layer_and_retrain,
 )
-from repro.data import DataLoader
-from repro.density import SaturationDetector
-from repro.nn import Adam, CrossEntropyLoss
+from repro.core import TrainingComplexity
 
 
 class TestTrainingComplexity:
@@ -41,101 +43,105 @@ class TestTrainingComplexity:
             tc.raw()
 
 
-@pytest.fixture
-def runner_setup(micro_vgg, tiny_dataset, rng):
-    train_loader = DataLoader(tiny_dataset, batch_size=8, shuffle=True, rng=rng)
-    test_loader = DataLoader(tiny_dataset, batch_size=16)
-    schedule = QuantizationSchedule(
-        max_iterations=2, max_epochs_per_iteration=3, min_epochs_per_iteration=2
-    )
-    runner = ExperimentRunner(
-        micro_vgg,
-        train_loader,
-        test_loader,
-        Adam(micro_vgg.parameters(), lr=3e-3),
-        CrossEntropyLoss(),
-        input_shape=(3, 8, 8),
-        schedule=schedule,
-        saturation=SaturationDetector(window=2, tolerance=0.5),
+def micro_config(**updates) -> ExperimentConfig:
+    config = ExperimentConfig(
+        name="micro",
         architecture="VGG11",
         dataset="tiny",
+        model=ModelConfig(arch="vgg11", num_classes=10, width_multiplier=0.0625,
+                          image_size=8, seed=0),
+        data=DataConfig(dataset="synthetic-cifar10", train_per_class=2,
+                        test_per_class=2, image_size=8, seed=0,
+                        train_batch_size=8, test_batch_size=16),
+        quant=QuantConfig(max_iterations=2, max_epochs_per_iteration=3,
+                          min_epochs_per_iteration=2, saturation_window=2,
+                          saturation_tolerance=0.5),
     )
-    return runner
+    return config.evolve(**updates) if updates else config
 
 
-class TestExperimentRunner:
-    def test_report_structure(self, runner_setup):
-        report = runner_setup.run()
+@pytest.fixture
+def quantized():
+    """A context after a two-iteration Algorithm-1 run, and its report."""
+    ctx = build_context(micro_config())
+    report = Pipeline([QuantizeStage()]).run(ctx)
+    return ctx, report
+
+
+def shape_preserving_conv(ctx) -> str:
+    return next(
+        h.name for h in ctx.model.layer_handles()
+        if h.is_conv and h.unit.conv.in_channels == h.unit.conv.out_channels
+    )
+
+
+class TestAlgorithmOneReport:
+    def test_report_structure(self, quantized):
+        _, report = quantized
         assert report.architecture == "VGG11"
-        assert 1 <= len(report.rows) <= 2
+        assert len(report.rows) == 2
         row = report.rows[0]
         assert row.energy_efficiency == pytest.approx(1.0)
         assert row.train_complexity == pytest.approx(1.0)
         assert len(row.bit_widths) == 9
 
-    def test_second_row_quantized(self, runner_setup):
-        report = runner_setup.run()
-        if len(report.rows) > 1:
-            second = report.rows[1]
-            assert second.energy_efficiency >= 1.0
-            hidden_bits = second.bit_widths[1:-1]
-            assert any(b < 16 for b in hidden_bits)
-            # Frozen ends stay 16-bit.
-            assert second.bit_widths[0] == 16
-            assert second.bit_widths[-1] == 16
+    def test_second_row_quantized(self, quantized):
+        _, report = quantized
+        second = report.rows[1]
+        assert second.energy_efficiency >= 1.0
+        hidden_bits = second.bit_widths[1:-1]
+        assert any(b < 16 for b in hidden_bits)
+        # Frozen ends stay 16-bit.
+        assert second.bit_widths[0] == 16
+        assert second.bit_widths[-1] == 16
 
-    def test_format_renders(self, runner_setup):
-        report = runner_setup.run()
+    def test_format_renders(self, quantized):
+        _, report = quantized
         text = report.format()
         assert "VGG11 on tiny" in text
         assert "Energy Eff" in text
 
-    def test_remove_layer_and_retrain(self, runner_setup, micro_vgg):
-        report = runner_setup.run()
-        removable = next(
-            h.name
-            for h in micro_vgg.layer_handles()
-            if h.is_conv and h.unit.conv.in_channels == h.unit.conv.out_channels
-        )
-        row = runner_setup.remove_layer_and_retrain(removable, epochs=1)
+    def test_remove_layer_and_retrain(self, quantized):
+        ctx, report = quantized
+        rows_before = list(report.rows)
+        row = remove_layer_and_retrain(ctx, shape_preserving_conv(ctx), epochs=1)
         assert row.label == "2a"
-        assert len(row.bit_widths) == len(report.rows[0].bit_widths) - 1
-        assert row.energy_efficiency > report.rows[-1].energy_efficiency * 0.99
+        # Numbered one past the last reported row, like a PruneStage row.
+        assert row.iteration == rows_before[-1].iteration + 1 == 3
+        assert len(row.bit_widths) == len(rows_before[0].bit_widths) - 1
+        assert row.energy_efficiency > rows_before[-1].energy_efficiency * 0.99
+        # Returned, not appended: the caller places the row.
+        assert report.rows == rows_before
 
-    def test_remove_layer_rejects_shape_changers(self, runner_setup, micro_vgg):
-        runner_setup.run()
+    def test_remove_layer_before_run_raises_runtime_error(self):
+        ctx = build_context(micro_config())
+        with pytest.raises(RuntimeError, match="run\\(\\) must be called first"):
+            remove_layer_and_retrain(ctx, shape_preserving_conv(ctx), epochs=1)
+
+    def test_remove_layer_rejects_shape_changers(self, quantized):
+        ctx, _ = quantized
         with pytest.raises(ValueError):
-            runner_setup.remove_layer_and_retrain("fc", epochs=1)
+            remove_layer_and_retrain(ctx, "fc", epochs=1)
         shape_changer = next(
             h.name
-            for h in micro_vgg.layer_handles()
+            for h in ctx.model.layer_handles()
             if h.is_conv and h.unit.conv.in_channels != h.unit.conv.out_channels
         )
         with pytest.raises(ValueError):
-            runner_setup.remove_layer_and_retrain(shape_changer, epochs=1)
+            remove_layer_and_retrain(ctx, shape_changer, epochs=1)
 
-    def test_pruning_mode_reports_channels(self, micro_resnet, tiny_dataset, rng):
-        train_loader = DataLoader(
-            tiny_dataset, batch_size=8, shuffle=True, rng=rng
+    def test_pruning_mode_reports_channels(self):
+        config = micro_config(
+            architecture="ResNet18",
+            model={"arch": "resnet18"},
+            quant={"max_epochs_per_iteration": 2, "min_epochs_per_iteration": 1,
+                   "saturation_tolerance": 0.9},
+            prune={"enabled": True},
         )
-        runner = ExperimentRunner(
-            micro_resnet,
-            train_loader,
-            DataLoader(tiny_dataset, batch_size=16),
-            Adam(micro_resnet.parameters(), lr=3e-3),
-            CrossEntropyLoss(),
-            input_shape=(3, 8, 8),
-            schedule=QuantizationSchedule(
-                max_iterations=2, max_epochs_per_iteration=2,
-                min_epochs_per_iteration=1,
-            ),
-            saturation=SaturationDetector(window=2, tolerance=0.9),
-            prune=True,
-        )
-        report = runner.run()
-        assert report.rows[0].channel_counts is not None
-        if len(report.rows) > 1:
-            first = report.rows[0].channel_counts
-            second = report.rows[1].channel_counts
-            assert all(b <= a for a, b in zip(first, second))
-            assert "nChannels" in report.format()
+        report = Pipeline([QuantizeStage()]).run(build_context(config))
+        assert len(report.rows) == 2
+        first = report.rows[0].channel_counts
+        second = report.rows[1].channel_counts
+        assert first is not None
+        assert all(b <= a for a, b in zip(first, second))
+        assert "nChannels" in report.format()

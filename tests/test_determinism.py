@@ -5,37 +5,32 @@ tests lock the full pipeline (data generation, init, training, AD
 measurement, Algorithm 1) to the seed.
 """
 
-import numpy as np
-
-from repro.core import ExperimentRunner, QuantizationSchedule
-from repro.data import DataLoader, SyntheticCIFAR10
-from repro.density import SaturationDetector
-from repro.models import vgg11
-from repro.nn import Adam, CrossEntropyLoss
+from repro.api import (
+    DataConfig,
+    ExperimentConfig,
+    ModelConfig,
+    Pipeline,
+    QuantConfig,
+    QuantizeStage,
+    build_context,
+)
 
 
 def run_small_experiment(seed: int):
-    rng = np.random.default_rng(seed)
-    train, test = SyntheticCIFAR10(
-        train_per_class=6, test_per_class=2, image_size=8, seed=seed
+    config = ExperimentConfig(
+        name="determinism",
+        architecture="VGG11",
+        dataset="SyntheticCIFAR10",
+        model=ModelConfig(arch="vgg11", num_classes=10, width_multiplier=0.0625,
+                          image_size=8, seed=seed),
+        data=DataConfig(dataset="synthetic-cifar10", train_per_class=6,
+                        test_per_class=2, image_size=8, seed=seed,
+                        train_batch_size=15, test_batch_size=20),
+        quant=QuantConfig(max_iterations=2, max_epochs_per_iteration=3,
+                          min_epochs_per_iteration=2, saturation_window=2,
+                          saturation_tolerance=0.5),
     )
-    model = vgg11(
-        num_classes=10, width_multiplier=0.0625, image_size=8,
-        rng=np.random.default_rng(seed),
-    )
-    runner = ExperimentRunner(
-        model,
-        DataLoader(train, batch_size=15, shuffle=True, rng=rng),
-        DataLoader(test, batch_size=20),
-        Adam(model.parameters(), lr=3e-3),
-        CrossEntropyLoss(),
-        input_shape=(3, 8, 8),
-        schedule=QuantizationSchedule(
-            max_iterations=2, max_epochs_per_iteration=3, min_epochs_per_iteration=2
-        ),
-        saturation=SaturationDetector(window=2, tolerance=0.5),
-    )
-    return runner.run()
+    return Pipeline([QuantizeStage()]).run(build_context(config))
 
 
 class TestExperimentDeterminism:

@@ -5,13 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import (
+    DataConfig,
+    ExperimentConfig,
+    ModelConfig,
+    Pipeline,
+    QuantConfig,
+    QuantizeStage,
+    build_context,
+)
 from repro.core.export import (
     load_report_json,
     report_to_dict,
     save_report_csv,
     save_report_json,
 )
-from repro.core.runner import ExperimentReport, TableRow
+from repro.core.report import ExperimentReport, TableRow
 from repro.pim.xnor import XNORAccelerator, binarize, xnor_gemm
 
 
@@ -109,26 +118,17 @@ class TestReportExport:
         assert "bit_widths" in lines[0]
         assert "[16, 8, 16]" in lines[2]
 
-    def test_export_from_live_runner(self, micro_vgg, tiny_dataset, rng, tmp_path):
-        from repro.core import ExperimentRunner, QuantizationSchedule
-        from repro.data import DataLoader
-        from repro.density import SaturationDetector
-        from repro.nn import Adam, CrossEntropyLoss
-
-        runner = ExperimentRunner(
-            micro_vgg,
-            DataLoader(tiny_dataset, batch_size=8, shuffle=True, rng=rng),
-            DataLoader(tiny_dataset, batch_size=16),
-            Adam(micro_vgg.parameters(), lr=3e-3),
-            CrossEntropyLoss(),
-            input_shape=(3, 8, 8),
-            schedule=QuantizationSchedule(
-                max_iterations=1, max_epochs_per_iteration=2,
-                min_epochs_per_iteration=1,
-            ),
-            saturation=SaturationDetector(window=2, tolerance=0.9),
+    def test_export_from_live_runner(self, tmp_path):
+        config = ExperimentConfig(
+            model=ModelConfig(arch="vgg11", num_classes=10,
+                              width_multiplier=0.0625, image_size=8),
+            data=DataConfig(train_per_class=2, test_per_class=2, image_size=8,
+                            train_batch_size=8, test_batch_size=16),
+            quant=QuantConfig(max_iterations=1, max_epochs_per_iteration=2,
+                              min_epochs_per_iteration=1, saturation_window=2,
+                              saturation_tolerance=0.9),
         )
-        report = runner.run()
+        report = Pipeline([QuantizeStage()]).run(build_context(config))
         save_report_json(report, tmp_path / "live.json")
         loaded = load_report_json(tmp_path / "live.json")
         assert loaded.rows[0].bit_widths == report.rows[0].bit_widths

@@ -9,10 +9,19 @@ and the interplay of pruning with the energy models.
 import numpy as np
 import pytest
 
+from repro.api import (
+    DataConfig,
+    ExperimentConfig,
+    ModelConfig,
+    Pipeline,
+    PipelineCallback,
+    QuantConfig,
+    QuantizeStage,
+    build_context,
+)
 from repro.autograd import Tensor
-from repro.core import ADQuantizer, QuantizationSchedule, Trainer
+from repro.core import Trainer
 from repro.data import ArrayDataset, DataLoader, make_classification_images
-from repro.density import SaturationDetector
 from repro.energy import profile_model, trace_geometry
 from repro.models import vgg11
 from repro.nn import Adam, CrossEntropyLoss, Linear
@@ -61,34 +70,46 @@ class TestQuantizedTrainingConverges:
         assert quant_model._final_acc >= float_model._final_acc - 0.15
 
 
+class IterationLog(PipelineCallback):
+    """The plan each iteration trained and the densities it measured."""
+
+    def __init__(self):
+        self.plans = []
+        self.densities = []
+
+    def on_iteration_end(self, ctx, row):
+        self.plans.append(ctx.quantizer.plan.copy())
+        self.densities.append(dict(ctx.trainer.monitor.latest()))
+
+
 class TestAlgorithmOneEndToEnd:
-    def test_densities_drive_bits_and_energy(self, learnable_workload, rng):
-        train, test = learnable_workload
-        model = vgg11(num_classes=4, width_multiplier=0.125, image_size=8, rng=rng)
-        trainer = Trainer(model, Adam(model.parameters(), lr=3e-3), CrossEntropyLoss())
-        quantizer = ADQuantizer(
-            trainer,
-            QuantizationSchedule(
-                max_iterations=3, max_epochs_per_iteration=5,
-                min_epochs_per_iteration=3,
-            ),
-            SaturationDetector(window=3, tolerance=0.2),
+    def test_densities_drive_bits_and_energy(self):
+        config = ExperimentConfig(
+            model=ModelConfig(arch="vgg11", num_classes=10,
+                              width_multiplier=0.125, image_size=8, seed=11),
+            data=DataConfig(train_per_class=10, test_per_class=4, image_size=8,
+                            noise=0.4, seed=11, train_batch_size=16,
+                            test_batch_size=32),
+            quant=QuantConfig(max_iterations=3, max_epochs_per_iteration=5,
+                              min_epochs_per_iteration=3, saturation_window=3,
+                              saturation_tolerance=0.2),
         )
-        records = quantizer.run(train, test)
-        assert len(records) >= 2
-        # Eqn 3 holds between consecutive records.
-        first, second = records[0], records[1]
-        for spec_new, spec_old in zip(second.plan, first.plan):
+        ctx = build_context(config)
+        log = IterationLog()
+        Pipeline([QuantizeStage()], callbacks=[log]).run(ctx)
+        assert len(log.plans) >= 2
+        # Eqn 3 holds between consecutive iterations.
+        first, second = log.plans[0], log.plans[1]
+        for spec_new, spec_old in zip(second, first):
             if spec_old.frozen:
                 assert spec_new.bits == spec_old.bits
             else:
-                expected = max(1, round(spec_old.bits * first.densities[spec_old.name]))
+                expected = max(1, round(spec_old.bits * log.densities[0][spec_old.name]))
                 assert spec_new.bits == expected
         # Energy of the final plan beats the initial plan.
-        trace_geometry(model, (3, 8, 8))
         pim = PIMEnergyModel()
-        base = pim.network_energy(profile_model(model, plan=records[0].plan)).total_uj
-        final = pim.network_energy(profile_model(model, plan=records[-1].plan)).total_uj
+        base = pim.network_energy(profile_model(ctx.model, plan=log.plans[0])).total_uj
+        final = pim.network_energy(profile_model(ctx.model, plan=log.plans[-1])).total_uj
         assert final < base
 
 

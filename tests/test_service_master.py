@@ -42,6 +42,22 @@ def sweep_spec(name="fast", seeds=(0, 1)):
     return {"config": sweep.to_dict(), "kind": "sweep"}
 
 
+def wait_until_listening(socket_path, timeout=10):
+    """Block until the master accepts a connection and says hello.
+
+    The socket file appears at bind(), before listen(), so its existence
+    alone does not mean a client can connect yet.
+    """
+    deadline = time.time() + timeout
+    while True:
+        try:
+            MasterClient(socket_path, timeout=30).close()
+            return
+        except MasterError:
+            assert time.time() < deadline, "master never listened on its socket"
+            time.sleep(0.01)
+
+
 class MasterHarness:
     def __init__(self, tmp_path):
         self.tmp_path = tmp_path
@@ -61,10 +77,7 @@ class MasterHarness:
             target=lambda: asyncio.run(self.master.serve()), daemon=True
         )
         self.thread.start()
-        deadline = time.time() + 10
-        while not self.socket_path.exists():
-            assert time.time() < deadline, "master never bound its socket"
-            time.sleep(0.01)
+        wait_until_listening(self.socket_path)
         return self.master
 
     def client(self):

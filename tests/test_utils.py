@@ -1,5 +1,9 @@
 """Utilities: seeding, serialization, tables."""
 
+import errno
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -7,9 +11,11 @@ from repro.utils import (
     format_table,
     load_checkpoint,
     save_checkpoint,
+    save_json,
     seed_everything,
     spawn_rngs,
 )
+from repro.utils.serialization import atomic_write
 
 
 class TestSeeding:
@@ -61,6 +67,49 @@ class TestSerialization:
         state, _ = load_checkpoint(path)
         for key, value in original.items():
             assert np.array_equal(state[key], value)
+
+    def test_failed_json_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        save_json(path, {"rows": [1, 2, 3]})
+        good = path.read_bytes()
+        real_fdopen = os.fdopen
+
+        class DiskFull:
+            """A file handle that fills the disk halfway through a write."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fdopen",
+                          lambda fd, mode: DiskFull(real_fdopen(fd, mode)))
+            with pytest.raises(OSError):
+                save_json(path, {"rows": [4, 5, 6, 7, 8, 9]})
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+    def test_writers_honour_the_umask(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            save_json(tmp_path / "run.json", {"rows": []})
+            atomic_write(tmp_path / "sweep.json",
+                         lambda handle: handle.write(b"{}\n"))
+        finally:
+            os.umask(previous)
+        for name in ("run.json", "sweep.json"):
+            mode = stat.S_IMODE((tmp_path / name).stat().st_mode)
+            assert mode == 0o666 & ~umask, (name, oct(mode))
 
 
 class TestFormatTable:
