@@ -15,16 +15,19 @@ written to ``.bench/BENCH_PR10.json`` (gitignored; the committed
 ``BENCH_PR10.json`` at the repo root is the historical record).  The
 test asserts no timing, so a slow host phase cannot fail it: CI's
 ``bench-smoke`` job reads the record right after this test and fails
-if the fast backend is under 2.1x the reference.  That floor is the
+if the fast backend is under 1.7x the reference.  That floor is the
 original 5x one, restated each time the reference leg got faster while
 the fast leg stayed put, so that it keeps the same bound on the fast
 leg.  The shared strided/sliced conv lowering took the reference leg
 from 16.5 s to 8.4 s on a 2-core host (5.0 x 8.4 / 16.5 = 2.55x,
 rounded down to 2.5x); running the compiled conv lowering in float64
 as well took it from 10.9 s to 9.5 s on a 2-core host (2.5 x 9.5 /
-10.9 = 2.17x, rounded down to 2.1x).  Each pair of timings is the
-median of alternating back-to-back runs of both commits: three runs
-each in the first case, six in the second.
+10.9 = 2.17x, rounded down to 2.1x); the compiled float64 fake-quant
+and Adam, and batchnorm statistics reduced once, took it from 8.26 s
+to 6.87 s on a 2-core host (2.1 x 6.87 / 8.26 = 1.75x, rounded down
+to 1.7x).  Each pair of timings is the median of alternating
+back-to-back runs of both commits: three runs each in the first case,
+six in the others.
 
 One epoch leaves both legs at chance accuracy, so their accuracies are
 recorded but not compared here; ``tests/test_backend_e2e.py`` compares

@@ -1,6 +1,6 @@
 """Compiled C kernels for both backends (cffi + a C compiler).
 
-Two groups of loops come from one small C module, compiled once per
+Three groups of loops come from one small C module, compiled once per
 source revision and flag set:
 
 * the conv lowering — im2col and col2im, each instantiated for float32
@@ -11,20 +11,30 @@ source revision and flag set:
 * the fast backend's hot float32 loops — fused batchnorm(+relu) forward
   and backward, max pooling, one-pass Adam and fused fake-quant — each
   computing what its numpy fallback in :mod:`repro.backend.fast`
-  computes.
+  computes;
+* the reference backend's float64 fake-quant and Adam — each the seed's
+  numpy chain (in :mod:`repro.backend.reference`) as one loop, in the
+  seed's op order and with its bytes: these two functions are built
+  with FMA contraction off, so every multiply and add rounds on its
+  own, as numpy's do.
 
 The fallbacks define the semantics and run whenever this tier cannot
-load (no cffi, no compiler, a build failure), or when a conv kernel
-cannot address its operands.  There is no switch: :func:`kernels`
+load (no cffi, no compiler, a build failure), or when a kernel cannot
+take its operands: every wrapper checks each operand's dtype, size and
+layout before it hands over a pointer, and returns False, writing
+nothing, when one does not fit.  There is no switch: :func:`kernels`
 either yields the whole table or an empty one.
 
-The build is cached on disk under ``REPRO_CKERNEL_CACHE`` (default
-``~/.cache/repro-ckernels``) keyed by a hash of the C source and the
-compiler flags, so worker subprocesses and later runs import the shared
-object instantly instead of re-invoking the compiler.  A build runs in
-a private temp directory and is published with one atomic rename, so a
-process killed mid-build never leaves a partial shared object for
-others to load.
+The flags are ``-O3 -march=native -funroll-loops -fno-math-errno``; the
+last lets ``sqrt`` compile to its instruction, so loops that call it
+vectorise, and changes no result.  The first two groups keep the
+compiler's default FMA contraction.  The build is cached on disk under
+``REPRO_CKERNEL_CACHE`` (default ``~/.cache/repro-ckernels``) keyed by
+a hash of the C source and the compiler flags, so worker subprocesses
+and later runs import the shared object instantly instead of
+re-invoking the compiler.  A build runs in a private temp directory and
+is published with one atomic rename, so a process killed mid-build
+never leaves a partial shared object for others to load.
 
 Nothing outside this module may import cffi directly, and nothing here
 runs at import time: the compiler starts on the first kernel lookup.
@@ -381,8 +391,75 @@ void col2im_$S(const $T* restrict cols, $T* restrict gx, long n, long c,
 _CONV_TYPES = (("float", "f32", np.float32), ("double", "f64", np.float64))
 _CDEF += "".join(_CONV_CDEF.substitute(T=t, S=s) for t, s, _ in _CONV_TYPES)
 _SOURCE += "".join(_CONV_SOURCE.substitute(T=t, S=s) for t, s, _ in _CONV_TYPES)
+
+# The reference backend's float64 chains.  Each loop runs the seed's
+# numpy ops in the seed's order, one rounding per op: the pragmas stop
+# the compiler from contracting a multiply and an add into one FMA
+# (GCC's pragma for GCC, the C99 one for clang, which ignores GCC's).
+_CDEF += """
+void fake_quant_f64(const double* x, double* out, long size, double lo,
+                    double hi, double scale, double inv_scale);
+void adam_update_f64(const double* p, const double* g, double* m, double* v,
+                     double* out, long size, double lr, double beta1,
+                     double beta2, double eps, double weight_decay,
+                     double bias1, double bias2);
+"""
+
+_SOURCE += r"""
+#include <stdint.h>
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize ("fp-contract=off")
+#endif
+
+/* Eqn.-1 quantize -> dequantize as UniformQuantizer.fake_quant runs
+   it: clip to [lo, hi] (keeping x on a tie, as np.clip does), shift,
+   scale, round half to even, through an int64 code, rescale, shift
+   back.  The caller owns the range and the two scales.  nearbyint is
+   rint without the inexact flag: GCC turns (int64_t) rint into a
+   scalar llrint, but vectorises this form. */
+void fake_quant_f64(const double* x, double* out, long size, double lo,
+                    double hi, double scale, double inv_scale) {
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#endif
+    for (long i = 0; i < size; i++) {
+        double c = x[i] < lo ? lo : x[i];
+        c = c > hi ? hi : c;
+        int64_t code = (int64_t) nearbyint((c - lo) * scale);
+        out[i] = (double) code * inv_scale + lo;
+    }
+}
+
+/* Bias-corrected Adam as the reference backend's numpy chain runs it:
+   m and v in place, the new parameter into out. */
+void adam_update_f64(const double* p, const double* g, double* m, double* v,
+                     double* out, long size, double lr, double beta1,
+                     double beta2, double eps, double weight_decay,
+                     double bias1, double bias2) {
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#endif
+    int decay = weight_decay != 0.0;
+    for (long i = 0; i < size; i++) {
+        double gi = decay ? g[i] + weight_decay * p[i] : g[i];
+        double mi = m[i] * beta1 + (1.0 - beta1) * gi;
+        double vi = v[i] * beta2 + (1.0 - beta2) * gi * gi;
+        m[i] = mi;
+        v[i] = vi;
+        out[i] = p[i] - lr * (mi / bias1) / (sqrt(vi / bias2) + eps);
+    }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
+"""
 # Part of the build's cache key: other flags compile other code.
-_COMPILE_ARGS = ("-O3", "-march=native", "-funroll-loops")
+# -fno-math-errno lets sqrt compile to its instruction, so the Adam
+# loop vectorises; it changes no result.
+_COMPILE_ARGS = ("-O3", "-march=native", "-funroll-loops", "-fno-math-errno")
 _LIBRARIES = ("m",)
 
 
@@ -459,6 +536,64 @@ def get_kernel(name: str):
     return kernels().get(name)
 
 
+_F32 = np.dtype(np.float32)
+_F64 = np.dtype(np.float64)
+_I8 = np.dtype(np.int8)
+
+
+# The checks below run on every kernel call, so they are plain loops
+# that read each array's flags once.
+def _takes(dtype, size, *arrays):
+    """Whether a flat-pointer kernel may read ``arrays``: each an aligned,
+    C-contiguous ``dtype`` array of ``size`` elements."""
+    for a in arrays:
+        flags = a.flags
+        if not (a.dtype == dtype and a.size == size and flags.c_contiguous
+                and flags.aligned):
+            return False
+    return True
+
+
+def _fills(dtype, size, *arrays):
+    """Whether a flat-pointer kernel may write ``arrays``: each a writeable,
+    aligned, C-contiguous ``dtype`` array of ``size`` elements."""
+    for a in arrays:
+        if not (a.dtype == dtype and a.size == size and a.flags.carray):
+            return False
+    return True
+
+
+def _dense(a):
+    """Whether ``a``'s elements fill one gap-free block upward from its
+    data pointer: a C-contiguous array with its axes in some order."""
+    step = a.itemsize
+    for stride, dim in sorted(zip(a.strides, a.shape)):
+        if dim > 1:
+            if stride != step:
+                return False
+            step *= dim
+    return True
+
+
+def _stepped_strides(a):
+    """``a``'s strides on its axes longer than one: the only ones stepped."""
+    return tuple(s for s, d in zip(a.strides, a.shape) if d > 1)
+
+
+def _alike(arrays, outputs):
+    """Whether a float64 elementwise kernel may run flat over ``arrays``:
+    aligned, dense float64 arrays of one shape and one layout, so element
+    i of each sits at the same offset, with ``outputs`` among them
+    writeable."""
+    first = arrays[0]
+    layout = _stepped_strides(first)
+    return (_dense(first)
+            and all(a.dtype == _F64 and a.shape == first.shape
+                    and a.flags.aligned and _stepped_strides(a) == layout
+                    for a in arrays)
+            and all(a.flags.writeable for a in outputs))
+
+
 def _ptr(ffi, array):
     # from_buffer is a C-level view; array.ctypes would build a python
     # ctypes object per call, which shows up at this call frequency.
@@ -469,12 +604,19 @@ def _wrap_bn_train_fwd(module):
     lib, ffi = module.lib, module.ffi
 
     def bn_train_fwd(x, gamma, beta, eps, relu, out, x_hat, mean, var, inv_std):
+        """Fill the outputs from ``x``; False, writing nothing, if any
+        operand does not fit."""
         n, c, p = x.shape
+        if not (_takes(_F32, n * c * p, x) and _takes(_F32, c, gamma, beta)
+                and _fills(_F32, n * c * p, out, x_hat)
+                and _fills(_F32, c, mean, var, inv_std)):
+            return False
         lib.bn_train_fwd(
             _ptr(ffi, x), _ptr(ffi, gamma), _ptr(ffi, beta), eps, int(relu),
             n, c, p, _ptr(ffi, out), _ptr(ffi, x_hat), _ptr(ffi, mean),
             _ptr(ffi, var), _ptr(ffi, inv_std),
         )
+        return True
 
     return bn_train_fwd
 
@@ -483,12 +625,20 @@ def _wrap_bn_eval_fwd(module):
     lib, ffi = module.lib, module.ffi
 
     def bn_eval_fwd(x, gamma, beta, mean, var, eps, relu, out, x_hat, inv_std):
+        """Fill the outputs from ``x``; False, writing nothing, if any
+        operand does not fit."""
         n, c, p = x.shape
+        if not (_takes(_F32, n * c * p, x)
+                and _takes(_F32, c, gamma, beta, mean, var)
+                and _fills(_F32, n * c * p, out, x_hat)
+                and _fills(_F32, c, inv_std)):
+            return False
         lib.bn_eval_fwd(
             _ptr(ffi, x), _ptr(ffi, gamma), _ptr(ffi, beta), _ptr(ffi, mean),
             _ptr(ffi, var), eps, int(relu), n, c, p,
             _ptr(ffi, out), _ptr(ffi, x_hat), _ptr(ffi, inv_std),
         )
+        return True
 
     return bn_eval_fwd
 
@@ -497,12 +647,20 @@ def _wrap_bn_bwd(module):
     lib, ffi = module.lib, module.ffi
 
     def bn_bwd(grad, x_hat, inv_std, gamma, out, relu, training, gx, ggamma, gbeta):
+        """Fill the gradients; False, writing nothing, if any operand does
+        not fit."""
         n, c, p = grad.shape
+        if not (_takes(_F32, n * c * p, grad, x_hat, out)
+                and _takes(_F32, c, inv_std, gamma)
+                and _fills(_F32, n * c * p, gx)
+                and _fills(_F32, c, ggamma, gbeta)):
+            return False
         lib.bn_bwd(
             _ptr(ffi, grad), _ptr(ffi, x_hat), _ptr(ffi, inv_std),
             _ptr(ffi, gamma), _ptr(ffi, out), int(relu), int(training),
             n, c, p, _ptr(ffi, gx), _ptr(ffi, ggamma), _ptr(ffi, gbeta),
         )
+        return True
 
     return bn_bwd
 
@@ -579,10 +737,16 @@ def _wrap_adam(module):
 
     def adam_update(param, grad, m, v, lr, beta1, beta2, eps, weight_decay,
                     bias1, bias2):
+        """Update ``param``, ``m`` and ``v`` in place; False, writing
+        nothing, if any operand does not fit."""
+        if not (_takes(_F32, param.size, grad)
+                and _fills(_F32, param.size, param, m, v)):
+            return False
         lib.adam_update(
             _ptr(ffi, param), _ptr(ffi, grad), _ptr(ffi, m), _ptr(ffi, v),
             param.size, lr, beta1, beta2, eps, weight_decay, bias1, bias2,
         )
+        return True
 
     return adam_update
 
@@ -591,8 +755,12 @@ def _wrap_fake_quant(module):
     lib, ffi = module.lib, module.ffi
 
     def fused_fake_quant(x, out, lo, scale, inv_scale):
+        """Fill ``out`` from ``x``; False, writing nothing, if they do not fit."""
+        if not (_takes(_F32, x.size, x) and _fills(_F32, x.size, out)):
+            return False
         lib.fused_fake_quant(_ptr(ffi, x), _ptr(ffi, out), x.size,
                              lo, scale, inv_scale)
+        return True
 
     return fused_fake_quant
 
@@ -601,10 +769,17 @@ def _wrap_maxpool_fwd(module):
     lib, ffi = module.lib, module.ffi
 
     def maxpool_fwd(x, out, idx, k):
+        """Fill ``out`` and ``idx`` from ``x``; False, writing nothing, if
+        they do not fit."""
         planes, h, w = x.shape
+        size = planes * (h // k) * (w // k)
+        if not (k * k <= 127 and _takes(_F32, planes * h * w, x)
+                and _fills(_F32, size, out) and _fills(_I8, size, idx)):
+            return False
         lib.maxpool_fwd(_ptr(ffi, x), _ptr(ffi, out),
                         ffi.from_buffer("signed char[]", idx),
                         planes, h, w, k)
+        return True
 
     return maxpool_fwd
 
@@ -613,12 +788,51 @@ def _wrap_maxpool_bwd(module):
     lib, ffi = module.lib, module.ffi
 
     def maxpool_bwd(grad, idx, gx, k):
+        """Route ``grad`` into the zeroed ``gx``; False, writing nothing,
+        if they do not fit."""
         planes, h, w = gx.shape
+        size = planes * (h // k) * (w // k)
+        if not (_takes(_F32, size, grad) and _takes(_I8, size, idx)
+                and _fills(_F32, planes * h * w, gx)):
+            return False
         lib.maxpool_bwd(_ptr(ffi, grad),
                         ffi.from_buffer("signed char[]", idx),
                         _ptr(ffi, gx), planes, h, w, k)
+        return True
 
     return maxpool_bwd
+
+
+def _wrap_fake_quant_f64(module):
+    lib, ffi = module.lib, module.ffi
+
+    def fake_quant_f64(x, out, lo, hi, scale, inv_scale):
+        """Fill ``out`` from ``x``; False, writing nothing, if they do not fit."""
+        if not _alike((x, out), (out,)):
+            return False
+        lib.fake_quant_f64(_addr(ffi, "double", x), _addr(ffi, "double", out),
+                           x.size, lo, hi, scale, inv_scale)
+        return True
+
+    return fake_quant_f64
+
+
+def _wrap_adam_f64(module):
+    lib, ffi = module.lib, module.ffi
+
+    def adam_update_f64(param, grad, m, v, out, lr, beta1, beta2, eps,
+                        weight_decay, bias1, bias2):
+        """The new parameter into ``out``, ``m``/``v`` in place; False,
+        writing nothing, if any operand does not fit."""
+        operands = (param, grad, m, v, out)
+        if not _alike(operands, (m, v, out)):
+            return False
+        lib.adam_update_f64(*(_addr(ffi, "double", a) for a in operands),
+                            param.size, lr, beta1, beta2, eps, weight_decay,
+                            bias1, bias2)
+        return True
+
+    return adam_update_f64
 
 
 _WRAPPERS = {
@@ -631,4 +845,6 @@ _WRAPPERS = {
     "fused_fake_quant": _wrap_fake_quant,
     "maxpool_fwd": _wrap_maxpool_fwd,
     "maxpool_bwd": _wrap_maxpool_bwd,
+    "fake_quant_f64": _wrap_fake_quant_f64,
+    "adam_update_f64": _wrap_adam_f64,
 }

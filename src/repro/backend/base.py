@@ -12,7 +12,10 @@ by calling ``np.*`` directly:
   which is also what the seed oracle checks;
 * the fused hot loops — fake-quant round-clip and the SGD/Adam
   parameter updates — which the fast backend collapses into in-place
-  chains (or single-pass C kernels when the compiled tier loads);
+  chains (or single-pass C kernels when the compiled tier loads), and
+  the reference backend runs as the seed's numpy chains (fake-quant and
+  Adam as float64 C loops in the seed's op order where the compiled
+  tier loads);
 * the fused elementwise chains — relu, batchnorm (train/eval, with an
   optional trailing relu), softmax/log-softmax/cross-entropy, bias add,
   linear, mse — each exposed as a forward kernel returning an opaque
@@ -193,10 +196,18 @@ class ArrayBackend:
         the unbiased correction), ``residual`` feeds :meth:`batchnorm_bwd`.
         """
         axes = (0, 2, 3)
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        count = x.shape[0] * x.shape[2] * x.shape[3]
+        # The seed's ``x.mean(axes)`` and ``x.var(axes)``, each reduction
+        # done once.  numpy computes the mean as ``x.sum(axes)`` divided
+        # by the element count, and the variance by forming that same
+        # mean, subtracting it, squaring, summing and dividing by the
+        # count.  These lines make the same calls, so they give the same
+        # bytes, and the centred array doubles as the seed's ``x - mean``.
+        mean = x.sum(axis=axes) / count
+        centered = x - mean[None, :, None, None]
+        var = (centered * centered).sum(axis=axes) / count
         inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        x_hat = centered * inv_std[None, :, None, None]
         out = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
         relu_mask = None
         if fuse_relu:
@@ -233,8 +244,11 @@ class ArrayBackend:
         scale = (gamma * inv_std)[None, :, None, None]
         if not training:
             return grad * scale, grad_gamma, grad_beta
-        mean_dy = grad.mean(axis=axes)[None, :, None, None]
-        mean_dy_xhat = (grad * x_hat).mean(axis=axes)[None, :, None, None]
+        # The seed's ``grad.mean(axes)`` and ``(grad * x_hat).mean(axes)``:
+        # numpy's mean is the sum above divided by the element count.
+        count = grad.shape[0] * grad.shape[2] * grad.shape[3]
+        mean_dy = (grad_beta / count)[None, :, None, None]
+        mean_dy_xhat = (grad_gamma / count)[None, :, None, None]
         grad_x = scale * (grad - mean_dy - x_hat * mean_dy_xhat)
         return grad_x, grad_gamma, grad_beta
 

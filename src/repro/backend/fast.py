@@ -21,7 +21,9 @@ fallback — below, or for im2col/col2im the base class's shared one.
 The numpy code is the semantics; the C table is looked up once per
 backend instance, on first use (``ArrayBackend._kernels``), and is
 empty when the C tier cannot load (no cffi or no compiler), in which
-case every op runs its fallback.  There is no switch between them.
+case every op runs its fallback.  An op also runs its fallback when its
+kernel declines the operands (another dtype, size or layout than the
+float32 loop reads).  There is no switch between them.
 
 Numerics agree with the reference backend to float32 tolerances; the
 differential test suite pins that op by op.
@@ -55,11 +57,11 @@ class FastBackend(ArrayBackend):
             mean = np.empty(c, dtype=self.dtype)
             var = np.empty(c, dtype=self.dtype)
             inv_std = np.empty(c, dtype=self.dtype)
-            kernel(x.reshape(n, c, -1), gamma, beta, self.dtype.type(eps),
-                   fuse_relu, out.reshape(n, c, -1), x_hat.reshape(n, c, -1),
-                   mean, var, inv_std)
-            gate = out if fuse_relu else None
-            return out, mean, var, (x_hat, inv_std, gate)
+            if kernel(x.reshape(n, c, -1), gamma, beta, self.dtype.type(eps),
+                      fuse_relu, out.reshape(n, c, -1),
+                      x_hat.reshape(n, c, -1), mean, var, inv_std):
+                gate = out if fuse_relu else None
+                return out, mean, var, (x_hat, inv_std, gate)
         # numpy fallback: centered single-temporary chain.  The variance
         # comes from the centered difference (one einsum) rather than
         # E[x^2]-E[x]^2, which cancels catastrophically in float32.
@@ -86,13 +88,13 @@ class FastBackend(ArrayBackend):
             out = np.empty_like(x)
             x_hat = np.empty_like(x)
             inv_std = np.empty(c, dtype=self.dtype)
-            kernel(x.reshape(n, c, -1), gamma, beta,
-                   np.ascontiguousarray(running_mean, dtype=self.dtype),
-                   np.ascontiguousarray(running_var, dtype=self.dtype),
-                   self.dtype.type(eps), fuse_relu, out.reshape(n, c, -1),
-                   x_hat.reshape(n, c, -1), inv_std)
-            gate = out if fuse_relu else None
-            return out, (x_hat, inv_std, gate)
+            if kernel(x.reshape(n, c, -1), gamma, beta,
+                      np.ascontiguousarray(running_mean, dtype=self.dtype),
+                      np.ascontiguousarray(running_var, dtype=self.dtype),
+                      self.dtype.type(eps), fuse_relu, out.reshape(n, c, -1),
+                      x_hat.reshape(n, c, -1), inv_std):
+                gate = out if fuse_relu else None
+                return out, (x_hat, inv_std, gate)
         inv_std = (1.0 / np.sqrt(running_var + self.dtype.type(eps))).astype(
             self.dtype, copy=False)
         x_hat = x - running_mean.reshape(1, -1, 1, 1)
@@ -110,16 +112,16 @@ class FastBackend(ArrayBackend):
         grad = np.ascontiguousarray(grad, dtype=self.dtype)
         n, c, h, w = grad.shape
         kernel = self._kernels.get("batchnorm_bwd")
-        if kernel is not None and x_hat.flags.c_contiguous:
+        if kernel is not None:
             gx = np.empty_like(grad)
             ggamma = np.empty(c, dtype=self.dtype)
             gbeta = np.empty(c, dtype=self.dtype)
             relu = gate is not None
             out = gate if relu else x_hat  # unread when relu is off
-            kernel(grad.reshape(n, c, -1), x_hat.reshape(n, c, -1), inv_std,
-                   gamma, out.reshape(n, c, -1), relu, training,
-                   gx.reshape(n, c, -1), ggamma, gbeta)
-            return gx, ggamma, gbeta
+            if kernel(grad.reshape(n, c, -1), x_hat.reshape(n, c, -1),
+                      inv_std, gamma, out.reshape(n, c, -1), relu, training,
+                      gx.reshape(n, c, -1), ggamma, gbeta):
+                return gx, ggamma, gbeta
         if gate is not None:
             grad = grad * (gate > 0)
         ggamma = np.einsum("nchw,nchw->c", grad, x_hat)
@@ -135,17 +137,16 @@ class FastBackend(ArrayBackend):
 
     def maxpool_fwd(self, x, kernel):
         ck = self._kernels.get("maxpool_fwd")
-        if (ck is not None and kernel * kernel <= 127
-                and x.flags.c_contiguous and x.dtype == self.dtype):
+        if ck is not None:
             n, c, h, w = x.shape
             out_h, out_w = h // kernel, w // kernel
-            out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
+            out = np.empty((n, c, out_h, out_w), dtype=self.dtype)
             # int8 window offsets: the whole residual is out_h*out_w
             # bytes per plane instead of the k*k-expanded window copy.
             idx = np.empty((n, c, out_h, out_w), dtype=np.int8)
-            ck(x.reshape(n * c, h, w), out.reshape(n * c, out_h, out_w),
-               idx.reshape(n * c, out_h, out_w), kernel)
-            return out, (idx, kernel)
+            if ck(x.reshape(n * c, h, w), out.reshape(n * c, out_h, out_w),
+                  idx.reshape(n * c, out_h, out_w), kernel):
+                return out, (idx, kernel)
         return super().maxpool_fwd(x, kernel)
 
     def maxpool_bwd(self, grad, residual):
@@ -157,10 +158,9 @@ class FastBackend(ArrayBackend):
         h, w = out_h * kernel, out_w * kernel
         gx = np.zeros((n, c, h, w), dtype=self.dtype)
         ck = self._kernels.get("maxpool_bwd")
-        if ck is not None:
-            ck(grad.reshape(n * c, out_h, out_w),
-               idx.reshape(n * c, out_h, out_w),
-               gx.reshape(n * c, h, w), kernel)
+        if ck is not None and ck(grad.reshape(n * c, out_h, out_w),
+                                 idx.reshape(n * c, out_h, out_w),
+                                 gx.reshape(n * c, h, w), kernel):
             return gx
         # idx uses the same ki*k+kj offsets as argmax over the window
         # axis, so the scatter is a put_along_axis away.
@@ -183,10 +183,10 @@ class FastBackend(ArrayBackend):
         scale = levels / (hi - lo)
         inv_scale = (hi - lo) / levels
         kernel = self._kernels.get("fused_fake_quant")
-        if kernel is not None and x.flags.c_contiguous:
+        if kernel is not None:
             out = np.empty_like(x)
-            kernel(x, out, lo, scale, inv_scale)
-            return out
+            if kernel(x, out, lo, scale, inv_scale):
+                return out
         # In-place chain: one temporary, no integer codes materialized.
         # With a dynamic range the clip in eqn. 1 is a no-op (lo/hi ARE
         # the data range), so rint-scale-shift is exact.
@@ -210,11 +210,8 @@ class FastBackend(ArrayBackend):
     def adam_update(self, param, grad, m, v, lr, beta1, beta2, eps,
                     weight_decay, bias1, bias2):
         kernel = self._kernels.get("adam_update")
-        if (kernel is not None and param.flags.c_contiguous
-                and grad.flags.c_contiguous and m.flags.c_contiguous
-                and v.flags.c_contiguous):
-            kernel(param, grad, m, v, lr, beta1, beta2, eps, weight_decay,
-                   bias1, bias2)
+        if kernel is not None and kernel(param, grad, m, v, lr, beta1, beta2,
+                                         eps, weight_decay, bias1, bias2):
             return param
         if weight_decay:
             grad = grad + weight_decay * param

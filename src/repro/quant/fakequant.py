@@ -20,7 +20,8 @@ def STEQuantFunction(x: Tensor, quantizer: UniformQuantizer) -> Tensor:
     """Apply ``quantizer.fake_quant`` with a straight-through gradient.
 
     The quantize-dequantize kernel is backend-dispatched: the reference
-    backend runs the quantizer's float64 int-code round-trip, the fast
+    backend runs the quantizer's float64 int-code round-trip (one C loop
+    in the same op order where the compiled tier loads), the fast
     backend a fused float32 round-scale-shift.
     """
     out_data = active_backend().fake_quant(x.data, quantizer)

@@ -1,18 +1,23 @@
 """The fast backend's two kernel tiers: compiled C against the numpy fallback.
 
-Two guarantees:
+Three guarantees:
 
 1. every C kernel computes what its numpy fallback computes on the same
    float32 inputs — bit for bit for the pure data movement (im2col,
    col2im, max pooling), within float32 round-off for the arithmetic
    (batchnorm, Adam, fake-quant);
-2. the on-disk kernel cache never serves a partial build, nor one
+2. an operand a C kernel cannot take (another dtype, size or layout)
+   leaves the op to its numpy fallback: the wrapper checks every
+   operand before it hands over a pointer;
+3. the on-disk kernel cache never serves a partial build, nor one
    compiled from other source or flags: a process killed mid-build
    leaves nothing a later process would load.
 
-The first and the killed build skip where the C tier cannot load (no
-cffi or no C compiler).  ``tests/test_backend_conv_lowering.py`` holds
-both backends' im2col/col2im, in both dtypes, to the seed's lowering.
+The first two and the killed build skip where the C tier cannot load
+(no cffi or no C compiler).  ``tests/test_backend_conv_lowering.py``
+holds both backends' im2col/col2im, in both dtypes, to the seed's
+lowering, and ``tests/test_backend_reference_kernels.py`` the
+reference backend's float64 fake-quant and Adam to the seed's chains.
 """
 
 import importlib
@@ -144,6 +149,73 @@ class TestTierParity:
         scale = ((1 << bits) - 1) / (hi - lo)
         np.testing.assert_array_equal(np.rint((c_out - lo) * scale),
                                       np.rint((np_out - lo) * scale))
+
+
+class TestOperandsAKernelCannotTake:
+    """An operand a C kernel cannot take leaves the op to its fallback.
+
+    The float32 kernels read every operand through a ``float *``; a
+    float64 one would be read as garbage, so the wrapper checks each
+    operand's dtype, size and contiguity first and the backend falls
+    back when it declines.
+    """
+
+    @staticmethod
+    def _same(c_outputs, numpy_outputs):
+        for c_array, numpy_array in zip(c_outputs, numpy_outputs):
+            assert c_array.dtype == numpy_array.dtype
+            assert c_array.tobytes() == numpy_array.tobytes()
+
+    def test_adam_with_a_float64_grad(self, tiers):
+        results = []
+        for backend in tiers:
+            param, m = _data(8, seed=0), _data(8, seed=1) * 0.1
+            v = np.abs(_data(8, seed=2)) * 0.01
+            grad = _data(8, seed=3).astype(np.float64)
+            param = backend.adam_update(param, grad, m, v, 1e-2, 0.9, 0.999,
+                                        1e-8, 0.0, 0.1, 0.001)
+            results.append((param, m, v))
+        self._same(*results)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_batchnorm_train_with_float64_affine(self, tiers, relu):
+        x = _data(4, 3, 5, 5) * 2.0 + 0.5
+        gamma = _data(3, seed=1).astype(np.float64)
+        beta = _data(3, seed=2).astype(np.float64)
+        grad = _data(*x.shape, seed=5)
+        results = []
+        for backend in tiers:
+            out, mean, var, residual = backend.batchnorm_train(
+                x, gamma, beta, 1e-5, relu)
+            results.append((out, mean, var, *backend.batchnorm_bwd(
+                grad, gamma, residual, True)))
+        self._same(*results)
+
+    def test_batchnorm_eval_with_a_float64_gamma(self, tiers):
+        x = _data(4, 3, 5, 5)
+        gamma = _data(3, seed=1).astype(np.float64)
+        beta = _data(3, seed=2)
+        running_mean = _data(3, seed=3)
+        running_var = np.abs(_data(3, seed=4)) + 0.5
+        results = []
+        for backend in tiers:
+            out, _ = backend.batchnorm_eval(x, gamma, beta, running_mean,
+                                            running_var, 1e-5)
+            results.append((out,))
+        self._same(*results)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm_bwd_with_a_float64_gamma(self, tiers, training):
+        c_tier, numpy_tier = tiers
+        x = _data(4, 3, 5, 5)
+        gamma, beta = _data(3, seed=1), _data(3, seed=2)
+        _, _, _, residual = c_tier.batchnorm_train(x, gamma, beta, 1e-5)
+        grad = _data(*x.shape, seed=5)
+        wide_gamma = gamma.astype(np.float64)
+        self._same(
+            c_tier.batchnorm_bwd(grad, wide_gamma, residual, training),
+            numpy_tier.batchnorm_bwd(grad, wide_gamma, residual, training),
+        )
 
 
 def _c_toolchain_present() -> bool:

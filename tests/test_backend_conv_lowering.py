@@ -16,7 +16,9 @@ the oracle.  Four guarantees:
 3. whole ResNet training steps on the reference backend, 1x1 stride-2
    shortcuts included, replay the oracle's losses, gradients and
    parameters exactly;
-4. reference runs give the same bytes with and without the C kernels,
+4. reference runs give the same bytes with and without the C kernels
+   (the conv lowering here, and the float64 fake-quant and Adam loops
+   that ``tests/test_backend_reference_kernels.py`` holds to the seed),
    which is what lets the result cache ignore the kernel tier.
 """
 
@@ -300,8 +302,13 @@ def reference_kernels(table):
         yield
 
 
+# Every C kernel the reference backend runs: the conv lowering and the
+# float64 fake-quant and Adam loops.
+REFERENCE_KERNELS = ("im2col", "col2im", "fake_quant_f64", "adam_update_f64")
+
+
 def _counted(calls):
-    """The C conv kernels, counting the calls each one took."""
+    """The reference backend's C kernels, counting the calls each one took."""
     def counting(name, kernel):
         def run(*args):
             ran = kernel(*args)
@@ -310,7 +317,7 @@ def _counted(calls):
         return run
 
     return {name: counting(name, _ckernels.kernels()[name])
-            for name in ("im2col", "col2im")}
+            for name in REFERENCE_KERNELS}
 
 
 def _smoke_run():
@@ -330,7 +337,7 @@ def test_reference_runs_do_not_depend_on_the_kernel_tier():
     calls = collections.Counter()
     with reference_kernels(_counted(calls)):
         compiled = _smoke_run(), _resnet_steps(3)
-    assert calls["im2col"] > 0 and calls["col2im"] > 0
+    assert all(calls[name] > 0 for name in REFERENCE_KERNELS), calls
     with reference_kernels({}):
         numpy_only = _smoke_run(), _resnet_steps(3)
     (payload, params), resnet = compiled

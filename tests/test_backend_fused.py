@@ -230,17 +230,33 @@ def _run(backend_name, func, arrays):
         return out.data.copy(), [t.grad.copy() for t in tensors]
 
 
+def _stepped_strides(a):
+    """Strides of the axes longer than one: the only ones ever stepped."""
+    return tuple(s for s, d in zip(a.strides, a.shape) if d > 1)
+
+
 def assert_fused_matches_seed_exactly(func, arrays):
-    """On the reference backend, fused == the seed oracle down to the last bit."""
+    """On the reference backend, fused == the seed oracle down to the last
+    bit, laid out as the seed laid it out."""
     fused_out, fused_grads = _run("reference", func, arrays)
     with seed_graph() as calls:
         seed_out, seed_grads = _run("reference", func, arrays)
     assert calls, "the seed oracle was not in effect"
     assert fused_out.tobytes() == seed_out.tobytes()
+    assert _stepped_strides(fused_out) == _stepped_strides(seed_out)
     for index, (fused, seed) in enumerate(zip(fused_grads, seed_grads)):
         assert fused.tobytes() == seed.tobytes(), (
             f"fused reference gradient moved for input {index}"
         )
+        assert _stepped_strides(fused) == _stepped_strides(seed), (
+            f"fused reference gradient layout moved for input {index}"
+        )
+
+
+def _channel_major(x):
+    """``x`` laid out as a conv output hands it on: the (C, N, H, W)
+    buffer, transposed back to NCHW."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
 
 
 def assert_fast_matches_reference(func, arrays, rtol=RTOL, atol=ATOL):
@@ -400,7 +416,9 @@ class TestReferenceBitIdentity:
                 layer._set_buffer("running_var", backend.asarray(var))
             return layer(a)
 
-        assert_fused_matches_seed_exactly(apply, [x])
+        # C-ordered, and channel-major as every conv hands it on.
+        for layout in (x, _channel_major(x)):
+            assert_fused_matches_seed_exactly(apply, [layout])
 
     @given(ARRAYS)
     @settings(max_examples=10, deadline=None)
@@ -412,7 +430,8 @@ class TestReferenceBitIdentity:
             layer.train(True)
             return layer.forward_fused(a, fuse_relu=True)
 
-        assert_fused_matches_seed_exactly(apply, [x])
+        for layout in (x, _channel_major(x)):
+            assert_fused_matches_seed_exactly(apply, [layout])
 
     def test_vgg_iteration_exact_and_smaller_graph(self):
         fused, seed = assert_vgg_run_matches_seed(steps=2)
