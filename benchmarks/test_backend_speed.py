@@ -15,7 +15,7 @@ written to ``.bench/BENCH_PR10.json`` (gitignored; the committed
 ``BENCH_PR10.json`` at the repo root is the historical record).  The
 test asserts no timing, so a slow host phase cannot fail it: CI's
 ``bench-smoke`` job reads the record right after this test and fails
-if the fast backend is under 1.7x the reference.  That floor is the
+if the fast backend is under 1.3x the reference.  That floor is the
 original 5x one, restated each time the reference leg got faster while
 the fast leg stayed put, so that it keeps the same bound on the fast
 leg.  The shared strided/sliced conv lowering took the reference leg
@@ -25,9 +25,11 @@ as well took it from 10.9 s to 9.5 s on a 2-core host (2.5 x 9.5 /
 10.9 = 2.17x, rounded down to 2.1x); the compiled float64 fake-quant
 and Adam, and batchnorm statistics reduced once, took it from 8.26 s
 to 6.87 s on a 2-core host (2.1 x 6.87 / 8.26 = 1.75x, rounded down
-to 1.7x).  Each pair of timings is the median of alternating
-back-to-back runs of both commits: three runs each in the first case,
-six in the others.
+to 1.7x); the compiled float64 batchnorm passes and the shared C max
+pooling took it from 7.29 s to 5.81 s on a 2-core host (1.7 x 5.81 /
+7.29 = 1.35x, rounded down to 1.3x).  Each pair of timings is the
+median of alternating back-to-back runs of both commits: three runs
+each in the first case, six in the others.
 
 One epoch leaves both legs at chance accuracy, so their accuracies are
 recorded but not compared here; ``tests/test_backend_e2e.py`` compares

@@ -3,20 +3,25 @@
 Three groups of loops come from one small C module, compiled once per
 source revision and flag set:
 
-* the conv lowering — im2col and col2im, each instantiated for float32
-  and float64 and addressing its image through plane strides, so both
-  backends run it in place on their own layouts.  It returns the bytes
-  of the numpy lowering in :mod:`repro.backend._im2col`, which stays
-  the fallback and is what the seed oracle checks;
+* loops shared by both backends, each a template instantiated for
+  float32 and float64 and addressing its images through plane strides,
+  so both backends run it in place on their own layouts: the conv
+  lowering (im2col and col2im), which returns the bytes of the numpy
+  lowering in :mod:`repro.backend._im2col`, and max pooling, which
+  picks each window's tap by numpy argmax's rule (the first maximum
+  wins; a NaN wins and ends the scan) and so returns the bytes of the
+  seed's argmax pooling in :class:`repro.backend.base.ArrayBackend`.
+  The numpy code stays the fallback and is what the seed oracles check;
 * the fast backend's hot float32 loops — fused batchnorm(+relu) forward
-  and backward, max pooling, one-pass Adam and fused fake-quant — each
-  computing what its numpy fallback in :mod:`repro.backend.fast`
-  computes;
-* the reference backend's float64 fake-quant and Adam — each the seed's
-  numpy chain (in :mod:`repro.backend.reference`) as one loop, in the
-  seed's op order and with its bytes: these two functions are built
-  with FMA contraction off, so every multiply and add rounds on its
-  own, as numpy's do.
+  and backward, one-pass Adam and fused fake-quant — each computing
+  what its numpy fallback in :mod:`repro.backend.fast` computes;
+* the reference backend's float64 fake-quant, Adam and training-mode
+  batchnorm passes — each a stretch of the seed's numpy chain (in
+  :mod:`repro.backend.reference`) as one loop, in the seed's op order
+  and with its bytes: these functions are built with FMA contraction
+  off, so every multiply and add rounds on its own, as numpy's do.
+  Batchnorm's sums are not among them: each pass writes the arrays the
+  chain sums next, and the caller sums them with numpy.
 
 The fallbacks define the semantics and run whenever this tier cannot
 load (no cffi, no compiler, a build failure), or when a kernel cannot
@@ -65,14 +70,11 @@ void adam_update(float* p, const float* g, float* m, float* v, long size,
                  float weight_decay, float bias1, float bias2);
 void fused_fake_quant(const float* x, float* out, long size, float lo,
                       float scale, float inv_scale);
-void maxpool_fwd(const float* x, float* out, signed char* idx, long planes,
-                 long h, long w, long k);
-void maxpool_bwd(const float* grad, const signed char* idx, float* gx,
-                 long planes, long h, long w, long k);
 """
 
 _SOURCE = r"""
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 /* Fused training-mode batchnorm (+ optional relu) over NCHW input:
@@ -204,51 +206,6 @@ void fused_fake_quant(const float* x, float* out, long size, float lo,
                       float scale, float inv_scale) {
     for (long i = 0; i < size; i++) {
         out[i] = rintf((x[i] - lo) * scale) * inv_scale + lo;
-    }
-}
-
-/* Non-overlapping max pool over (planes, H, W): one pass emitting the
-   max and its window offset (first-max ties, matching argmax). */
-void maxpool_fwd(const float* x, float* out, signed char* idx, long planes,
-                 long h, long w, long k) {
-    long oh = h / k, ow = w / k;
-    for (long pl = 0; pl < planes; pl++) {
-        const float* xp = x + pl * h * w;
-        float* op = out + pl * oh * ow;
-        signed char* ip = idx + pl * oh * ow;
-        for (long io = 0; io < oh; io++) {
-            for (long jo = 0; jo < ow; jo++) {
-                const float* base = xp + (io * k) * w + jo * k;
-                float best = base[0];
-                long bi = 0;
-                for (long ki = 0; ki < k; ki++) {
-                    const float* row = base + ki * w;
-                    for (long kj = 0; kj < k; kj++) {
-                        if (row[kj] > best) { best = row[kj]; bi = ki * k + kj; }
-                    }
-                }
-                op[io * ow + jo] = best;
-                ip[io * ow + jo] = (signed char) bi;
-            }
-        }
-    }
-}
-
-/* Adjoint: route each output gradient to its argmax tap (gx pre-zeroed;
-   windows are disjoint so plain stores suffice). */
-void maxpool_bwd(const float* grad, const signed char* idx, float* gx,
-                 long planes, long h, long w, long k) {
-    long oh = h / k, ow = w / k;
-    for (long pl = 0; pl < planes; pl++) {
-        const float* gp = grad + pl * oh * ow;
-        const signed char* ip = idx + pl * oh * ow;
-        float* xp = gx + pl * h * w;
-        for (long io = 0; io < oh; io++) {
-            for (long jo = 0; jo < ow; jo++) {
-                long b = ip[io * ow + jo];
-                xp[(io * k + b / k) * w + jo * k + b % k] = gp[io * ow + jo];
-            }
-        }
     }
 }
 """
@@ -388,9 +345,86 @@ void col2im_$S(const $T* restrict cols, $T* restrict gx, long n, long c,
 }
 """)
 
-_CONV_TYPES = (("float", "f32", np.float32), ("double", "f64", np.float64))
-_CDEF += "".join(_CONV_CDEF.substitute(T=t, S=s) for t, s, _ in _CONV_TYPES)
-_SOURCE += "".join(_CONV_SOURCE.substitute(T=t, S=s) for t, s, _ in _CONV_TYPES)
+# Max pooling over non-overlapping k x k windows, instantiated per dtype
+# like the conv lowering and addressing both images the same way: plane
+# (ni, ci) at ni*sn + ci*sc, contiguous rows sh apart.  The outputs and
+# window offsets are C-ordered (N, C, oh, ow).
+_POOL_CDEF = string.Template("""
+void maxpool_fwd_$S(const $T* x, $T* out, int64_t* idx, long n, long c,
+                    long h, long w, long sn, long sc, long sh, long k);
+int maxpool_bwd_$S(const $T* grad, const int64_t* idx, $T* gx, long n,
+                   long c, long h, long w, long gn, long gc, long gh,
+                   long sn, long sc, long sh, long k);
+""")
+
+_POOL_SOURCE = string.Template(r"""
+/* Each window's maximum and its offset ki*k + kj, chosen as numpy's
+   argmax chooses: the first maximum wins, and a NaN wins and ends the
+   scan.  A row of windows is scanned together, tap by tap in (ki, kj)
+   order: a window takes a tap only while its best is not NaN and the
+   tap is not <= it, a select rather than a branch. */
+void maxpool_fwd_$S(const $T* x, $T* out, int64_t* idx, long n, long c,
+                    long h, long w, long sn, long sc, long sh, long k) {
+    long oh = h / k, ow = w / k;
+    $T* o = out;
+    int64_t* at = idx;
+    for (long ni = 0; ni < n; ni++) {
+        for (long ci = 0; ci < c; ci++) {
+            const $T* plane = x + ni * sn + ci * sc;
+            for (long io = 0; io < oh; io++, o += ow, at += ow) {
+                const $T* row = plane + io * k * sh;
+                for (long jo = 0; jo < ow; jo++) {
+                    o[jo] = row[jo * k];
+                    at[jo] = 0;
+                }
+                for (long t = 1; t < k * k; t++) {
+                    const $T* tap = row + (t / k) * sh + t % k;
+                    for (long jo = 0; jo < ow; jo++) {
+                        $T v = tap[jo * k], best = o[jo];
+                        int take = (best == best) & !(v <= best);
+                        o[jo] = take ? v : best;
+                        at[jo] = take ? t : at[jo];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/* The adjoint: fills gx, each window zero but for its output gradient
+   at the argmax tap.  Returns 0, writing nothing, if an offset lies
+   outside its window. */
+int maxpool_bwd_$S(const $T* grad, const int64_t* idx, $T* gx, long n,
+                   long c, long h, long w, long gn, long gc, long gh,
+                   long sn, long sc, long sh, long k) {
+    long oh = h / k, ow = w / k;
+    for (long o = 0; o < n * c * oh * ow; o++)
+        if (idx[o] < 0 || idx[o] >= k * k) return 0;
+    const int64_t* at = idx;
+    for (long ni = 0; ni < n; ni++) {
+        for (long ci = 0; ci < c; ci++) {
+            const $T* g = grad + ni * gn + ci * gc;
+            $T* plane = gx + ni * sn + ci * sc;
+            for (long io = 0; io < oh; io++, at += ow) {
+                $T* row = plane + io * k * sh;
+                for (long ki = 0; ki < k; ki++)
+                    for (long j = 0; j < w; j++) row[ki * sh + j] = 0;
+                for (long jo = 0; jo < ow; jo++)
+                    row[(at[jo] / k) * sh + jo * k + at[jo] % k] =
+                        g[io * gh + jo];
+            }
+        }
+    }
+    return 1;
+}
+""")
+
+_FLOAT_TYPES = (("float", "f32", np.float32), ("double", "f64", np.float64))
+_CDEF += "".join(cdef.substitute(T=t, S=s) for cdef in (_CONV_CDEF, _POOL_CDEF)
+                 for t, s, _ in _FLOAT_TYPES)
+_SOURCE += "".join(source.substitute(T=t, S=s)
+                   for source in (_CONV_SOURCE, _POOL_SOURCE)
+                   for t, s, _ in _FLOAT_TYPES)
 
 # The reference backend's float64 chains.  Each loop runs the seed's
 # numpy ops in the seed's order, one rounding per op: the pragmas stop
@@ -403,11 +437,29 @@ void adam_update_f64(const double* p, const double* g, double* m, double* v,
                      double* out, long size, double lr, double beta1,
                      double beta2, double eps, double weight_decay,
                      double bias1, double bias2);
+void bn_centre_f64(const double* x, const double* mean, double* centered,
+                   double* sq, long n, long c, long h, long w,
+                   long xn, long xc, long xh, long on, long oc, long oh);
+void bn_normalize_f64(double* x_hat, const double* inv_std,
+                      const double* gamma, const double* beta, double* out,
+                      unsigned char* mask, long n, long c, long h, long w,
+                      long xn, long xc, long xh, long on, long oc, long oh,
+                      long mn, long mc, long mh);
+void bn_grad_terms_f64(const double* grad, const unsigned char* mask,
+                       const double* x_hat, double* masked, double* prod,
+                       long n, long c, long h, long w,
+                       long gn, long gc, long gh, long mn, long mc, long mh,
+                       long xn, long xc, long xh, long an, long ac, long ah,
+                       long pn, long pc, long ph);
+void bn_grad_input_f64(const double* grad, const double* x_hat,
+                       const double* scale, const double* mean_dy,
+                       const double* mean_dy_xhat, double* gx,
+                       long n, long c, long h, long w,
+                       long gn, long gc, long gh, long xn, long xc, long xh,
+                       long on, long oc, long oh);
 """
 
 _SOURCE += r"""
-#include <stdint.h>
-
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC push_options
 #pragma GCC optimize ("fp-contract=off")
@@ -450,6 +502,156 @@ void adam_update_f64(const double* p, const double* g, double* m, double* v,
         v[i] = vi;
         out[i] = p[i] - lr * (mi / bias1) / (sqrt(vi / bias2) + eps);
     }
+}
+
+/* Training-mode batchnorm's elementwise passes, as ArrayBackend's numpy
+   chain runs them.  Its reductions stay numpy: the caller sums what one
+   pass writes and hands the sums to the next.
+
+   Each (N, C, H, W) operand comes with its element strides (sn, sc,
+   sh); rows are contiguous.  Rows merge into one run when every
+   operand's rows sit end to end (sh == w), and so do a channel's N
+   planes when every operand's planes do (sn == h*w): per channel, that
+   leaves `planes` runs sn apart, each `rows` runs sh apart, of `len`
+   elements.  Runs of 16 or more are walked contiguously, channel by
+   channel; below that the channel loop goes innermost, so that short
+   runs do not each pay for a vector loop. */
+typedef struct { long planes, rows, len; int channel_inner; } bn_walk;
+
+static bn_walk bn_plan(long n, long h, long w, int count, const long* sn,
+                       const long* sh) {
+    bn_walk walk = {n, h, w, 0};
+    int rows_merge = 1, planes_merge = 1;
+    for (int i = 0; i < count; i++) {
+        rows_merge &= sh[i] == w;
+        planes_merge &= sn[i] == h * w;
+    }
+    if (rows_merge) {
+        walk.rows = 1;
+        walk.len = h * w;
+        if (planes_merge) {
+            walk.planes = 1;
+            walk.len = n * h * w;
+        }
+    }
+    walk.channel_inner = walk.len < 16;
+    return walk;
+}
+
+/* Runs the statements that follow `walk, c` once per element, with the
+   element at channel ci, run ni (planes), hi (rows) and position i:
+   operand p with strides (pn, pc, ph) holds it at BN_AT(pn, pc, ph). */
+#define BN_AT(sn, sc, sh) (ni * (sn) + ci * (sc) + hi * (sh) + i)
+#define BN_WALK(walk, c, ...)                                           \
+    if (!(walk).channel_inner) {                                        \
+        for (long ci = 0; ci < (c); ci++)                               \
+            for (long ni = 0; ni < (walk).planes; ni++)                 \
+                for (long hi = 0; hi < (walk).rows; hi++)               \
+                    for (long i = 0; i < (walk).len; i++) {             \
+                        __VA_ARGS__                                     \
+                    }                                                   \
+    } else {                                                            \
+        for (long ni = 0; ni < (walk).planes; ni++)                     \
+            for (long hi = 0; hi < (walk).rows; hi++)                   \
+                for (long i = 0; i < (walk).len; i++)                   \
+                    for (long ci = 0; ci < (c); ci++) {                 \
+                        __VA_ARGS__                                     \
+                    }                                                   \
+    }
+
+/* centered = x - mean and its square, the operand of the variance sum. */
+void bn_centre_f64(const double* restrict x, const double* mean,
+                   double* restrict centered, double* restrict sq,
+                   long n, long c, long h, long w,
+                   long xn, long xc, long xh, long on, long oc, long oh) {
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#endif
+    long sn[] = {xn, on}, sh[] = {xh, oh};
+    bn_walk walk = bn_plan(n, h, w, 2, sn, sh);
+    BN_WALK(walk, c,
+        double d = x[BN_AT(xn, xc, xh)] - mean[ci];
+        centered[BN_AT(on, oc, oh)] = d;
+        sq[BN_AT(on, oc, oh)] = d * d;
+    )
+}
+
+/* x_hat = centered * inv_std, in place over centered, and out = gamma *
+   x_hat + beta; with a mask, also mask = out > 0 and out = out * mask,
+   written as a select: out * 1 is out, and out * 0 keeps the sign of a
+   zero and turns -inf into NaN, as numpy's product does. */
+void bn_normalize_f64(double* restrict x_hat, const double* inv_std,
+                      const double* gamma, const double* beta,
+                      double* restrict out, unsigned char* restrict mask,
+                      long n, long c, long h, long w,
+                      long xn, long xc, long xh, long on, long oc, long oh,
+                      long mn, long mc, long mh) {
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#endif
+    long sn[] = {xn, on, mn}, sh[] = {xh, oh, mh};
+    bn_walk walk = bn_plan(n, h, w, mask ? 3 : 2, sn, sh);
+    if (!mask) {
+        BN_WALK(walk, c,
+            double v = x_hat[BN_AT(xn, xc, xh)] * inv_std[ci];
+            x_hat[BN_AT(xn, xc, xh)] = v;
+            out[BN_AT(on, oc, oh)] = gamma[ci] * v + beta[ci];
+        )
+        return;
+    }
+    BN_WALK(walk, c,
+        double v = x_hat[BN_AT(xn, xc, xh)] * inv_std[ci];
+        x_hat[BN_AT(xn, xc, xh)] = v;
+        double o = gamma[ci] * v + beta[ci];
+        out[BN_AT(on, oc, oh)] = o > 0.0 ? o : o * 0.0;
+        mask[BN_AT(mn, mc, mh)] = o > 0.0;
+    )
+}
+
+/* The two arrays the backward sums: masked = grad * mask and prod =
+   masked * x_hat; without a mask, just prod = grad * x_hat. */
+void bn_grad_terms_f64(const double* restrict grad,
+                       const unsigned char* restrict mask,
+                       const double* restrict x_hat, double* restrict masked,
+                       double* restrict prod, long n, long c, long h, long w,
+                       long gn, long gc, long gh, long mn, long mc, long mh,
+                       long xn, long xc, long xh, long an, long ac, long ah,
+                       long pn, long pc, long ph) {
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#endif
+    long sn[] = {gn, xn, pn, mn, an}, sh[] = {gh, xh, ph, mh, ah};
+    bn_walk walk = bn_plan(n, h, w, mask ? 5 : 3, sn, sh);
+    if (!mask) {
+        BN_WALK(walk, c,
+            prod[BN_AT(pn, pc, ph)] =
+                grad[BN_AT(gn, gc, gh)] * x_hat[BN_AT(xn, xc, xh)];
+        )
+        return;
+    }
+    BN_WALK(walk, c,
+        double g = grad[BN_AT(gn, gc, gh)] * (double) mask[BN_AT(mn, mc, mh)];
+        masked[BN_AT(an, ac, ah)] = g;
+        prod[BN_AT(pn, pc, ph)] = g * x_hat[BN_AT(xn, xc, xh)];
+    )
+}
+
+/* gx = scale * ((grad - mean_dy) - x_hat * mean_dy_xhat), grad masked. */
+void bn_grad_input_f64(const double* restrict grad,
+                       const double* restrict x_hat, const double* scale,
+                       const double* mean_dy, const double* mean_dy_xhat,
+                       double* restrict gx, long n, long c, long h, long w,
+                       long gn, long gc, long gh, long xn, long xc, long xh,
+                       long on, long oc, long oh) {
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#endif
+    long sn[] = {gn, xn, on}, sh[] = {gh, xh, oh};
+    bn_walk walk = bn_plan(n, h, w, 3, sn, sh);
+    BN_WALK(walk, c,
+        gx[BN_AT(on, oc, oh)] = scale[ci] * ((grad[BN_AT(gn, gc, gh)]
+            - mean_dy[ci]) - x_hat[BN_AT(xn, xc, xh)] * mean_dy_xhat[ci]);
+    )
 }
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -538,7 +740,8 @@ def get_kernel(name: str):
 
 _F32 = np.dtype(np.float32)
 _F64 = np.dtype(np.float64)
-_I8 = np.dtype(np.int8)
+_I64 = np.dtype(np.int64)
+_BOOL = np.dtype(np.bool_)
 
 
 # The checks below run on every kernel call, so they are plain loops
@@ -586,12 +789,46 @@ def _alike(arrays, outputs):
     i of each sits at the same offset, with ``outputs`` among them
     writeable."""
     first = arrays[0]
+    shape = first.shape
+    for a in arrays:  # the common case first: all of them C-contiguous
+        flags = a.flags
+        if not (flags.c_contiguous and flags.aligned and a.dtype == _F64
+                and a.shape == shape):
+            break
+    else:
+        return all(a.flags.writeable for a in outputs)
     layout = _stepped_strides(first)
     return (_dense(first)
-            and all(a.dtype == _F64 and a.shape == first.shape
+            and all(a.dtype == _F64 and a.shape == shape
                     and a.flags.aligned and _stepped_strides(a) == layout
                     for a in arrays)
             and all(a.flags.writeable for a in outputs))
+
+
+def _planes(a, dtype, shape, write=False):
+    """Element strides ``(sn, sc, sh)`` through which a plane kernel
+    addresses ``a``, or None when it cannot.
+
+    ``a`` must be an aligned ``dtype`` array of the non-empty (N, C, H, W)
+    ``shape``, writeable if ``write``, with contiguous rows and positive
+    strides.  A stride never stepped reads as contiguous: ``sh = w`` for
+    a one-row plane, ``sn = h*w`` for a batch of one.
+    """
+    flags = a.flags
+    if (a.ndim != 4 or a.dtype != dtype or a.shape != shape
+            or not flags.aligned or (write and not flags.writeable)
+            or not a.size):
+        return None
+    n, c, h, w = shape
+    item = a.itemsize
+    sn, sc, sh, sw = a.strides
+    sn = sn if n > 1 else h * w * item
+    sc = sc if c > 1 else item
+    sh = sh if h > 1 else w * item
+    if ((w > 1 and sw != item) or min(sn, sc, sh) <= 0
+            or sn % item or sc % item or sh % item):
+        return None
+    return sn // item, sc // item, sh // item
 
 
 def _ptr(ffi, array):
@@ -689,17 +926,22 @@ def _addr(ffi, ctype, array):
     """A ``ctype *`` to element 0 of ``array``, whatever its strides."""
     if array.flags.c_contiguous:
         return ffi.from_buffer(ctype + "[]", array)
+    if array.ndim == 4:
+        # A conv output is channel-major: C-ordered once N and C swap.
+        swapped = array.transpose(1, 0, 2, 3)
+        if swapped.flags.c_contiguous:
+            return ffi.from_buffer(ctype + "[]", swapped)
     return ffi.cast(ctype + " *", array.ctypes.data)
 
 
-def _conv_instances(module, op):
-    """``{dtype: (C function, C type)}`` of conv kernel ``op``."""
+def _instances(module, op):
+    """``{dtype: (C function, C type)}`` of the per-dtype kernel ``op``."""
     return {np.dtype(dtype): (getattr(module.lib, f"{op}_{suffix}"), ctype)
-            for ctype, suffix, dtype in _CONV_TYPES}
+            for ctype, suffix, dtype in _FLOAT_TYPES}
 
 
 def _wrap_im2col(module):
-    ffi, instances = module.ffi, _conv_instances(module, "im2col")
+    ffi, instances = module.ffi, _instances(module, "im2col")
 
     def im2col(x, cols, kernel, stride, padding, out_h, out_w):
         """Fill ``cols`` from ``x``; False, writing nothing, if they do not fit."""
@@ -716,7 +958,7 @@ def _wrap_im2col(module):
 
 
 def _wrap_col2im(module):
-    ffi, instances = module.ffi, _conv_instances(module, "col2im")
+    ffi, instances = module.ffi, _instances(module, "col2im")
 
     def col2im(cols, gx, kernel, stride, padding, out_h, out_w):
         """Add ``cols`` into ``gx``; False, writing nothing, if they do not fit."""
@@ -766,39 +1008,44 @@ def _wrap_fake_quant(module):
 
 
 def _wrap_maxpool_fwd(module):
-    lib, ffi = module.lib, module.ffi
+    ffi, instances = module.ffi, _instances(module, "maxpool_fwd")
 
     def maxpool_fwd(x, out, idx, k):
-        """Fill ``out`` and ``idx`` from ``x``; False, writing nothing, if
-        they do not fit."""
-        planes, h, w = x.shape
-        size = planes * (h // k) * (w // k)
-        if not (k * k <= 127 and _takes(_F32, planes * h * w, x)
-                and _fills(_F32, size, out) and _fills(_I8, size, idx)):
+        """Fill ``out`` and its window offsets ``idx`` (int64) from ``x``;
+        False, writing nothing, if they do not fit."""
+        instance = instances.get(x.dtype)
+        n, c, h, w = x.shape
+        planes = _planes(x, x.dtype, x.shape)
+        size = n * c * (h // k) * (w // k)
+        if (instance is None or planes is None or h % k or w % k
+                or not (_fills(x.dtype, size, out) and _fills(_I64, size, idx))):
             return False
-        lib.maxpool_fwd(_ptr(ffi, x), _ptr(ffi, out),
-                        ffi.from_buffer("signed char[]", idx),
-                        planes, h, w, k)
+        fn, ctype = instance
+        fn(_addr(ffi, ctype, x), ffi.from_buffer(ctype + "[]", out),
+           ffi.from_buffer("int64_t[]", idx), n, c, h, w, *planes, k)
         return True
 
     return maxpool_fwd
 
 
 def _wrap_maxpool_bwd(module):
-    lib, ffi = module.lib, module.ffi
+    ffi, instances = module.ffi, _instances(module, "maxpool_bwd")
 
     def maxpool_bwd(grad, idx, gx, k):
-        """Route ``grad`` into the zeroed ``gx``; False, writing nothing,
-        if they do not fit."""
-        planes, h, w = gx.shape
-        size = planes * (h // k) * (w // k)
-        if not (_takes(_F32, size, grad) and _takes(_I8, size, idx)
-                and _fills(_F32, planes * h * w, gx)):
+        """Fill ``gx``: ``grad`` at the window offsets ``idx``, zero
+        elsewhere; False, writing nothing, if they do not fit or an
+        offset lies outside its window."""
+        instance = instances.get(gx.dtype)
+        n, c, h, w = gx.shape
+        pooled = (n, c, h // k, w // k)
+        src = _planes(grad, gx.dtype, pooled)
+        dst = _planes(gx, gx.dtype, gx.shape, write=True)
+        if (instance is None or src is None or dst is None or h % k or w % k
+                or idx.shape != pooled or not _takes(_I64, idx.size, idx)):
             return False
-        lib.maxpool_bwd(_ptr(ffi, grad),
-                        ffi.from_buffer("signed char[]", idx),
-                        _ptr(ffi, gx), planes, h, w, k)
-        return True
+        fn, ctype = instance
+        return bool(fn(_addr(ffi, ctype, grad), ffi.from_buffer("int64_t[]", idx),
+                       _addr(ffi, ctype, gx), n, c, h, w, *src, *dst, k))
 
     return maxpool_bwd
 
@@ -835,6 +1082,115 @@ def _wrap_adam_f64(module):
     return adam_update_f64
 
 
+# Batchnorm's float64 passes.  Each takes (N, C, H, W) operands of one
+# shape through their plane strides, and per-channel vectors as dense
+# (C,) arrays; a missing mask is None.
+def _bn_operands(shape, *operands):
+    """Concatenated plane strides of ``(array, dtype, write)`` operands,
+    or None when one does not fit; a None array gives zero strides."""
+    strides = ()
+    for a, dtype, write in operands:
+        if a is None:
+            strides += (0, 0, 0)
+            continue
+        planes = _planes(a, dtype, shape, write)
+        if planes is None:
+            return None
+        strides += planes
+    return strides
+
+
+def _wrap_bn_centre_f64(module):
+    lib, ffi = module.lib, module.ffi
+
+    def bn_centre_f64(x, mean, centered, sq):
+        """``centered = x - mean`` and ``sq = centered * centered``, the two
+        outputs laid out alike; False, writing nothing, if they do not fit."""
+        shape = x.shape
+        strides = _bn_operands(shape, (x, _F64, False),
+                               (centered, _F64, True))
+        if (strides is None or _planes(sq, _F64, shape, True) != strides[3:]
+                or not _takes(_F64, shape[1], mean)):
+            return False
+        lib.bn_centre_f64(_addr(ffi, "double", x), _addr(ffi, "double", mean),
+                          _addr(ffi, "double", centered),
+                          _addr(ffi, "double", sq), *shape, *strides)
+        return True
+
+    return bn_centre_f64
+
+
+def _wrap_bn_normalize_f64(module):
+    lib, ffi = module.lib, module.ffi
+
+    def bn_normalize_f64(x_hat, inv_std, gamma, beta, out, mask):
+        """``x_hat *= inv_std`` in place, then ``out = gamma * x_hat + beta``
+        and, given a ``mask``, the relu; False, writing nothing, if they do
+        not fit."""
+        shape = x_hat.shape
+        strides = _bn_operands(shape, (x_hat, _F64, True), (out, _F64, True),
+                               (mask, _BOOL, True))
+        if (strides is None
+                or not _takes(_F64, shape[1], inv_std, gamma, beta)):
+            return False
+        lib.bn_normalize_f64(
+            _addr(ffi, "double", x_hat), _addr(ffi, "double", inv_std),
+            _addr(ffi, "double", gamma), _addr(ffi, "double", beta),
+            _addr(ffi, "double", out),
+            ffi.NULL if mask is None else _addr(ffi, "unsigned char", mask),
+            *shape, *strides)
+        return True
+
+    return bn_normalize_f64
+
+
+def _wrap_bn_grad_terms_f64(module):
+    lib, ffi = module.lib, module.ffi
+
+    def bn_grad_terms_f64(grad, mask, x_hat, masked, prod):
+        """``masked = grad * mask`` and ``prod = masked * x_hat`` (without a
+        mask, ``prod = grad * x_hat`` and ``masked`` is None); False,
+        writing nothing, if they do not fit."""
+        shape = x_hat.shape
+        strides = _bn_operands(
+            shape, (grad, _F64, False), (mask, _BOOL, False),
+            (x_hat, _F64, False), (masked, _F64, True), (prod, _F64, True))
+        if strides is None or (mask is None) != (masked is None):
+            return False
+        null = ffi.NULL
+        lib.bn_grad_terms_f64(
+            _addr(ffi, "double", grad),
+            null if mask is None else _addr(ffi, "unsigned char", mask),
+            _addr(ffi, "double", x_hat),
+            null if masked is None else _addr(ffi, "double", masked),
+            _addr(ffi, "double", prod), *shape, *strides)
+        return True
+
+    return bn_grad_terms_f64
+
+
+def _wrap_bn_grad_input_f64(module):
+    lib, ffi = module.lib, module.ffi
+
+    def bn_grad_input_f64(grad, x_hat, scale, mean_dy, mean_dy_xhat, gx):
+        """``gx = scale * ((grad - mean_dy) - x_hat * mean_dy_xhat)``;
+        False, writing nothing, if they do not fit."""
+        shape = x_hat.shape
+        strides = _bn_operands(shape, (grad, _F64, False),
+                               (x_hat, _F64, False), (gx, _F64, True))
+        if (strides is None
+                or not _takes(_F64, shape[1], scale, mean_dy, mean_dy_xhat)):
+            return False
+        lib.bn_grad_input_f64(
+            _addr(ffi, "double", grad), _addr(ffi, "double", x_hat),
+            _addr(ffi, "double", scale), _addr(ffi, "double", mean_dy),
+            _addr(ffi, "double", mean_dy_xhat), _addr(ffi, "double", gx),
+            *shape, *strides)
+        return True
+
+    return bn_grad_input_f64
+
+
 _WRAPPERS = {
     "batchnorm_train_fwd": _wrap_bn_train_fwd,
     "batchnorm_eval_fwd": _wrap_bn_eval_fwd,
@@ -847,4 +1203,8 @@ _WRAPPERS = {
     "maxpool_bwd": _wrap_maxpool_bwd,
     "fake_quant_f64": _wrap_fake_quant_f64,
     "adam_update_f64": _wrap_adam_f64,
+    "bn_centre_f64": _wrap_bn_centre_f64,
+    "bn_normalize_f64": _wrap_bn_normalize_f64,
+    "bn_grad_terms_f64": _wrap_bn_grad_terms_f64,
+    "bn_grad_input_f64": _wrap_bn_grad_input_f64,
 }

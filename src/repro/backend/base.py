@@ -5,17 +5,18 @@ by calling ``np.*`` directly:
 
 * the floating dtype (``float64`` for the reference engine, ``float32``
   for the fast path) and all array creation/coercion;
-* the conv lowering (im2col gather, col2im scatter, matmul dispatch);
-  both backends run the compiled im2col/col2im of
-  :mod:`repro.backend._ckernels` in their own dtype where it loads, and
-  the numpy lowering in :mod:`repro.backend._im2col` as the fallback,
-  which is also what the seed oracle checks;
+* the conv lowering (im2col gather, col2im scatter, matmul dispatch)
+  and max pooling; both backends run the compiled im2col/col2im and
+  pooling loops of :mod:`repro.backend._ckernels` in their own dtype
+  where they load, and the numpy lowering in
+  :mod:`repro.backend._im2col` and the seed's argmax pooling as the
+  fallback, which is also what the seed oracles check;
 * the fused hot loops — fake-quant round-clip and the SGD/Adam
   parameter updates — which the fast backend collapses into in-place
   chains (or single-pass C kernels when the compiled tier loads), and
-  the reference backend runs as the seed's numpy chains (fake-quant and
-  Adam as float64 C loops in the seed's op order where the compiled
-  tier loads);
+  the reference backend runs as the seed's numpy chains (fake-quant,
+  Adam and training-mode batchnorm as float64 C loops in the seed's op
+  order where the compiled tier loads);
 * the fused elementwise chains — relu, batchnorm (train/eval, with an
   optional trailing relu), softmax/log-softmax/cross-entropy, bias add,
   linear, mse — each exposed as a forward kernel returning an opaque
@@ -325,40 +326,59 @@ class ArrayBackend:
         Returns ``(out, residual)``; the residual saves the argmax
         indices and the window-expansion layout — not the k*k window
         expansion itself, which the per-primitive graph pinned in its
-        closure.
+        closure.  The C kernel, where it loads and takes ``x``, returns
+        the same: it picks each window's tap by numpy argmax's rule.
         """
         n, c, h, w = x.shape
         out_h, out_w = h // kernel, w // kernel
-        reshaped = x.reshape(n, c, out_h, kernel, out_w, kernel)
-        windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(
-            n, c, out_h, out_w, kernel * kernel
-        )
+        pool = self._kernels.get("maxpool_fwd")
+        if pool is not None:
+            out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
+            argmax = np.empty((n, c, out_h, out_w), dtype=np.int64)
+            if pool(x, out, argmax, kernel):
+                # The window expansion is a view of x when each window's
+                # rows merge into one run of taps, else a C-ordered copy.
+                if kernel == 1 or x.strides[2] == kernel * x.strides[3]:
+                    strides = _pool_windows(x, kernel).strides
+                else:
+                    strides = _c_strides(argmax.shape + (kernel * kernel,),
+                                         x.itemsize)
+                return out, (argmax, x.dtype, strides, kernel)
+        windows = _pool_windows(x, kernel)
         argmax = windows.argmax(axis=-1)
         out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
         return out, (argmax, windows.dtype, windows.strides, kernel)
 
     def maxpool_bwd(self, grad: np.ndarray, residual) -> np.ndarray:
         argmax, dtype, win_strides, kernel = residual
-        n, c, out_h, out_w = argmax.shape
         # ``zeros_like(windows)`` in K order, reconstructed from the
         # saved strides: when the window expansion was a no-copy view
         # (w == kernel) its layout is non-contiguous, the per-primitive
-        # graph's scatter buffer inherited it, and the reshape below
-        # returned a *view* with twisted strides — downstream reductions
-        # block differently over such a view, so reproducing the layout
-        # (not just the values) is what keeps reference runs
+        # graph's scatter buffer inherited it, and the reshape in
+        # _pool_image returned a *view* with twisted strides — downstream
+        # reductions block differently over such a view, so reproducing
+        # the layout (not just the values) is what keeps reference runs
         # bit-for-bit.  The 1-element prototype buffer is never read.
         proto = np.lib.stride_tricks.as_strided(
             np.empty(1, dtype=dtype),
             shape=argmax.shape + (kernel * kernel,),
             strides=win_strides,
         )
+        scatter = self._kernels.get("maxpool_bwd")
+        if scatter is not None:
+            # An array laid out as the seed's result, which the kernel
+            # fills: C-ordered when the windows were, else the window
+            # buffer as the reshape lays it out.
+            if proto.flags.c_contiguous:
+                n, c, out_h, out_w = argmax.shape
+                gx = np.empty((n, c, out_h * kernel, out_w * kernel), dtype)
+            else:
+                gx = _pool_image(np.empty_like(proto), kernel)
+            if scatter(grad, argmax, gx, kernel):
+                return gx
         grad_windows = np.zeros_like(proto)
         np.put_along_axis(grad_windows, argmax[..., None], grad[..., None], axis=-1)
-        g = grad_windows.reshape(n, c, out_h, out_w, kernel, kernel)
-        return g.transpose(0, 1, 2, 4, 3, 5).reshape(
-            n, c, out_h * kernel, out_w * kernel
-        )
+        return _pool_image(grad_windows, kernel)
 
     def mse_fwd(self, prediction: np.ndarray, target: np.ndarray):
         """Mean squared error; returns (loss, residual)."""
@@ -379,3 +399,30 @@ class ArrayBackend:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r} dtype={self.dtype}>"
+
+
+def _pool_windows(x: np.ndarray, kernel: int) -> np.ndarray:
+    """(N, C, H, W) -> the (N, C, oh, ow, k*k) windows, a view when it can be."""
+    n, c, h, w = x.shape
+    out_h, out_w = h // kernel, w // kernel
+    reshaped = x.reshape(n, c, out_h, kernel, out_w, kernel)
+    return reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, c, out_h, out_w, kernel * kernel
+    )
+
+
+def _c_strides(shape, itemsize: int) -> tuple:
+    """The strides of a fresh C-ordered array of ``shape``."""
+    strides = [itemsize]
+    for dim in reversed(shape[1:]):
+        strides.append(strides[-1] * dim)
+    return tuple(reversed(strides))
+
+
+def _pool_image(windows: np.ndarray, kernel: int) -> np.ndarray:
+    """The adjoint reshape: (N, C, oh, ow, k*k) windows -> (N, C, H, W)."""
+    n, c, out_h, out_w, _ = windows.shape
+    g = windows.reshape(n, c, out_h, out_w, kernel, kernel)
+    return g.transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, c, out_h * kernel, out_w * kernel
+    )

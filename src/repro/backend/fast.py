@@ -4,10 +4,11 @@ Four levers, in order of measured impact on an AD-search trial:
 
 1. float32 everywhere — halves memory traffic and switches every
    ``@`` onto BLAS sgemm;
-2. compiled conv lowering — the base class's C gather/scatter loops
-   for im2col and col2im, run in float32 here and in float64 for the
-   reference backend, where the C tier is up; otherwise the numpy
-   lowering (``as_strided`` windows, k*k slice accumulation);
+2. compiled conv lowering and max pooling — the base class's C loops
+   for im2col, col2im and the pool's window maxima and adjoint, run in
+   float32 here and in float64 for the reference backend, where the C
+   tier is up; otherwise the numpy lowering (``as_strided`` windows,
+   k*k slice accumulation) and the seed's argmax pooling;
 3. fused elementwise chains — fake-quant as an in-place
    round-scale-shift (no int64 round-trip, no float64 upcast) and
    in-place SGD/Adam parameter updates;
@@ -17,7 +18,8 @@ Four levers, in order of measured impact on an AD-search trial:
 
 Each hot kernel has exactly two implementations: a cffi-compiled C
 kernel (:mod:`repro.backend._ckernels`) and the vectorized numpy
-fallback — below, or for im2col/col2im the base class's shared one.
+fallback — below, or for im2col/col2im and max pooling the base
+class's shared one.
 The numpy code is the semantics; the C table is looked up once per
 backend instance, on first use (``ArrayBackend._kernels``), and is
 empty when the C tier cannot load (no cffi or no compiler), in which
@@ -134,42 +136,6 @@ class FastBackend(ArrayBackend):
         gx -= x_hat * (ggamma / m).reshape(1, -1, 1, 1)
         gx *= scale
         return gx, ggamma, gbeta
-
-    def maxpool_fwd(self, x, kernel):
-        ck = self._kernels.get("maxpool_fwd")
-        if ck is not None:
-            n, c, h, w = x.shape
-            out_h, out_w = h // kernel, w // kernel
-            out = np.empty((n, c, out_h, out_w), dtype=self.dtype)
-            # int8 window offsets: the whole residual is out_h*out_w
-            # bytes per plane instead of the k*k-expanded window copy.
-            idx = np.empty((n, c, out_h, out_w), dtype=np.int8)
-            if ck(x.reshape(n * c, h, w), out.reshape(n * c, out_h, out_w),
-                  idx.reshape(n * c, out_h, out_w), kernel):
-                return out, (idx, kernel)
-        return super().maxpool_fwd(x, kernel)
-
-    def maxpool_bwd(self, grad, residual):
-        if len(residual) != 2:  # forward fell back to the base composition
-            return super().maxpool_bwd(grad, residual)
-        idx, kernel = residual
-        grad = np.ascontiguousarray(grad, dtype=self.dtype)
-        n, c, out_h, out_w = idx.shape
-        h, w = out_h * kernel, out_w * kernel
-        gx = np.zeros((n, c, h, w), dtype=self.dtype)
-        ck = self._kernels.get("maxpool_bwd")
-        if ck is not None and ck(grad.reshape(n * c, out_h, out_w),
-                                 idx.reshape(n * c, out_h, out_w),
-                                 gx.reshape(n * c, h, w), kernel):
-            return gx
-        # idx uses the same ki*k+kj offsets as argmax over the window
-        # axis, so the scatter is a put_along_axis away.
-        grad_windows = np.zeros((n, c, out_h, out_w, kernel * kernel),
-                                dtype=self.dtype)
-        np.put_along_axis(grad_windows, idx.astype(np.intp)[..., None],
-                          grad[..., None], axis=-1)
-        g = grad_windows.reshape(n, c, out_h, out_w, kernel, kernel)
-        return g.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
 
     def fake_quant(self, x, quantizer):
         x = np.asarray(x, dtype=self.dtype)

@@ -4,8 +4,9 @@ Three guarantees:
 
 1. every C kernel computes what its numpy fallback computes on the same
    float32 inputs — bit for bit for the pure data movement (im2col,
-   col2im, max pooling), within float32 round-off for the arithmetic
-   (batchnorm, Adam, fake-quant);
+   col2im, and max pooling, whose kernel picks a window's tap by numpy
+   argmax's rule: the first maximum, or the first NaN), within float32
+   round-off for the arithmetic (batchnorm, Adam, fake-quant);
 2. an operand a C kernel cannot take (another dtype, size or layout)
    leaves the op to its numpy fallback: the wrapper checks every
    operand before it hands over a pointer;
@@ -17,7 +18,8 @@ The first two and the killed build skip where the C tier cannot load
 (no cffi or no C compiler).  ``tests/test_backend_conv_lowering.py``
 holds both backends' im2col/col2im, in both dtypes, to the seed's
 lowering, and ``tests/test_backend_reference_kernels.py`` the
-reference backend's float64 fake-quant and Adam to the seed's chains.
+reference backend's float64 fake-quant, Adam, batchnorm and max pooling
+to the seed's chains.
 """
 
 import importlib
@@ -70,6 +72,35 @@ def assert_close(c_out, numpy_out):
     np.testing.assert_allclose(c_out, numpy_out, rtol=RTOL, atol=ATOL)
 
 
+# Max-pool windows in tap order (ki*k + kj), padded with -1.0 up to
+# k*k taps; windows cycle through a case's list.  numpy's argmax takes
+# the first maximum, and the first NaN, which then wins the window.
+POOL_WINDOWS = {
+    "random": None,
+    "nan-first": [[np.nan, 1.0, 3.0, 2.0]],
+    "nan-later": [[1.0, np.nan, 3.0, 2.0], [3.0, 2.0, 1.0, np.nan]],
+    "all-nan": [[np.nan] * 9],
+    "inf": [[-np.inf, 2.0, np.inf, np.inf], [-np.inf] * 9,
+            [np.inf, -np.inf, np.inf]],
+    "signed-zero-ties": [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0],
+                         [-0.0] * 9, [-1.0, 0.0, -0.0]],
+}
+
+
+def _pool_input(case, kernel):
+    """A (2, 3, 6, 6) float32 image whose k x k windows follow ``case``."""
+    if POOL_WINDOWS[case] is None:
+        return _data(2, 3, 6, 6)
+    taps = kernel * kernel
+    rows = [(row + [-1.0] * taps)[:taps] for row in POOL_WINDOWS[case]]
+    out = 6 // kernel
+    count = 2 * 3 * out * out
+    windows = np.array([rows[i % len(rows)] for i in range(count)],
+                       dtype=np.float32).reshape(2, 3, out, out, kernel, kernel)
+    return np.ascontiguousarray(
+        windows.transpose(0, 1, 2, 4, 3, 5).reshape(2, 3, 6, 6))
+
+
 class TestTierParity:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1])
@@ -87,17 +118,19 @@ class TestTierParity:
         )
 
     @pytest.mark.parametrize("kernel", [2, 3])
-    def test_maxpool(self, tiers, kernel):
+    @pytest.mark.parametrize("windows", list(POOL_WINDOWS))
+    def test_maxpool(self, tiers, kernel, windows):
         c_tier, numpy_tier = tiers
-        x = _data(2, 3, 6, 6)
+        x = _pool_input(windows, kernel)
         c_out, c_residual = c_tier.maxpool_fwd(x, kernel)
         np_out, np_residual = numpy_tier.maxpool_fwd(x, kernel)
         assert_bit_equal(c_out, np_out)
         grad = _data(*c_out.shape, seed=1)
         c_gx = c_tier.maxpool_bwd(grad, c_residual)
         assert_bit_equal(c_gx, numpy_tier.maxpool_bwd(grad, np_residual))
-        # The int8-offset residual also has a numpy backward of its own.
+        # Both tiers keep one residual, so either backward takes either.
         assert_bit_equal(c_gx, numpy_tier.maxpool_bwd(grad, c_residual))
+        assert_bit_equal(c_gx, c_tier.maxpool_bwd(grad, np_residual))
 
     @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("training", [True, False])

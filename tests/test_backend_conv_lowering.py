@@ -17,9 +17,10 @@ the oracle.  Four guarantees:
    shortcuts included, replay the oracle's losses, gradients and
    parameters exactly;
 4. reference runs give the same bytes with and without the C kernels
-   (the conv lowering here, and the float64 fake-quant and Adam loops
-   that ``tests/test_backend_reference_kernels.py`` holds to the seed),
-   which is what lets the result cache ignore the kernel tier.
+   (the conv lowering here, and the max pooling and float64 fake-quant,
+   Adam and batchnorm loops that ``tests/test_backend_reference_kernels.py``
+   holds to the seed), which is what lets the result cache ignore the
+   kernel tier.
 """
 
 import collections
@@ -302,9 +303,12 @@ def reference_kernels(table):
         yield
 
 
-# Every C kernel the reference backend runs: the conv lowering and the
-# float64 fake-quant and Adam loops.
-REFERENCE_KERNELS = ("im2col", "col2im", "fake_quant_f64", "adam_update_f64")
+# Every C kernel the reference backend runs: the conv lowering, max
+# pooling, and the float64 fake-quant, Adam and batchnorm loops.
+REFERENCE_KERNELS = ("im2col", "col2im", "maxpool_fwd", "maxpool_bwd",
+                     "fake_quant_f64", "adam_update_f64", "bn_centre_f64",
+                     "bn_normalize_f64", "bn_grad_terms_f64",
+                     "bn_grad_input_f64")
 
 
 def _counted(calls):

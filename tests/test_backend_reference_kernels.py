@@ -1,28 +1,37 @@
-"""The reference backend's compiled fake-quant and Adam against the seed.
+"""The reference backend's compiled float64 chains against the seed.
 
-``ReferenceBackend`` runs eqn. 1's quantize -> dequantize chain and the
-Adam update as single float64 C loops where the C tier loads and takes
-the operands, and as the seed's numpy chains otherwise.  The seed
-chains live on here, verbatim, as the oracle.  Over a grid of the bench
-trial's shapes, input layouts, bit-widths, signed zeros, degenerate and
-non-finite ranges, and Adam steps, with and without the C kernels:
+``ReferenceBackend`` runs eqn. 1's quantize -> dequantize chain, the
+Adam update, training-mode batchnorm and max pooling as float64 C loops
+where the C tier loads and takes the operands, and as the seed's numpy
+chains otherwise.  The seed chains live on here, verbatim, as the
+oracle.  Over grids of the bench trial's shapes, input and gradient
+layouts, bit-widths, signed zeros, degenerate and non-finite values,
+and Adam steps, with and without the C kernels:
 
 1. every output — the fake-quantized array, the new parameter and the
-   in-place moment buffers — has the seed's bytes and the seed's
-   strides on every axis longer than one (a length-1 axis is never
-   stepped);
+   in-place moment buffers, batchnorm's output, statistics, residual
+   and gradients, and both pooled arrays — has the seed's bytes and the
+   seed's strides on every axis longer than one (a length-1 axis is
+   never stepped);
 2. the C loop ran exactly where it should: a dynamic quantizer with a
-   finite, non-degenerate range over a dense input, and Adam operands
-   that are dense float64 arrays laid out alike.  Static quantizers,
-   non-finite or degenerate ranges, non-dense inputs and an F-ordered
-   gradient take the seed path.
+   finite, non-degenerate range over a dense input, Adam operands that
+   are dense float64 arrays laid out alike, and batchnorm and pooling
+   operands with positive strides and contiguous rows.  Static
+   quantizers, non-finite or degenerate ranges, non-dense inputs, an
+   F-ordered gradient and reversed or F-ordered images take the seed
+   path;
+3. a hypothesis search over small shapes and those layouts finds no
+   batchnorm or pooling input on which the two tiers differ.
 """
 
 import collections
 import contextlib
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend.reference import ReferenceBackend
 from repro.quant import UniformQuantizer
@@ -60,6 +69,51 @@ def seed_adam(param, grad, m, v, lr, beta1, beta2, eps, weight_decay,
     return param - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+# The seed's batchnorm (BatchNorm2d.forward with its statistics and a
+# relu node after it) and max pooling, over arrays.
+def seed_batchnorm_train(x, gamma, beta, eps, fuse_relu):
+    axes = (0, 2, 3)
+    mean = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
+    mask = None
+    if fuse_relu:
+        mask = out > 0
+        out = out * mask
+    return out, mean, var, (x_hat, inv_std, mask)
+
+
+def seed_batchnorm_bwd(grad, gamma, residual):
+    x_hat, inv_std, mask = residual
+    if mask is not None:
+        grad = grad * mask
+    axes = (0, 2, 3)
+    grad_gamma = (grad * x_hat).sum(axis=axes)
+    grad_beta = grad.sum(axis=axes)
+    scale = (gamma * inv_std)[None, :, None, None]
+    mean_dy = grad.mean(axis=axes)[None, :, None, None]
+    mean_dy_xhat = (grad * x_hat).mean(axis=axes)[None, :, None, None]
+    grad_x = scale * (grad - mean_dy - x_hat * mean_dy_xhat)
+    return grad_x, grad_gamma, grad_beta
+
+
+def seed_max_pool(x, kernel, grad):
+    n, c, h, w = x.shape
+    out_h, out_w = h // kernel, w // kernel
+    reshaped = x.reshape(n, c, out_h, kernel, out_w, kernel)
+    windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, c, out_h, out_w, kernel * kernel
+    )
+    argmax = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+    grad_windows = np.zeros_like(windows)
+    np.put_along_axis(grad_windows, argmax[..., None], grad[..., None], axis=-1)
+    g = grad_windows.reshape(n, c, out_h, out_w, kernel, kernel)
+    return out, g.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+
+
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
@@ -72,6 +126,7 @@ def _backends():
 
 
 BACKENDS = _backends()
+C_TIER, NUMPY_TIER = (param.values[0] for param in BACKENDS)
 
 
 @contextlib.contextmanager
@@ -299,3 +354,327 @@ class TestAdamMatchesSeed:
                                 1e-8, 0.0, 0.1, 0.001)
         assert calls["adam_update_f64"] == 0
         assert v.tobytes() == before.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Batchnorm and max pooling
+# ----------------------------------------------------------------------
+def padded_view(a):
+    """``a`` as col2im hands it on: the interior of a zero-padded buffer."""
+    n, c, h, w = a.shape
+    padded = np.zeros((n, c, h + 2, w + 2), dtype=a.dtype)
+    padded[:, :, 1:-1, 1:-1] = a
+    return padded[:, :, 1:-1, 1:-1]
+
+
+def pooled_view(a):
+    """``a`` laid out as the seed's pool backward returns it for a
+    channel-major image whose width is the window: a view with the
+    window buffer's twisted strides (channel-major for 2x2 -> 1x1)."""
+    n, c, h, w = a.shape
+    image = channel_major(np.zeros(a.shape))
+    view = seed_max_pool(image, w, np.zeros((n, c, h // w, 1)))[1]
+    view[...] = a
+    return view
+
+
+def image_layouts(a):
+    """``a`` in the layouts an image or its gradient arrives in."""
+    yield "C", a
+    yield "channel-major", channel_major(a)
+    yield "padded", padded_view(a)
+    yield "F", np.asfortranarray(a)
+    yield "reversed", a[::-1]
+
+
+def plane_addressable(*arrays):
+    """The C loops' precondition: float64 images with positive strides
+    and contiguous rows."""
+    for a in arrays:
+        if a is None:
+            continue
+        steps = [s for s, d in zip(a.strides, a.shape) if d > 1]
+        if not (a.dtype in (np.float64, np.bool_) and min(steps, default=1) > 0
+                and (a.shape[3] == 1 or a.strides[3] == a.itemsize)):
+            return False
+    return True
+
+
+def assert_tier_ran(backend, calls, names, runs_c):
+    for name in names:
+        expected = int(runs_c and name in backend._kernels)
+        assert calls[name] == expected, (
+            f"C {name} ran {calls[name]} times, expected {expected}")
+
+
+def check_batchnorm(backend, x, gamma, beta, relu, grad):
+    """Forward and backward against the seed; ``grad(out)`` makes the
+    upstream gradient."""
+    want = seed_batchnorm_train(x, gamma, beta, 1e-5, relu)
+    with counted(backend) as calls:
+        got = backend.batchnorm_train(x, gamma, beta, 1e-5, relu)
+    assert_tier_ran(backend, calls, ("bn_centre_f64", "bn_normalize_f64"),
+                    plane_addressable(x))
+    for name, g, s in zip(("out", "mean", "var"), got, want):
+        assert_seed_array(g, s, f"batchnorm {name} {x.strides}")
+    for name, g, s in zip(("x_hat", "inv_std", "mask"), got[3], want[3]):
+        if s is None:
+            assert g is None, name
+        else:
+            assert_seed_array(g, s, f"batchnorm {name} {x.strides}")
+    grad = grad(want[0])
+    residual = got[3]
+    want = seed_batchnorm_bwd(grad, gamma, want[3])
+    with counted(backend) as calls:
+        got = backend.batchnorm_bwd(grad, gamma, residual, True)
+    x_hat, _, mask = residual
+    assert_tier_ran(backend, calls, ("bn_grad_terms_f64", "bn_grad_input_f64"),
+                    plane_addressable(grad, x_hat, mask))
+    for name, g, s in zip(("gx", "ggamma", "gbeta"), got, want):
+        assert_seed_array(g, s, f"batchnorm {name} grad {grad.strides}")
+
+
+# The bench trial's batchnorm inputs: conv outputs, channel-major.
+BN_SHAPES = [(25, 8, 16, 16), (25, 16, 8, 8), (25, 32, 4, 4), (25, 64, 2, 2),
+             (25, 64, 1, 1)]
+GRAD_LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "padded": padded_view,
+    "F": np.asfortranarray,
+    "reversed": lambda a: np.ascontiguousarray(a[::-1])[::-1],
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestBatchnormMatchesSeed:
+    @pytest.mark.parametrize("shape", BN_SHAPES)
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("grad_layout", list(GRAD_LAYOUTS))
+    def test_bench_shapes(self, backend, shape, relu, grad_layout):
+        rng = np.random.default_rng(shape[1])
+        x = channel_major(rng.normal(size=shape) * 2.0 + 0.5)
+        gamma, beta = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+        check_batchnorm(backend, x, gamma, beta, relu,
+                        lambda out: GRAD_LAYOUTS[grad_layout](
+                            rng.normal(size=shape)))
+
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_pooled_grad_at_the_last_pool(self, backend, relu):
+        # The 2x2 -> 1x1 pool's backward hands its twisted view on.
+        rng = np.random.default_rng(1)
+        shape = (25, 64, 2, 2)
+        x = channel_major(rng.normal(size=shape))
+        grad = pooled_view(rng.normal(size=shape))
+        assert not grad.flags.c_contiguous and plane_addressable(grad)
+        check_batchnorm(backend, x, rng.normal(size=64), rng.normal(size=64),
+                        relu, lambda out: grad)
+
+    @pytest.mark.parametrize("layout", ["C", "channel-major", "padded", "F",
+                                        "reversed"])
+    def test_input_layouts(self, backend, layout):
+        rng = np.random.default_rng(2)
+        values = rng.normal(size=(3, 4, 5, 6))
+        x = dict(image_layouts(values))[layout]
+        check_batchnorm(backend, x, rng.normal(size=4), rng.normal(size=4),
+                        True, lambda out: rng.normal(size=out.shape))
+
+    @pytest.mark.parametrize("layout", ["F", "reversed"])
+    def test_f_ordered_and_reversed_images_take_the_seed_path(self, backend,
+                                                             layout):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(4, 3, 5, 6))
+        x = dict(image_layouts(values))[layout]
+        assert not plane_addressable(x)
+        check_batchnorm(backend, x, rng.normal(size=3), rng.normal(size=3),
+                        True, lambda out: rng.normal(size=out.shape))
+
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_non_finite_values_and_signed_zeros(self, backend, relu):
+        rng = np.random.default_rng(4)
+        shape = (6, 5, 3, 4)
+        values = rng.normal(size=shape)
+        values[0, 0, 0, 0] = np.nan         # channel 0: all NaN
+        values[1, 1, 0, 1] = np.inf         # channel 1: inf - inf = NaN
+        values[2, 2, 1, 1] = -np.inf
+        values[:, 3] = -0.0                  # channel 3: var 0, x_hat NaN
+        values[:, 4, 0] *= 1e300             # channel 4: huge, finite
+        grad = rng.normal(size=shape)
+        grad[0, 4, 0, 0] = np.nan
+        grad[1, 4, 1, 1] = -np.inf
+        grad[2, 4] = -0.0
+        gamma = np.array([1.0, -2.0, 0.5, 3.0, -0.0])
+        beta = np.array([0.0, 1.0, -1.0, -0.0, 2.0])
+        with np.errstate(invalid="ignore", over="ignore"):
+            check_batchnorm(backend, channel_major(values), gamma, beta, relu,
+                            lambda out: padded_view(grad))
+
+    def test_eval_mode_backward_takes_the_seed_path(self, backend):
+        rng = np.random.default_rng(5)
+        x = channel_major(rng.normal(size=(4, 3, 2, 2)))
+        gamma = rng.normal(size=3)
+        _, _, _, residual = backend.batchnorm_train(x, gamma, gamma, 1e-5, True)
+        grad = rng.normal(size=x.shape)
+        with counted(backend) as calls:
+            got = backend.batchnorm_bwd(grad, gamma, residual, False)
+        assert not calls["bn_grad_terms_f64"]
+        x_hat, inv_std, mask = residual
+        masked = grad * mask
+        want = (masked * (gamma * inv_std)[None, :, None, None],
+                (masked * x_hat).sum(axis=(0, 2, 3)), masked.sum(axis=(0, 2, 3)))
+        for g, s in zip(got, want):
+            assert_seed_array(g, s, "eval-mode backward")
+
+
+POOL_SHAPES = [(25, 8, 16, 16), (25, 16, 8, 8), (25, 32, 4, 4), (25, 64, 2, 2),
+               (3, 2, 6, 6)]
+
+
+def check_max_pool(backend, x, kernel, grad):
+    """Forward and backward against the seed."""
+    out_shape = x.shape[:2] + (x.shape[2] // kernel, x.shape[3] // kernel)
+    grad = grad(out_shape)
+    want_out, want_gx = seed_max_pool(x, kernel, grad)
+    with counted(backend) as calls:
+        out, residual = backend.maxpool_fwd(x, kernel)
+        gx = backend.maxpool_bwd(grad, residual)
+    assert_seed_array(out, want_out, f"max pool out {x.strides} k={kernel}")
+    assert_seed_array(gx, want_gx, f"max pool gx {grad.strides} k={kernel}")
+    assert_tier_ran(backend, calls, ("maxpool_fwd",), plane_addressable(x))
+    # The backward fills an array laid out as the seed's gradient.
+    assert_tier_ran(backend, calls, ("maxpool_bwd",),
+                    plane_addressable(grad, want_gx))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestMaxPoolMatchesSeed:
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    @pytest.mark.parametrize("grad_layout", list(GRAD_LAYOUTS))
+    def test_bench_shapes(self, backend, shape, grad_layout):
+        rng = np.random.default_rng(shape[1])
+        x = channel_major(rng.normal(size=shape))
+        for kernel in (1, 2, 3):
+            if shape[2] % kernel == 0:
+                check_max_pool(backend, x, kernel,
+                               lambda s: GRAD_LAYOUTS[grad_layout](
+                                   rng.normal(size=s)))
+
+    @pytest.mark.parametrize("layout", ["C", "channel-major", "padded", "F",
+                                        "reversed"])
+    def test_input_layouts(self, backend, layout):
+        rng = np.random.default_rng(6)
+        for shape in ((3, 4, 6, 6), (3, 4, 2, 2), (2, 3, 6, 3)):
+            x = dict(image_layouts(rng.normal(size=shape)))[layout]
+            for kernel in (1, 3):
+                if shape[3] % kernel == 0:
+                    check_max_pool(backend, x, kernel,
+                                   lambda s: rng.normal(size=s))
+
+    def test_non_finite_windows_and_signed_zero_ties(self, backend):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2, 3, 4, 4))
+        x[0, 0, 0, 1] = np.nan              # NaN after the first tap
+        x[0, 1, :2, :2] = np.nan            # all NaN
+        x[0, 2, 0, 0] = np.nan              # NaN first
+        x[1, 0, :2, :2] = [[-np.inf, np.inf], [np.inf, 1.0]]
+        x[1, 1, :2, :2] = -np.inf
+        x[1, 2, :2, :2] = [[-0.0, 0.0], [-1.0, 0.0]]
+        x[1, 2, 2:, 2:] = [[0.0, -0.0], [-0.0, -1.0]]
+        for image in (x, channel_major(x)):
+            check_max_pool(backend, image, 2, lambda s: rng.normal(size=s))
+
+
+    @pytest.mark.parametrize("shift", [-1, 4])
+    def test_offsets_outside_their_window_take_the_seed_path(self, backend,
+                                                             shift):
+        # numpy reads -1 as the last tap and rejects 4; the kernel takes
+        # neither.
+        x = np.random.default_rng(8).normal(size=(2, 3, 4, 4))
+        out, (argmax, *layout) = backend.maxpool_fwd(x, 2)
+        residual = (argmax + shift, *layout)
+        grad = np.ones(out.shape)
+        with counted(backend) as calls:
+            if shift < 0:
+                assert_seed_array(backend.maxpool_bwd(grad, residual),
+                                  NUMPY_TIER.maxpool_bwd(grad, residual),
+                                  "offset -1")
+            else:
+                with pytest.raises(IndexError):
+                    backend.maxpool_bwd(grad, residual)
+        assert calls["maxpool_bwd"] == 0
+
+
+# ----------------------------------------------------------------------
+# The property: on any small image, in any layout, both tiers agree.
+# ----------------------------------------------------------------------
+# Derandomized under CI, so a CI failure replays.
+settings.register_profile("reference-kernels", max_examples=40, deadline=None,
+                          derandomize=bool(os.environ.get("CI")))
+LAYOUT_NAMES = ["C", "channel-major", "padded", "F", "reversed", "pooled"]
+SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+
+
+def arrange(values, layout):
+    if layout == "pooled":
+        # A pool backward hands this view on only when w divides h.
+        n, c, h, w = values.shape
+        return pooled_view(values) if h % w == 0 else channel_major(values)
+    return dict(image_layouts(values))[layout]
+
+
+@st.composite
+def images(draw, kernel=1):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+             kernel * draw(st.integers(1, 3)), kernel * draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=shape)
+    for special in draw(st.lists(st.sampled_from(SPECIALS), max_size=3)):
+        values[tuple(rng.integers(0, d) for d in shape)] = special
+    return values, rng
+
+
+def assert_same(got, want, what):
+    if want is None:
+        assert got is None, what
+    else:
+        assert_seed_array(got, want, what)
+
+
+@pytest.mark.skipif(not C_TIER._kernels, reason="the C kernel tier cannot load here")
+class TestTiersAgree:
+    @settings.get_profile("reference-kernels")
+    @given(images(), st.sampled_from(LAYOUT_NAMES), st.sampled_from(LAYOUT_NAMES),
+           st.booleans())
+    def test_batchnorm(self, image, x_layout, grad_layout, relu):
+        values, rng = image
+        x = arrange(values, x_layout)
+        gamma, beta = rng.normal(size=x.shape[1]), rng.normal(size=x.shape[1])
+        grad = arrange(rng.normal(size=x.shape), grad_layout)
+        results = []
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            for backend in (C_TIER, NUMPY_TIER):
+                out, mean, var, residual = backend.batchnorm_train(
+                    x, gamma, beta, 1e-5, relu)
+                results.append((out, mean, var, *residual,
+                                *backend.batchnorm_bwd(grad, gamma, residual,
+                                                       True)))
+        names = ("out", "mean", "var", "x_hat", "inv_std", "mask", "gx",
+                 "ggamma", "gbeta")
+        for name, got, want in zip(names, *results):
+            assert_same(got, want, name)
+
+    @settings.get_profile("reference-kernels")
+    @given(st.integers(1, 3).flatmap(
+        lambda k: st.tuples(st.just(k), images(k))),
+        st.sampled_from(LAYOUT_NAMES), st.sampled_from(LAYOUT_NAMES))
+    def test_max_pool(self, case, x_layout, grad_layout):
+        kernel, (values, rng) = case
+        x = arrange(values, x_layout)
+        n, c, h, w = x.shape
+        grad = arrange(rng.normal(size=(n, c, h // kernel, w // kernel)),
+                       grad_layout)
+        results = []
+        for backend in (C_TIER, NUMPY_TIER):
+            out, residual = backend.maxpool_fwd(x, kernel)
+            results.append((out, backend.maxpool_bwd(grad, residual)))
+        for name, got, want in zip(("out", "gx"), *results):
+            assert_same(got, want, name)
