@@ -32,6 +32,13 @@ OPTIMIZERS = ("adam", "sgd")
 # stays import-light (no numpy / training stack at config time).
 BACKENDS = ("reference", "fast")
 DEFAULT_BACKEND = "reference"
+# The fast backend's arithmetic revision, hashed into every fast config's
+# cache_key() and never into to_dict(): bumped when fast runs of one
+# config start returning other results, so earlier fast cache entries
+# read as misses rather than merge conflicts.  Reference results are the
+# seed's bytes, so reference keys carry no revision.  Revision 1: fast
+# runs the reference's seed-order loops in float32.
+FAST_REVISION = 1
 
 
 def _from_dict(cls, payload: dict):
@@ -447,6 +454,13 @@ class ExperimentConfig(_ConfigBase):
         if self.backend == DEFAULT_BACKEND:
             del out["backend"]
         return out
+
+    def cache_key(self) -> str:
+        """The content hash, with :data:`FAST_REVISION` mixed in on fast."""
+        payload = self.to_dict()
+        if self.backend == "fast":
+            payload["fast_revision"] = FAST_REVISION
+        return config_hash(payload)
 
     @property
     def input_shape(self) -> tuple:

@@ -1,27 +1,25 @@
 """Compiled C kernels for both backends (cffi + a C compiler).
 
-Three groups of loops come from one small C module, compiled once per
-source revision and flag set:
+One small C module, compiled once per source revision and flag set,
+holds two groups of loops.  Every loop is a template instantiated for
+float32 and float64, so both backends run the same code, each in its
+own dtype; the numpy code the backends hold is the fallback and what
+the seed oracles check:
 
-* loops shared by both backends, each a template instantiated for
-  float32 and float64 and addressing its images through plane strides,
-  so both backends run it in place on their own layouts: the conv
-  lowering (im2col and col2im), which returns the bytes of the numpy
-  lowering in :mod:`repro.backend._im2col`, and max pooling, which
-  picks each window's tap by numpy argmax's rule (the first maximum
-  wins; a NaN wins and ends the scan) and so returns the bytes of the
-  seed's argmax pooling in :class:`repro.backend.base.ArrayBackend`.
-  The numpy code stays the fallback and is what the seed oracles check;
-* the fast backend's hot float32 loops — fused batchnorm(+relu) forward
-  and backward, one-pass Adam and fused fake-quant — each computing
-  what its numpy fallback in :mod:`repro.backend.fast` computes;
-* the reference backend's float64 fake-quant, Adam and training-mode
-  batchnorm passes — each a stretch of the seed's numpy chain (in
-  :mod:`repro.backend.reference`) as one loop, in the seed's op order
-  and with its bytes: these functions are built with FMA contraction
-  off, so every multiply and add rounds on its own, as numpy's do.
-  Batchnorm's sums are not among them: each pass writes the arrays the
-  chain sums next, and the caller sums them with numpy.
+* data movement, addressing its images through plane strides so both
+  backends run it in place on their own layouts: the conv lowering
+  (im2col and col2im), which returns the bytes of the numpy lowering in
+  :mod:`repro.backend._im2col`, and max pooling, which picks each
+  window's tap by numpy argmax's rule (the first maximum wins; a NaN
+  wins and ends the scan) and so returns the bytes of the seed's argmax
+  pooling in :class:`repro.backend.base.ArrayBackend`;
+* arithmetic: eqn.-1 fake quantization, the Adam update and
+  training-mode batchnorm's elementwise passes, each a stretch of one of
+  :class:`~repro.backend.base.ArrayBackend`'s numpy chains as one loop,
+  in the chain's op order and with its bytes: these are built with FMA
+  contraction off, so every multiply and add rounds on its own, as
+  numpy's do.  Batchnorm's sums are not among them: each pass writes
+  the arrays the chain sums next, and the caller sums them with numpy.
 
 The fallbacks define the semantics and run whenever this tier cannot
 load (no cffi, no compiler, a build failure), or when a kernel cannot
@@ -32,14 +30,15 @@ either yields the whole table or an empty one.
 
 The flags are ``-O3 -march=native -funroll-loops -fno-math-errno``; the
 last lets ``sqrt`` compile to its instruction, so loops that call it
-vectorise, and changes no result.  The first two groups keep the
-compiler's default FMA contraction.  The build is cached on disk under
-``REPRO_CKERNEL_CACHE`` (default ``~/.cache/repro-ckernels``) keyed by
-a hash of the C source and the compiler flags, so worker subprocesses
-and later runs import the shared object instantly instead of
-re-invoking the compiler.  A build runs in a private temp directory and
-is published with one atomic rename, so a process killed mid-build
-never leaves a partial shared object for others to load.
+vectorise, and changes no result.  The data-movement loops keep the
+compiler's default FMA contraction, which finds nothing there.  The build
+is cached on disk under ``REPRO_CKERNEL_CACHE`` (default
+``~/.cache/repro-ckernels``) keyed by a hash of the C source and the
+compiler flags, so worker subprocesses and later runs import the shared
+object instantly instead of re-invoking the compiler.  A build runs in
+a private temp directory and is published with one atomic rename, so a
+process killed mid-build never leaves a partial shared object for
+others to load.
 
 Nothing outside this module may import cffi directly, and nothing here
 runs at import time: the compiler starts on the first kernel lookup.
@@ -53,161 +52,10 @@ import string
 
 import numpy as np
 
-_CDEF = """
-void bn_train_fwd(const float* x, const float* gamma, const float* beta,
-                  float eps, int relu, long n, long c, long p,
-                  float* out, float* x_hat, float* mean, float* var,
-                  float* inv_std);
-void bn_eval_fwd(const float* x, const float* gamma, const float* beta,
-                 const float* mean, const float* var, float eps, int relu,
-                 long n, long c, long p,
-                 float* out, float* x_hat, float* inv_std);
-void bn_bwd(const float* grad, const float* x_hat, const float* inv_std,
-            const float* gamma, const float* out, int relu, int training,
-            long n, long c, long p, float* gx, float* ggamma, float* gbeta);
-void adam_update(float* p, const float* g, float* m, float* v, long size,
-                 float lr, float beta1, float beta2, float eps,
-                 float weight_decay, float bias1, float bias2);
-void fused_fake_quant(const float* x, float* out, long size, float lo,
-                      float scale, float inv_scale);
-"""
-
 _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
-
-/* Fused training-mode batchnorm (+ optional relu) over NCHW input:
-   one double-accumulated stats pass and one normalize/scale/shift pass
-   per channel, emitting out, x_hat and the per-channel statistics. */
-void bn_train_fwd(const float* x, const float* gamma, const float* beta,
-                  float eps, int relu, long n, long c, long p,
-                  float* out, float* x_hat, float* mean, float* var,
-                  float* inv_std) {
-    long m = n * p;
-    for (long ci = 0; ci < c; ci++) {
-        double s = 0.0, ss = 0.0;
-        for (long ni = 0; ni < n; ni++) {
-            const float* row = x + (ni * c + ci) * p;
-            for (long pi = 0; pi < p; pi++) {
-                double v = row[pi];
-                s += v; ss += v * v;
-            }
-        }
-        double mu = s / m;
-        double va = ss / m - mu * mu;
-        if (va < 0.0) va = 0.0;
-        mean[ci] = (float) mu;
-        var[ci] = (float) va;
-        float inv = (float)(1.0 / sqrt(va + (double) eps));
-        inv_std[ci] = inv;
-        float g = gamma[ci], b = beta[ci], mu_f = (float) mu;
-        for (long ni = 0; ni < n; ni++) {
-            long base = (ni * c + ci) * p;
-            const float* row = x + base;
-            float* xh = x_hat + base;
-            float* o = out + base;
-            for (long pi = 0; pi < p; pi++) {
-                float xv = (row[pi] - mu_f) * inv;
-                xh[pi] = xv;
-                float ov = g * xv + b;
-                if (relu && ov < 0.0f) ov = 0.0f;
-                o[pi] = ov;
-            }
-        }
-    }
-}
-
-/* Eval-mode batchnorm from running statistics: single pass. */
-void bn_eval_fwd(const float* x, const float* gamma, const float* beta,
-                 const float* mean, const float* var, float eps, int relu,
-                 long n, long c, long p,
-                 float* out, float* x_hat, float* inv_std) {
-    for (long ci = 0; ci < c; ci++) {
-        float inv = (float)(1.0 / sqrt((double) var[ci] + (double) eps));
-        inv_std[ci] = inv;
-        float g = gamma[ci], b = beta[ci], mu = mean[ci];
-        for (long ni = 0; ni < n; ni++) {
-            long base = (ni * c + ci) * p;
-            const float* row = x + base;
-            float* xh = x_hat + base;
-            float* o = out + base;
-            for (long pi = 0; pi < p; pi++) {
-                float xv = (row[pi] - mu) * inv;
-                xh[pi] = xv;
-                float ov = g * xv + b;
-                if (relu && ov < 0.0f) ov = 0.0f;
-                o[pi] = ov;
-            }
-        }
-    }
-}
-
-/* Fused batchnorm backward (+ optional relu gate read from the saved
-   post-relu output): one reduction pass, one gradient pass, zero
-   full-size temporaries. */
-void bn_bwd(const float* grad, const float* x_hat, const float* inv_std,
-            const float* gamma, const float* out, int relu, int training,
-            long n, long c, long p, float* gx, float* ggamma, float* gbeta) {
-    long m = n * p;
-    for (long ci = 0; ci < c; ci++) {
-        double sg = 0.0, sgx = 0.0;
-        for (long ni = 0; ni < n; ni++) {
-            long base = (ni * c + ci) * p;
-            const float* g = grad + base;
-            const float* xh = x_hat + base;
-            const float* o = out + base;
-            for (long pi = 0; pi < p; pi++) {
-                float gv = g[pi];
-                if (relu && o[pi] <= 0.0f) gv = 0.0f;
-                sg += gv; sgx += gv * (double) xh[pi];
-            }
-        }
-        ggamma[ci] = (float) sgx;
-        gbeta[ci] = (float) sg;
-        float scale = gamma[ci] * inv_std[ci];
-        float mean_dy = (float)(sg / m), mean_dy_xhat = (float)(sgx / m);
-        for (long ni = 0; ni < n; ni++) {
-            long base = (ni * c + ci) * p;
-            const float* g = grad + base;
-            const float* xh = x_hat + base;
-            const float* o = out + base;
-            float* r = gx + base;
-            for (long pi = 0; pi < p; pi++) {
-                float gv = g[pi];
-                if (relu && o[pi] <= 0.0f) gv = 0.0f;
-                if (training)
-                    r[pi] = scale * (gv - mean_dy - xh[pi] * mean_dy_xhat);
-                else
-                    r[pi] = scale * gv;
-            }
-        }
-    }
-}
-
-/* One-pass bias-corrected Adam: param and both moment buffers are
-   updated in a single sweep instead of numpy's seven. */
-void adam_update(float* p, const float* g, float* m, float* v, long size,
-                 float lr, float beta1, float beta2, float eps,
-                 float weight_decay, float bias1, float bias2) {
-    float inv_b1 = 1.0f / bias1, inv_b2 = 1.0f / bias2;
-    for (long i = 0; i < size; i++) {
-        float gi = g[i] + weight_decay * p[i];
-        m[i] = beta1 * m[i] + (1.0f - beta1) * gi;
-        v[i] = beta2 * v[i] + (1.0f - beta2) * gi * gi;
-        float mh = m[i] * inv_b1;
-        float vh = v[i] * inv_b2;
-        p[i] -= lr * mh / (sqrtf(vh) + eps);
-    }
-}
-
-/* One-pass eqn.-1 round-scale-shift (the caller owns the range). */
-void fused_fake_quant(const float* x, float* out, long size, float lo,
-                      float scale, float inv_scale) {
-    for (long i = 0; i < size; i++) {
-        out[i] = rintf((x[i] - lo) * scale) * inv_scale + lo;
-    }
-}
 """
 
 # The conv lowering, instantiated once per dtype ($T is the C type, $S
@@ -419,94 +267,184 @@ int maxpool_bwd_$S(const $T* grad, const int64_t* idx, $T* gx, long n,
 }
 """)
 
-_FLOAT_TYPES = (("float", "f32", np.float32), ("double", "f64", np.float64))
-_CDEF += "".join(cdef.substitute(T=t, S=s) for cdef in (_CONV_CDEF, _POOL_CDEF)
-                 for t, s, _ in _FLOAT_TYPES)
-_SOURCE += "".join(source.substitute(T=t, S=s)
-                   for source in (_CONV_SOURCE, _POOL_SOURCE)
-                   for t, s, _ in _FLOAT_TYPES)
+# The arithmetic loops: eqn.-1 fake quantization, the Adam update and
+# training-mode batchnorm's elementwise passes.  Each runs the seed's
+# numpy ops in the seed's order in the operand's own type, one rounding
+# per op: the pragmas stop the compiler from contracting a multiply and
+# an add into one FMA (GCC's pragma for GCC, the C99 one for clang,
+# which ignores GCC's).  $M is the C math functions' suffix for $T.
+_ARITH_CDEF = string.Template("""
+void fake_quant_$S(const $T* x, $T* out, long size, $T lo, $T hi, $T scale,
+                   $T inv_scale);
+void adam_update_$S(const $T* p, const $T* g, $T* m, $T* v, $T* out,
+                    long size, $T lr, $T beta1, $T beta2,
+                    $T one_minus_beta1, $T one_minus_beta2, $T eps,
+                    int decay, $T weight_decay, $T bias1, $T bias2);
+void bn_centre_$S(const $T* x, const $T* mean, $T* centered, $T* sq,
+                  long n, long c, long h, long w,
+                  long xn, long xc, long xh, long on, long oc, long oh);
+void bn_normalize_$S($T* x_hat, const $T* inv_std, const $T* gamma,
+                     const $T* beta, $T* out, unsigned char* mask,
+                     long n, long c, long h, long w,
+                     long xn, long xc, long xh, long on, long oc, long oh,
+                     long mn, long mc, long mh);
+void bn_grad_terms_$S(const $T* grad, const unsigned char* mask,
+                      const $T* x_hat, $T* masked, $T* prod,
+                      long n, long c, long h, long w,
+                      long gn, long gc, long gh, long mn, long mc, long mh,
+                      long xn, long xc, long xh, long an, long ac, long ah,
+                      long pn, long pc, long ph);
+void bn_grad_input_$S(const $T* grad, const $T* x_hat, const $T* scale,
+                      const $T* mean_dy, const $T* mean_dy_xhat, $T* gx,
+                      long n, long c, long h, long w,
+                      long gn, long gc, long gh, long xn, long xc, long xh,
+                      long on, long oc, long oh);
+""")
 
-# The reference backend's float64 chains.  Each loop runs the seed's
-# numpy ops in the seed's order, one rounding per op: the pragmas stop
-# the compiler from contracting a multiply and an add into one FMA
-# (GCC's pragma for GCC, the C99 one for clang, which ignores GCC's).
-_CDEF += """
-void fake_quant_f64(const double* x, double* out, long size, double lo,
-                    double hi, double scale, double inv_scale);
-void adam_update_f64(const double* p, const double* g, double* m, double* v,
-                     double* out, long size, double lr, double beta1,
-                     double beta2, double eps, double weight_decay,
-                     double bias1, double bias2);
-void bn_centre_f64(const double* x, const double* mean, double* centered,
-                   double* sq, long n, long c, long h, long w,
-                   long xn, long xc, long xh, long on, long oc, long oh);
-void bn_normalize_f64(double* x_hat, const double* inv_std,
-                      const double* gamma, const double* beta, double* out,
-                      unsigned char* mask, long n, long c, long h, long w,
-                      long xn, long xc, long xh, long on, long oc, long oh,
-                      long mn, long mc, long mh);
-void bn_grad_terms_f64(const double* grad, const unsigned char* mask,
-                       const double* x_hat, double* masked, double* prod,
-                       long n, long c, long h, long w,
-                       long gn, long gc, long gh, long mn, long mc, long mh,
-                       long xn, long xc, long xh, long an, long ac, long ah,
-                       long pn, long pc, long ph);
-void bn_grad_input_f64(const double* grad, const double* x_hat,
-                       const double* scale, const double* mean_dy,
-                       const double* mean_dy_xhat, double* gx,
-                       long n, long c, long h, long w,
-                       long gn, long gc, long gh, long xn, long xc, long xh,
-                       long on, long oc, long oh);
-"""
-
-_SOURCE += r"""
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC push_options
-#pragma GCC optimize ("fp-contract=off")
-#endif
-
-/* Eqn.-1 quantize -> dequantize as UniformQuantizer.fake_quant runs
-   it: clip to [lo, hi] (keeping x on a tie, as np.clip does), shift,
-   scale, round half to even, through an int64 code, rescale, shift
-   back.  The caller owns the range and the two scales.  nearbyint is
-   rint without the inexact flag: GCC turns (int64_t) rint into a
-   scalar llrint, but vectorises this form. */
-void fake_quant_f64(const double* x, double* out, long size, double lo,
-                    double hi, double scale, double inv_scale) {
+_ARITH_SOURCE = string.Template(r"""
+/* Eqn.-1 quantize -> dequantize as UniformQuantizer.fake_quant runs it:
+   clip to [lo, hi] (keeping x on a tie, as np.clip does), shift, scale,
+   round half to even, rescale, shift back.  The caller owns the range
+   and the two scales, and checks that every code fits int64: the seed's
+   round trip through an int64 code is then an identity on the result
+   (it turns a -0.0 code into 0.0, which the shift by lo does anyway),
+   so the loop leaves it out, and vectorises.  nearbyint is rint without
+   the inexact flag. */
+void fake_quant_$S(const $T* x, $T* out, long size, $T lo, $T hi, $T scale,
+                   $T inv_scale) {
 #if defined(__clang__)
 #pragma STDC FP_CONTRACT OFF
 #endif
     for (long i = 0; i < size; i++) {
-        double c = x[i] < lo ? lo : x[i];
+        $T c = x[i] < lo ? lo : x[i];
         c = c > hi ? hi : c;
-        int64_t code = (int64_t) nearbyint((c - lo) * scale);
-        out[i] = (double) code * inv_scale + lo;
+        out[i] = nearbyint$M((c - lo) * scale) * inv_scale + lo;
     }
 }
 
-/* Bias-corrected Adam as the reference backend's numpy chain runs it:
-   m and v in place, the new parameter into out. */
-void adam_update_f64(const double* p, const double* g, double* m, double* v,
-                     double* out, long size, double lr, double beta1,
-                     double beta2, double eps, double weight_decay,
-                     double bias1, double bias2) {
+/* Bias-corrected Adam as ArrayBackend's numpy chain runs it: m and v in
+   place, the new parameter into out.  The chain computes 1 - beta1,
+   1 - beta2 and whether to decay in Python, in double, and only then
+   narrows them to $T; so does the caller. */
+void adam_update_$S(const $T* p, const $T* g, $T* m, $T* v, $T* out,
+                    long size, $T lr, $T beta1, $T beta2,
+                    $T one_minus_beta1, $T one_minus_beta2, $T eps,
+                    int decay, $T weight_decay, $T bias1, $T bias2) {
 #if defined(__clang__)
 #pragma STDC FP_CONTRACT OFF
 #endif
-    int decay = weight_decay != 0.0;
     for (long i = 0; i < size; i++) {
-        double gi = decay ? g[i] + weight_decay * p[i] : g[i];
-        double mi = m[i] * beta1 + (1.0 - beta1) * gi;
-        double vi = v[i] * beta2 + (1.0 - beta2) * gi * gi;
+        $T gi = decay ? g[i] + weight_decay * p[i] : g[i];
+        $T mi = m[i] * beta1 + one_minus_beta1 * gi;
+        $T vi = v[i] * beta2 + one_minus_beta2 * gi * gi;
         m[i] = mi;
         v[i] = vi;
-        out[i] = p[i] - lr * (mi / bias1) / (sqrt(vi / bias2) + eps);
+        out[i] = p[i] - lr * (mi / bias1) / (sqrt$M(vi / bias2) + eps);
     }
 }
 
-/* Training-mode batchnorm's elementwise passes, as ArrayBackend's numpy
-   chain runs them.  Its reductions stay numpy: the caller sums what one
-   pass writes and hands the sums to the next.
+/* centered = x - mean and its square, the operand of the variance sum. */
+void bn_centre_$S(const $T* restrict x, const $T* mean,
+                  $T* restrict centered, $T* restrict sq,
+                  long n, long c, long h, long w,
+                  long xn, long xc, long xh, long on, long oc, long oh) {
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#endif
+    long sn[] = {xn, on}, sh[] = {xh, oh};
+    bn_walk walk = bn_plan(n, h, w, 2, sn, sh);
+    BN_WALK(walk, c,
+        $T d = x[BN_AT(xn, xc, xh)] - mean[ci];
+        centered[BN_AT(on, oc, oh)] = d;
+        sq[BN_AT(on, oc, oh)] = d * d;
+    )
+}
+
+/* x_hat = centered * inv_std, in place over centered, and out = gamma *
+   x_hat + beta; with a mask, also mask = out > 0 and out = out * mask,
+   written as a select: out * 1 is out, and out * 0 keeps the sign of a
+   zero and turns -inf into NaN, as numpy's product does. */
+void bn_normalize_$S($T* restrict x_hat, const $T* inv_std,
+                     const $T* gamma, const $T* beta, $T* restrict out,
+                     unsigned char* restrict mask,
+                     long n, long c, long h, long w,
+                     long xn, long xc, long xh, long on, long oc, long oh,
+                     long mn, long mc, long mh) {
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#endif
+    long sn[] = {xn, on, mn}, sh[] = {xh, oh, mh};
+    bn_walk walk = bn_plan(n, h, w, mask ? 3 : 2, sn, sh);
+    if (!mask) {
+        BN_WALK(walk, c,
+            $T v = x_hat[BN_AT(xn, xc, xh)] * inv_std[ci];
+            x_hat[BN_AT(xn, xc, xh)] = v;
+            out[BN_AT(on, oc, oh)] = gamma[ci] * v + beta[ci];
+        )
+        return;
+    }
+    BN_WALK(walk, c,
+        $T v = x_hat[BN_AT(xn, xc, xh)] * inv_std[ci];
+        x_hat[BN_AT(xn, xc, xh)] = v;
+        $T o = gamma[ci] * v + beta[ci];
+        out[BN_AT(on, oc, oh)] = o > 0 ? o : o * ($T) 0;
+        mask[BN_AT(mn, mc, mh)] = o > 0;
+    )
+}
+
+/* The two arrays the backward sums: masked = grad * mask and prod =
+   masked * x_hat; without a mask, just prod = grad * x_hat. */
+void bn_grad_terms_$S(const $T* restrict grad,
+                      const unsigned char* restrict mask,
+                      const $T* restrict x_hat, $T* restrict masked,
+                      $T* restrict prod, long n, long c, long h, long w,
+                      long gn, long gc, long gh, long mn, long mc, long mh,
+                      long xn, long xc, long xh, long an, long ac, long ah,
+                      long pn, long pc, long ph) {
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#endif
+    long sn[] = {gn, xn, pn, mn, an}, sh[] = {gh, xh, ph, mh, ah};
+    bn_walk walk = bn_plan(n, h, w, mask ? 5 : 3, sn, sh);
+    if (!mask) {
+        BN_WALK(walk, c,
+            prod[BN_AT(pn, pc, ph)] =
+                grad[BN_AT(gn, gc, gh)] * x_hat[BN_AT(xn, xc, xh)];
+        )
+        return;
+    }
+    BN_WALK(walk, c,
+        $T g = grad[BN_AT(gn, gc, gh)] * ($T) mask[BN_AT(mn, mc, mh)];
+        masked[BN_AT(an, ac, ah)] = g;
+        prod[BN_AT(pn, pc, ph)] = g * x_hat[BN_AT(xn, xc, xh)];
+    )
+}
+
+/* gx = scale * ((grad - mean_dy) - x_hat * mean_dy_xhat), grad masked. */
+void bn_grad_input_$S(const $T* restrict grad, const $T* restrict x_hat,
+                      const $T* scale, const $T* mean_dy,
+                      const $T* mean_dy_xhat, $T* restrict gx,
+                      long n, long c, long h, long w,
+                      long gn, long gc, long gh, long xn, long xc, long xh,
+                      long on, long oc, long oh) {
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#endif
+    long sn[] = {gn, xn, on}, sh[] = {gh, xh, oh};
+    bn_walk walk = bn_plan(n, h, w, 3, sn, sh);
+    BN_WALK(walk, c,
+        gx[BN_AT(on, oc, oh)] = scale[ci] * ((grad[BN_AT(gn, gc, gh)]
+            - mean_dy[ci]) - x_hat[BN_AT(xn, xc, xh)] * mean_dy_xhat[ci]);
+    )
+}
+""")
+
+# Batchnorm's passes walk their operands alike; the plan and the walk
+# carry no arithmetic, so one copy serves both instances.
+_BN_WALK_SOURCE = r"""
+/* Batchnorm's elementwise passes, as ArrayBackend's numpy chain runs
+   them.  Its reductions stay numpy: the caller sums what one pass writes
+   and hands the sums to the next.
 
    Each (N, C, H, W) operand comes with its element strides (sn, sc,
    sh); rows are contiguous.  Rows merge into one run when every
@@ -558,102 +496,24 @@ static bn_walk bn_plan(long n, long h, long w, int count, const long* sn,
                         __VA_ARGS__                                     \
                     }                                                   \
     }
+"""
 
-/* centered = x - mean and its square, the operand of the variance sum. */
-void bn_centre_f64(const double* restrict x, const double* mean,
-                   double* restrict centered, double* restrict sq,
-                   long n, long c, long h, long w,
-                   long xn, long xc, long xh, long on, long oc, long oh) {
-#if defined(__clang__)
-#pragma STDC FP_CONTRACT OFF
+# (C type, name suffix, dtype, math-function suffix) of each instance.
+_FLOAT_TYPES = (("float", "f32", np.float32, "f"),
+                ("double", "f64", np.float64, ""))
+_CDEF = "".join(cdef.substitute(T=t, S=s)
+                for cdef in (_CONV_CDEF, _POOL_CDEF, _ARITH_CDEF)
+                for t, s, _, _ in _FLOAT_TYPES)
+_SOURCE += "".join(source.substitute(T=t, S=s)
+                   for source in (_CONV_SOURCE, _POOL_SOURCE)
+                   for t, s, _, _ in _FLOAT_TYPES)
+_SOURCE += _BN_WALK_SOURCE + """
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize ("fp-contract=off")
 #endif
-    long sn[] = {xn, on}, sh[] = {xh, oh};
-    bn_walk walk = bn_plan(n, h, w, 2, sn, sh);
-    BN_WALK(walk, c,
-        double d = x[BN_AT(xn, xc, xh)] - mean[ci];
-        centered[BN_AT(on, oc, oh)] = d;
-        sq[BN_AT(on, oc, oh)] = d * d;
-    )
-}
-
-/* x_hat = centered * inv_std, in place over centered, and out = gamma *
-   x_hat + beta; with a mask, also mask = out > 0 and out = out * mask,
-   written as a select: out * 1 is out, and out * 0 keeps the sign of a
-   zero and turns -inf into NaN, as numpy's product does. */
-void bn_normalize_f64(double* restrict x_hat, const double* inv_std,
-                      const double* gamma, const double* beta,
-                      double* restrict out, unsigned char* restrict mask,
-                      long n, long c, long h, long w,
-                      long xn, long xc, long xh, long on, long oc, long oh,
-                      long mn, long mc, long mh) {
-#if defined(__clang__)
-#pragma STDC FP_CONTRACT OFF
-#endif
-    long sn[] = {xn, on, mn}, sh[] = {xh, oh, mh};
-    bn_walk walk = bn_plan(n, h, w, mask ? 3 : 2, sn, sh);
-    if (!mask) {
-        BN_WALK(walk, c,
-            double v = x_hat[BN_AT(xn, xc, xh)] * inv_std[ci];
-            x_hat[BN_AT(xn, xc, xh)] = v;
-            out[BN_AT(on, oc, oh)] = gamma[ci] * v + beta[ci];
-        )
-        return;
-    }
-    BN_WALK(walk, c,
-        double v = x_hat[BN_AT(xn, xc, xh)] * inv_std[ci];
-        x_hat[BN_AT(xn, xc, xh)] = v;
-        double o = gamma[ci] * v + beta[ci];
-        out[BN_AT(on, oc, oh)] = o > 0.0 ? o : o * 0.0;
-        mask[BN_AT(mn, mc, mh)] = o > 0.0;
-    )
-}
-
-/* The two arrays the backward sums: masked = grad * mask and prod =
-   masked * x_hat; without a mask, just prod = grad * x_hat. */
-void bn_grad_terms_f64(const double* restrict grad,
-                       const unsigned char* restrict mask,
-                       const double* restrict x_hat, double* restrict masked,
-                       double* restrict prod, long n, long c, long h, long w,
-                       long gn, long gc, long gh, long mn, long mc, long mh,
-                       long xn, long xc, long xh, long an, long ac, long ah,
-                       long pn, long pc, long ph) {
-#if defined(__clang__)
-#pragma STDC FP_CONTRACT OFF
-#endif
-    long sn[] = {gn, xn, pn, mn, an}, sh[] = {gh, xh, ph, mh, ah};
-    bn_walk walk = bn_plan(n, h, w, mask ? 5 : 3, sn, sh);
-    if (!mask) {
-        BN_WALK(walk, c,
-            prod[BN_AT(pn, pc, ph)] =
-                grad[BN_AT(gn, gc, gh)] * x_hat[BN_AT(xn, xc, xh)];
-        )
-        return;
-    }
-    BN_WALK(walk, c,
-        double g = grad[BN_AT(gn, gc, gh)] * (double) mask[BN_AT(mn, mc, mh)];
-        masked[BN_AT(an, ac, ah)] = g;
-        prod[BN_AT(pn, pc, ph)] = g * x_hat[BN_AT(xn, xc, xh)];
-    )
-}
-
-/* gx = scale * ((grad - mean_dy) - x_hat * mean_dy_xhat), grad masked. */
-void bn_grad_input_f64(const double* restrict grad,
-                       const double* restrict x_hat, const double* scale,
-                       const double* mean_dy, const double* mean_dy_xhat,
-                       double* restrict gx, long n, long c, long h, long w,
-                       long gn, long gc, long gh, long xn, long xc, long xh,
-                       long on, long oc, long oh) {
-#if defined(__clang__)
-#pragma STDC FP_CONTRACT OFF
-#endif
-    long sn[] = {gn, xn, on}, sh[] = {gh, xh, oh};
-    bn_walk walk = bn_plan(n, h, w, 3, sn, sh);
-    BN_WALK(walk, c,
-        gx[BN_AT(on, oc, oh)] = scale[ci] * ((grad[BN_AT(gn, gc, gh)]
-            - mean_dy[ci]) - x_hat[BN_AT(xn, xc, xh)] * mean_dy_xhat[ci]);
-    )
-}
-
+""" + "".join(_ARITH_SOURCE.substitute(T=t, S=s, M=m)
+              for t, s, _, m in _FLOAT_TYPES) + """
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC pop_options
 #endif
@@ -738,8 +598,6 @@ def get_kernel(name: str):
     return kernels().get(name)
 
 
-_F32 = np.dtype(np.float32)
-_F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
 _BOOL = np.dtype(np.bool_)
 
@@ -783,23 +641,23 @@ def _stepped_strides(a):
     return tuple(s for s, d in zip(a.strides, a.shape) if d > 1)
 
 
-def _alike(arrays, outputs):
-    """Whether a float64 elementwise kernel may run flat over ``arrays``:
-    aligned, dense float64 arrays of one shape and one layout, so element
-    i of each sits at the same offset, with ``outputs`` among them
-    writeable."""
+def _alike(dtype, arrays, outputs):
+    """Whether an elementwise kernel may run flat over ``arrays``:
+    aligned, dense ``dtype`` arrays of one shape and one layout, so
+    element i of each sits at the same offset, with ``outputs`` among
+    them writeable."""
     first = arrays[0]
     shape = first.shape
     for a in arrays:  # the common case first: all of them C-contiguous
         flags = a.flags
-        if not (flags.c_contiguous and flags.aligned and a.dtype == _F64
+        if not (flags.c_contiguous and flags.aligned and a.dtype == dtype
                 and a.shape == shape):
             break
     else:
         return all(a.flags.writeable for a in outputs)
     layout = _stepped_strides(first)
     return (_dense(first)
-            and all(a.dtype == _F64 and a.shape == shape
+            and all(a.dtype == dtype and a.shape == shape
                     and a.flags.aligned and _stepped_strides(a) == layout
                     for a in arrays)
             and all(a.flags.writeable for a in outputs))
@@ -829,77 +687,6 @@ def _planes(a, dtype, shape, write=False):
             or sn % item or sc % item or sh % item):
         return None
     return sn // item, sc // item, sh // item
-
-
-def _ptr(ffi, array):
-    # from_buffer is a C-level view; array.ctypes would build a python
-    # ctypes object per call, which shows up at this call frequency.
-    return ffi.from_buffer("float[]", array)
-
-
-def _wrap_bn_train_fwd(module):
-    lib, ffi = module.lib, module.ffi
-
-    def bn_train_fwd(x, gamma, beta, eps, relu, out, x_hat, mean, var, inv_std):
-        """Fill the outputs from ``x``; False, writing nothing, if any
-        operand does not fit."""
-        n, c, p = x.shape
-        if not (_takes(_F32, n * c * p, x) and _takes(_F32, c, gamma, beta)
-                and _fills(_F32, n * c * p, out, x_hat)
-                and _fills(_F32, c, mean, var, inv_std)):
-            return False
-        lib.bn_train_fwd(
-            _ptr(ffi, x), _ptr(ffi, gamma), _ptr(ffi, beta), eps, int(relu),
-            n, c, p, _ptr(ffi, out), _ptr(ffi, x_hat), _ptr(ffi, mean),
-            _ptr(ffi, var), _ptr(ffi, inv_std),
-        )
-        return True
-
-    return bn_train_fwd
-
-
-def _wrap_bn_eval_fwd(module):
-    lib, ffi = module.lib, module.ffi
-
-    def bn_eval_fwd(x, gamma, beta, mean, var, eps, relu, out, x_hat, inv_std):
-        """Fill the outputs from ``x``; False, writing nothing, if any
-        operand does not fit."""
-        n, c, p = x.shape
-        if not (_takes(_F32, n * c * p, x)
-                and _takes(_F32, c, gamma, beta, mean, var)
-                and _fills(_F32, n * c * p, out, x_hat)
-                and _fills(_F32, c, inv_std)):
-            return False
-        lib.bn_eval_fwd(
-            _ptr(ffi, x), _ptr(ffi, gamma), _ptr(ffi, beta), _ptr(ffi, mean),
-            _ptr(ffi, var), eps, int(relu), n, c, p,
-            _ptr(ffi, out), _ptr(ffi, x_hat), _ptr(ffi, inv_std),
-        )
-        return True
-
-    return bn_eval_fwd
-
-
-def _wrap_bn_bwd(module):
-    lib, ffi = module.lib, module.ffi
-
-    def bn_bwd(grad, x_hat, inv_std, gamma, out, relu, training, gx, ggamma, gbeta):
-        """Fill the gradients; False, writing nothing, if any operand does
-        not fit."""
-        n, c, p = grad.shape
-        if not (_takes(_F32, n * c * p, grad, x_hat, out)
-                and _takes(_F32, c, inv_std, gamma)
-                and _fills(_F32, n * c * p, gx)
-                and _fills(_F32, c, ggamma, gbeta)):
-            return False
-        lib.bn_bwd(
-            _ptr(ffi, grad), _ptr(ffi, x_hat), _ptr(ffi, inv_std),
-            _ptr(ffi, gamma), _ptr(ffi, out), int(relu), int(training),
-            n, c, p, _ptr(ffi, gx), _ptr(ffi, ggamma), _ptr(ffi, gbeta),
-        )
-        return True
-
-    return bn_bwd
 
 
 def _conv_strides(image, cols, kernel, out_h, out_w):
@@ -937,7 +724,7 @@ def _addr(ffi, ctype, array):
 def _instances(module, op):
     """``{dtype: (C function, C type)}`` of the per-dtype kernel ``op``."""
     return {np.dtype(dtype): (getattr(module.lib, f"{op}_{suffix}"), ctype)
-            for ctype, suffix, dtype in _FLOAT_TYPES}
+            for ctype, suffix, dtype, _ in _FLOAT_TYPES}
 
 
 def _wrap_im2col(module):
@@ -972,39 +759,6 @@ def _wrap_col2im(module):
         return True
 
     return col2im
-
-
-def _wrap_adam(module):
-    lib, ffi = module.lib, module.ffi
-
-    def adam_update(param, grad, m, v, lr, beta1, beta2, eps, weight_decay,
-                    bias1, bias2):
-        """Update ``param``, ``m`` and ``v`` in place; False, writing
-        nothing, if any operand does not fit."""
-        if not (_takes(_F32, param.size, grad)
-                and _fills(_F32, param.size, param, m, v)):
-            return False
-        lib.adam_update(
-            _ptr(ffi, param), _ptr(ffi, grad), _ptr(ffi, m), _ptr(ffi, v),
-            param.size, lr, beta1, beta2, eps, weight_decay, bias1, bias2,
-        )
-        return True
-
-    return adam_update
-
-
-def _wrap_fake_quant(module):
-    lib, ffi = module.lib, module.ffi
-
-    def fused_fake_quant(x, out, lo, scale, inv_scale):
-        """Fill ``out`` from ``x``; False, writing nothing, if they do not fit."""
-        if not (_takes(_F32, x.size, x) and _fills(_F32, x.size, out)):
-            return False
-        lib.fused_fake_quant(_ptr(ffi, x), _ptr(ffi, out), x.size,
-                             lo, scale, inv_scale)
-        return True
-
-    return fused_fake_quant
 
 
 def _wrap_maxpool_fwd(module):
@@ -1050,41 +804,45 @@ def _wrap_maxpool_bwd(module):
     return maxpool_bwd
 
 
-def _wrap_fake_quant_f64(module):
-    lib, ffi = module.lib, module.ffi
+def _wrap_fake_quant(module):
+    ffi, instances = module.ffi, _instances(module, "fake_quant")
 
-    def fake_quant_f64(x, out, lo, hi, scale, inv_scale):
+    def fake_quant(x, out, lo, hi, scale, inv_scale):
         """Fill ``out`` from ``x``; False, writing nothing, if they do not fit."""
-        if not _alike((x, out), (out,)):
+        instance = instances.get(x.dtype)
+        if instance is None or not _alike(x.dtype, (x, out), (out,)):
             return False
-        lib.fake_quant_f64(_addr(ffi, "double", x), _addr(ffi, "double", out),
-                           x.size, lo, hi, scale, inv_scale)
+        fn, ctype = instance
+        fn(_addr(ffi, ctype, x), _addr(ffi, ctype, out), x.size, lo, hi, scale,
+           inv_scale)
         return True
 
-    return fake_quant_f64
+    return fake_quant
 
 
-def _wrap_adam_f64(module):
-    lib, ffi = module.lib, module.ffi
+def _wrap_adam(module):
+    ffi, instances = module.ffi, _instances(module, "adam_update")
 
-    def adam_update_f64(param, grad, m, v, out, lr, beta1, beta2, eps,
-                        weight_decay, bias1, bias2):
+    def adam_update(param, grad, m, v, out, lr, beta1, beta2, eps,
+                    weight_decay, bias1, bias2):
         """The new parameter into ``out``, ``m``/``v`` in place; False,
         writing nothing, if any operand does not fit."""
+        instance = instances.get(param.dtype)
         operands = (param, grad, m, v, out)
-        if not _alike(operands, (m, v, out)):
+        if instance is None or not _alike(param.dtype, operands, (m, v, out)):
             return False
-        lib.adam_update_f64(*(_addr(ffi, "double", a) for a in operands),
-                            param.size, lr, beta1, beta2, eps, weight_decay,
-                            bias1, bias2)
+        fn, ctype = instance
+        fn(*(_addr(ffi, ctype, a) for a in operands), param.size, lr, beta1,
+           beta2, 1.0 - beta1, 1.0 - beta2, eps, bool(weight_decay),
+           weight_decay, bias1, bias2)
         return True
 
-    return adam_update_f64
+    return adam_update
 
 
-# Batchnorm's float64 passes.  Each takes (N, C, H, W) operands of one
-# shape through their plane strides, and per-channel vectors as dense
-# (C,) arrays; a missing mask is None.
+# Batchnorm's passes.  Each takes (N, C, H, W) operands of one shape and
+# dtype through their plane strides, and per-channel vectors as dense
+# (C,) arrays of that dtype; a missing mask is None.
 def _bn_operands(shape, *operands):
     """Concatenated plane strides of ``(array, dtype, write)`` operands,
     or None when one does not fit; a None array gives zero strides."""
@@ -1100,111 +858,111 @@ def _bn_operands(shape, *operands):
     return strides
 
 
-def _wrap_bn_centre_f64(module):
-    lib, ffi = module.lib, module.ffi
+def _wrap_bn_centre(module):
+    ffi, instances = module.ffi, _instances(module, "bn_centre")
 
-    def bn_centre_f64(x, mean, centered, sq):
+    def bn_centre(x, mean, centered, sq):
         """``centered = x - mean`` and ``sq = centered * centered``, the two
         outputs laid out alike; False, writing nothing, if they do not fit."""
-        shape = x.shape
-        strides = _bn_operands(shape, (x, _F64, False),
-                               (centered, _F64, True))
-        if (strides is None or _planes(sq, _F64, shape, True) != strides[3:]
-                or not _takes(_F64, shape[1], mean)):
+        shape, dtype = x.shape, x.dtype
+        instance = instances.get(dtype)
+        strides = _bn_operands(shape, (x, dtype, False), (centered, dtype, True))
+        if (instance is None or strides is None
+                or _planes(sq, dtype, shape, True) != strides[3:]
+                or not _takes(dtype, shape[1], mean)):
             return False
-        lib.bn_centre_f64(_addr(ffi, "double", x), _addr(ffi, "double", mean),
-                          _addr(ffi, "double", centered),
-                          _addr(ffi, "double", sq), *shape, *strides)
+        fn, ctype = instance
+        fn(_addr(ffi, ctype, x), _addr(ffi, ctype, mean),
+           _addr(ffi, ctype, centered), _addr(ffi, ctype, sq), *shape, *strides)
         return True
 
-    return bn_centre_f64
+    return bn_centre
 
 
-def _wrap_bn_normalize_f64(module):
-    lib, ffi = module.lib, module.ffi
+def _wrap_bn_normalize(module):
+    ffi, instances = module.ffi, _instances(module, "bn_normalize")
 
-    def bn_normalize_f64(x_hat, inv_std, gamma, beta, out, mask):
+    def bn_normalize(x_hat, inv_std, gamma, beta, out, mask):
         """``x_hat *= inv_std`` in place, then ``out = gamma * x_hat + beta``
         and, given a ``mask``, the relu; False, writing nothing, if they do
         not fit."""
-        shape = x_hat.shape
-        strides = _bn_operands(shape, (x_hat, _F64, True), (out, _F64, True),
+        shape, dtype = x_hat.shape, x_hat.dtype
+        instance = instances.get(dtype)
+        strides = _bn_operands(shape, (x_hat, dtype, True), (out, dtype, True),
                                (mask, _BOOL, True))
-        if (strides is None
-                or not _takes(_F64, shape[1], inv_std, gamma, beta)):
+        if (instance is None or strides is None
+                or not _takes(dtype, shape[1], inv_std, gamma, beta)):
             return False
-        lib.bn_normalize_f64(
-            _addr(ffi, "double", x_hat), _addr(ffi, "double", inv_std),
-            _addr(ffi, "double", gamma), _addr(ffi, "double", beta),
-            _addr(ffi, "double", out),
-            ffi.NULL if mask is None else _addr(ffi, "unsigned char", mask),
-            *shape, *strides)
+        fn, ctype = instance
+        fn(_addr(ffi, ctype, x_hat), _addr(ffi, ctype, inv_std),
+           _addr(ffi, ctype, gamma), _addr(ffi, ctype, beta),
+           _addr(ffi, ctype, out),
+           ffi.NULL if mask is None else _addr(ffi, "unsigned char", mask),
+           *shape, *strides)
         return True
 
-    return bn_normalize_f64
+    return bn_normalize
 
 
-def _wrap_bn_grad_terms_f64(module):
-    lib, ffi = module.lib, module.ffi
+def _wrap_bn_grad_terms(module):
+    ffi, instances = module.ffi, _instances(module, "bn_grad_terms")
 
-    def bn_grad_terms_f64(grad, mask, x_hat, masked, prod):
+    def bn_grad_terms(grad, mask, x_hat, masked, prod):
         """``masked = grad * mask`` and ``prod = masked * x_hat`` (without a
         mask, ``prod = grad * x_hat`` and ``masked`` is None); False,
         writing nothing, if they do not fit."""
-        shape = x_hat.shape
+        shape, dtype = x_hat.shape, x_hat.dtype
+        instance = instances.get(dtype)
         strides = _bn_operands(
-            shape, (grad, _F64, False), (mask, _BOOL, False),
-            (x_hat, _F64, False), (masked, _F64, True), (prod, _F64, True))
-        if strides is None or (mask is None) != (masked is None):
+            shape, (grad, dtype, False), (mask, _BOOL, False),
+            (x_hat, dtype, False), (masked, dtype, True), (prod, dtype, True))
+        if (instance is None or strides is None
+                or (mask is None) != (masked is None)):
             return False
+        fn, ctype = instance
         null = ffi.NULL
-        lib.bn_grad_terms_f64(
-            _addr(ffi, "double", grad),
-            null if mask is None else _addr(ffi, "unsigned char", mask),
-            _addr(ffi, "double", x_hat),
-            null if masked is None else _addr(ffi, "double", masked),
-            _addr(ffi, "double", prod), *shape, *strides)
+        fn(_addr(ffi, ctype, grad),
+           null if mask is None else _addr(ffi, "unsigned char", mask),
+           _addr(ffi, ctype, x_hat),
+           null if masked is None else _addr(ffi, ctype, masked),
+           _addr(ffi, ctype, prod), *shape, *strides)
         return True
 
-    return bn_grad_terms_f64
+    return bn_grad_terms
 
 
-def _wrap_bn_grad_input_f64(module):
-    lib, ffi = module.lib, module.ffi
+def _wrap_bn_grad_input(module):
+    ffi, instances = module.ffi, _instances(module, "bn_grad_input")
 
-    def bn_grad_input_f64(grad, x_hat, scale, mean_dy, mean_dy_xhat, gx):
+    def bn_grad_input(grad, x_hat, scale, mean_dy, mean_dy_xhat, gx):
         """``gx = scale * ((grad - mean_dy) - x_hat * mean_dy_xhat)``;
         False, writing nothing, if they do not fit."""
-        shape = x_hat.shape
-        strides = _bn_operands(shape, (grad, _F64, False),
-                               (x_hat, _F64, False), (gx, _F64, True))
-        if (strides is None
-                or not _takes(_F64, shape[1], scale, mean_dy, mean_dy_xhat)):
+        shape, dtype = x_hat.shape, x_hat.dtype
+        instance = instances.get(dtype)
+        strides = _bn_operands(shape, (grad, dtype, False),
+                               (x_hat, dtype, False), (gx, dtype, True))
+        if (instance is None or strides is None
+                or not _takes(dtype, shape[1], scale, mean_dy, mean_dy_xhat)):
             return False
-        lib.bn_grad_input_f64(
-            _addr(ffi, "double", grad), _addr(ffi, "double", x_hat),
-            _addr(ffi, "double", scale), _addr(ffi, "double", mean_dy),
-            _addr(ffi, "double", mean_dy_xhat), _addr(ffi, "double", gx),
-            *shape, *strides)
+        fn, ctype = instance
+        fn(_addr(ffi, ctype, grad), _addr(ffi, ctype, x_hat),
+           _addr(ffi, ctype, scale), _addr(ffi, ctype, mean_dy),
+           _addr(ffi, ctype, mean_dy_xhat), _addr(ffi, ctype, gx),
+           *shape, *strides)
         return True
 
-    return bn_grad_input_f64
+    return bn_grad_input
 
 
 _WRAPPERS = {
-    "batchnorm_train_fwd": _wrap_bn_train_fwd,
-    "batchnorm_eval_fwd": _wrap_bn_eval_fwd,
-    "batchnorm_bwd": _wrap_bn_bwd,
     "im2col": _wrap_im2col,
     "col2im": _wrap_col2im,
-    "adam_update": _wrap_adam,
-    "fused_fake_quant": _wrap_fake_quant,
     "maxpool_fwd": _wrap_maxpool_fwd,
     "maxpool_bwd": _wrap_maxpool_bwd,
-    "fake_quant_f64": _wrap_fake_quant_f64,
-    "adam_update_f64": _wrap_adam_f64,
-    "bn_centre_f64": _wrap_bn_centre_f64,
-    "bn_normalize_f64": _wrap_bn_normalize_f64,
-    "bn_grad_terms_f64": _wrap_bn_grad_terms_f64,
-    "bn_grad_input_f64": _wrap_bn_grad_input_f64,
+    "fake_quant": _wrap_fake_quant,
+    "adam_update": _wrap_adam,
+    "bn_centre": _wrap_bn_centre,
+    "bn_normalize": _wrap_bn_normalize,
+    "bn_grad_terms": _wrap_bn_grad_terms,
+    "bn_grad_input": _wrap_bn_grad_input,
 }

@@ -6,31 +6,28 @@ by calling ``np.*`` directly:
 * the floating dtype (``float64`` for the reference engine, ``float32``
   for the fast path) and all array creation/coercion;
 * the conv lowering (im2col gather, col2im scatter, matmul dispatch)
-  and max pooling; both backends run the compiled im2col/col2im and
-  pooling loops of :mod:`repro.backend._ckernels` in their own dtype
-  where they load, and the numpy lowering in
+  and max pooling, with the numpy lowering in
   :mod:`repro.backend._im2col` and the seed's argmax pooling as the
   fallback, which is also what the seed oracles check;
-* the fused hot loops — fake-quant round-clip and the SGD/Adam
-  parameter updates — which the fast backend collapses into in-place
-  chains (or single-pass C kernels when the compiled tier loads), and
-  the reference backend runs as the seed's numpy chains (fake-quant,
-  Adam and training-mode batchnorm as float64 C loops in the seed's op
-  order where the compiled tier loads);
+* the hot loops — eqn.-1 fake quantization and the SGD/Adam parameter
+  updates — as the seed's numpy chains;
 * the fused elementwise chains — relu, batchnorm (train/eval, with an
   optional trailing relu), softmax/log-softmax/cross-entropy, bias add,
   linear, mse — each exposed as a forward kernel returning an opaque
   *residual* plus a matching backward kernel, so the autograd layer can
   record one graph node per chain instead of one per primitive.
 
-The autograd/nn layers always dispatch through these fused chains;
-there is no second, per-primitive graph in the library.  The
-base-class implementations compose the exact float64-era op sequence
-of the seed engine, in the same order — the reference backend inherits
-them unchanged, which is what keeps reference runs bit-identical to
-the historical per-primitive graphs (kept as the test oracle in
-``tests/test_backend_fused.py``).
-Residuals are backend-opaque: each backend saves exactly what its own
+Every kernel lives here, and a backend declares only its name and
+dtype: the implementations compose the seed engine's op sequence, in
+the same order, in the backend's dtype — which is what keeps reference
+runs bit-identical to the historical per-primitive graphs (kept as the
+test oracle in ``tests/test_backend_fused.py``).  Where the compiled
+tier of :mod:`repro.backend._ckernels` loads and takes the operands,
+the conv lowering, max pooling, fake-quant, Adam and training-mode
+batchnorm's elementwise passes run as its C loops, in the operands'
+dtype; each returns its numpy chain's bytes and strides, so no
+backend's results depend on the kernel tier.
+Residuals are backend-opaque: each kernel saves exactly what its
 backward needs (a bool mask for relu, ``(x_hat, inv_std, ...)`` for
 batchnorm), and nothing else — forward temporaries die with the
 forward call instead of living in backward closures.
@@ -52,9 +49,8 @@ from repro.backend._im2col import col2im_sliced, conv_output_size, im2col_stride
 class ArrayBackend:
     """Base class for array backends.
 
-    Subclasses set :attr:`name` and :attr:`dtype` and may override any
-    kernel.  The base implementations are dtype-generic and correct, so
-    a backend only overrides what it wants to specialize.
+    Subclasses set :attr:`name` and :attr:`dtype`; every kernel is
+    dtype-generic and defined here.
     """
 
     name: str = "base"
@@ -139,9 +135,34 @@ class ArrayBackend:
     # ------------------------------------------------------------------
     # Fused hot loops
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def _largest(self) -> float:
+        """The dtype's largest finite value."""
+        return float(np.finfo(self.dtype).max)
+
     def fake_quant(self, x: np.ndarray, quantizer) -> np.ndarray:
-        """Quantize-dequantize ``x`` through ``quantizer`` (eqn. 1)."""
-        raise NotImplementedError
+        """Quantize-dequantize ``x`` through ``quantizer`` (eqn. 1).
+
+        The quantizer's quantize -> int64 -> dequantize chain in this
+        backend's dtype.  The C loop runs that chain on a dynamic range
+        numpy found, when the range and both scales are finite in the
+        dtype and every code fits int64.
+        """
+        x = np.asarray(x, dtype=self.dtype)
+        kernel = self._kernels.get("fake_quant")
+        if kernel is not None and quantizer.dynamic and quantizer.bits < 63:
+            lo, hi = quantizer._range_for(x)
+            width = hi - lo
+            # x - lo must stay finite in the dtype: the loop skips the
+            # chain's int64 code, an identity only on finite codes.
+            if 0.0 < width <= self._largest:
+                levels = (1 << quantizer.bits) - 1
+                scale = levels / width
+                out = np.empty_like(x)
+                if scale <= self._largest and kernel(x, out, lo, hi, scale,
+                                                     width / levels):
+                    return out
+        return quantizer.fake_quant(x, self.dtype)
 
     def sgd_update(self, param: np.ndarray, grad: np.ndarray,
                    velocity: np.ndarray | None, lr: float, momentum: float,
@@ -149,11 +170,16 @@ class ArrayBackend:
         """One SGD(+momentum, +weight decay) step; returns the new param array.
 
         ``velocity`` is mutated in place when momentum is active (it is
-        the optimizer's slot buffer).  Whether ``param`` itself is
-        updated in place is backend-defined — callers must rebind
-        ``param.data`` to the return value.
+        the optimizer's slot buffer); ``param`` is not, so callers must
+        rebind ``param.data`` to the return value.
         """
-        raise NotImplementedError
+        if weight_decay:
+            grad = grad + weight_decay * param
+        if momentum:
+            velocity *= momentum
+            velocity += grad
+            grad = velocity
+        return param - lr * grad
 
     def adam_update(self, param: np.ndarray, grad: np.ndarray,
                     m: np.ndarray, v: np.ndarray, lr: float, beta1: float,
@@ -161,9 +187,25 @@ class ArrayBackend:
                     bias1: float, bias2: float) -> np.ndarray:
         """One bias-corrected Adam step; returns the new param array.
 
-        ``m``/``v`` are the optimizer's moment buffers, mutated in place.
+        ``m``/``v`` are the optimizer's moment buffers, mutated in place;
+        the C loop runs the chain below where the operands are dense
+        arrays of one dtype laid out alike.
         """
-        raise NotImplementedError
+        kernel = self._kernels.get("adam_update")
+        if kernel is not None:
+            out = np.empty_like(param)
+            if kernel(param, grad, m, v, out, lr, beta1, beta2, eps,
+                      weight_decay, bias1, bias2):
+                return out
+        if weight_decay:
+            grad = grad + weight_decay * param
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad * grad
+        m_hat = m / bias1
+        v_hat = v / bias2
+        return param - lr * m_hat / (np.sqrt(v_hat) + eps)
 
     # ------------------------------------------------------------------
     # Fused elementwise chains
@@ -171,8 +213,7 @@ class ArrayBackend:
     # Each `<op>_fwd` returns ``(out, residual)`` (plus batch statistics
     # for batchnorm_train); ``residual`` is opaque to callers and passed
     # verbatim to the matching `<op>_bwd`.  The compositions below are
-    # the seed's op sequences — subclasses override with single-pass
-    # versions but must keep the (out, residual) contract.
+    # the seed's op sequences.
     # ------------------------------------------------------------------
     def relu_fwd(self, x: np.ndarray):
         """max(x, 0) with the backward mask saved as the residual."""
@@ -205,6 +246,21 @@ class ArrayBackend:
         # count.  These lines make the same calls, so they give the same
         # bytes, and the centred array doubles as the seed's ``x - mean``.
         mean = x.sum(axis=axes) / count
+        centre = self._kernels.get("bn_centre")
+        if centre is not None:
+            # The elementwise passes in C: centre and square, sum; then
+            # normalise, affine and relu.  Each writes arrays in x's K
+            # order, as the ufuncs below do.  The square goes into out's
+            # array and x_hat over centered: each is read before the next
+            # pass overwrites it.
+            centered, out = np.empty_like(x), np.empty_like(x)
+            if centre(x, mean, centered, out):
+                var = out.sum(axis=axes) / count
+                inv_std = 1.0 / np.sqrt(var + eps)
+                mask = np.empty_like(x, dtype=np.bool_) if fuse_relu else None
+                if self._kernels["bn_normalize"](centered, inv_std, gamma,
+                                                 beta, out, mask):
+                    return out, mean, var, (centered, inv_std, mask)
         centered = x - mean[None, :, None, None]
         var = (centered * centered).sum(axis=axes) / count
         inv_std = 1.0 / np.sqrt(var + eps)
@@ -237,9 +293,27 @@ class ArrayBackend:
                       training: bool):
         """Backward for either batchnorm mode; returns (gx, ggamma, gbeta)."""
         x_hat, inv_std, relu_mask = residual
+        axes = (0, 2, 3)
+        count = grad.shape[0] * grad.shape[2] * grad.shape[3]
+        terms = self._kernels.get("bn_grad_terms")
+        if terms is not None and training:
+            # The training-mode chain's elementwise passes in C: mask the
+            # gradient and multiply by x_hat, sum both; then the input
+            # gradient, into the product's array, which has the layout
+            # numpy gives it too.
+            masked = None if relu_mask is None else _product_like(
+                grad, relu_mask, x_hat.dtype)
+            dy = grad if masked is None else masked
+            prod = _product_like(dy, x_hat, x_hat.dtype)
+            if terms(grad, relu_mask, x_hat, masked, prod):
+                grad_gamma = prod.sum(axis=axes)
+                grad_beta = dy.sum(axis=axes)
+                if self._kernels["bn_grad_input"](
+                        dy, x_hat, gamma * inv_std, grad_beta / count,
+                        grad_gamma / count, prod):
+                    return prod, grad_gamma, grad_beta
         if relu_mask is not None:
             grad = grad * relu_mask
-        axes = (0, 2, 3)
         grad_gamma = (grad * x_hat).sum(axis=axes)
         grad_beta = grad.sum(axis=axes)
         scale = (gamma * inv_std)[None, :, None, None]
@@ -247,7 +321,6 @@ class ArrayBackend:
             return grad * scale, grad_gamma, grad_beta
         # The seed's ``grad.mean(axes)`` and ``(grad * x_hat).mean(axes)``:
         # numpy's mean is the sum above divided by the element count.
-        count = grad.shape[0] * grad.shape[2] * grad.shape[3]
         mean_dy = (grad_beta / count)[None, :, None, None]
         mean_dy_xhat = (grad_gamma / count)[None, :, None, None]
         grad_x = scale * (grad - mean_dy - x_hat * mean_dy_xhat)
@@ -399,6 +472,48 @@ class ArrayBackend:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r} dtype={self.dtype}>"
+
+
+def _product_like(a, b, dtype):
+    """A fresh ``dtype`` array laid out as numpy lays out ``a * b``.
+
+    ``a`` and ``b`` share a shape.  numpy's ufunc iterator orders the
+    axes by an insertion sort from the innermost axis outward; it moves
+    an axis outward past another only when every operand steps it by
+    more, so where the operands disagree C order wins, and an axis of
+    length one counts for no operand.  An operand whose strides shrink
+    from axis to axis, such as a C-contiguous array or a view into a
+    padded one, therefore keeps C order.  With one operand,
+    ``np.empty_like`` gives the same.
+    """
+    shape = a.shape
+    steps = [[0 if d == 1 else abs(s) for d, s in zip(shape, x.strides)]
+             for x in (a, b)]
+    for step in steps:
+        stepped = [s for s in step if s]
+        if all(x >= y for x, y in zip(stepped, stepped[1:])):
+            return np.empty(shape, dtype)
+    order = list(range(len(shape) - 1, -1, -1))  # innermost first
+    for i in range(1, len(order)):
+        axis, pos = order[i], i
+        for j in range(i - 1, -1, -1):
+            decided = outward = False
+            for step in steps:
+                if step[axis] and step[order[j]]:
+                    if step[order[j]] <= step[axis]:
+                        outward = False
+                    elif not decided:
+                        outward = True
+                    decided = True
+            if decided:
+                if not outward:
+                    break
+                pos = j
+        order[pos + 1:i + 1] = order[pos:i]
+        order[pos] = axis
+    order.reverse()
+    return np.empty([shape[axis] for axis in order],
+                    dtype).transpose(np.argsort(order))
 
 
 def _pool_windows(x: np.ndarray, kernel: int) -> np.ndarray:

@@ -19,10 +19,10 @@ from repro.quant.quantizer import UniformQuantizer
 def STEQuantFunction(x: Tensor, quantizer: UniformQuantizer) -> Tensor:
     """Apply ``quantizer.fake_quant`` with a straight-through gradient.
 
-    The quantize-dequantize kernel is backend-dispatched: the reference
-    backend runs the quantizer's float64 int-code round-trip (one C loop
-    in the same op order where the compiled tier loads), the fast
-    backend a fused float32 round-scale-shift.
+    The quantize-dequantize kernel is backend-dispatched: each backend
+    runs the quantizer's int-code round-trip in its own dtype (float64
+    on the reference backend, float32 on the fast one), as one C loop
+    in the same op order where the compiled tier loads.
     """
     out_data = active_backend().fake_quant(x.data, quantizer)
 

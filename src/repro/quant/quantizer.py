@@ -12,16 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def quantize(x: np.ndarray, bits: int, x_min: float | None = None, x_max: float | None = None) -> np.ndarray:
+def quantize(x: np.ndarray, bits: int, x_min: float | None = None,
+             x_max: float | None = None, dtype=np.float64) -> np.ndarray:
     """Quantize ``x`` to integer codes on {0, ..., 2^bits - 1} (eqn. 1).
 
     ``x_min``/``x_max`` default to the data's own range (dynamic
     quantization, as used by the paper's in-training method).  A
-    degenerate range (x_max == x_min) maps everything to code 0.
+    degenerate range (x_max == x_min) maps everything to code 0.  The
+    arithmetic runs in ``dtype``: float64 as in the seed, or an array
+    backend's own.
     """
     if bits < 1:
         raise ValueError("bit-width must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=dtype)
     lo = float(x.min()) if x_min is None else float(x_min)
     hi = float(x.max()) if x_max is None else float(x_max)
     if hi < lo:
@@ -33,14 +36,15 @@ def quantize(x: np.ndarray, bits: int, x_min: float | None = None, x_max: float 
     return np.round(scaled).astype(np.int64)
 
 
-def dequantize(codes: np.ndarray, bits: int, x_min: float, x_max: float) -> np.ndarray:
-    """Map integer codes back to float values on [x_min, x_max]."""
+def dequantize(codes: np.ndarray, bits: int, x_min: float, x_max: float,
+               dtype=np.float64) -> np.ndarray:
+    """Map integer codes back to ``dtype`` values on [x_min, x_max]."""
     if bits < 1:
         raise ValueError("bit-width must be >= 1")
     levels = (1 << bits) - 1
     if x_max == x_min:
-        return np.full(np.asarray(codes).shape, x_min, dtype=np.float64)
-    return np.asarray(codes, dtype=np.float64) * ((x_max - x_min) / levels) + x_min
+        return np.full(np.asarray(codes).shape, x_min, dtype=dtype)
+    return np.asarray(codes, dtype=dtype) * ((x_max - x_min) / levels) + x_min
 
 
 class UniformQuantizer:
@@ -99,11 +103,12 @@ class UniformQuantizer:
             lo, hi = self._range_for(np.empty(0))
         return dequantize(codes, self.bits, lo, hi)
 
-    def fake_quant(self, x: np.ndarray) -> np.ndarray:
-        """Quantize-dequantize: float output restricted to 2^bits levels."""
-        x = np.asarray(x, dtype=np.float64)
+    def fake_quant(self, x: np.ndarray, dtype=np.float64) -> np.ndarray:
+        """Quantize-dequantize: ``dtype`` output restricted to 2^bits levels."""
+        x = np.asarray(x, dtype=dtype)
         lo, hi = self._range_for(x)
-        return dequantize(quantize(x, self.bits, lo, hi), self.bits, lo, hi)
+        return dequantize(quantize(x, self.bits, lo, hi, dtype), self.bits,
+                          lo, hi, dtype)
 
     def quantization_error(self, x: np.ndarray) -> float:
         """RMS error introduced by fake quantization of ``x``."""

@@ -16,8 +16,8 @@ the oracle.  Four guarantees:
 3. whole ResNet training steps on the reference backend, 1x1 stride-2
    shortcuts included, replay the oracle's losses, gradients and
    parameters exactly;
-4. reference runs give the same bytes with and without the C kernels
-   (the conv lowering here, and the max pooling and float64 fake-quant,
+4. runs on either backend give the same bytes with and without the C
+   kernels (the conv lowering here, and the max pooling, fake-quant,
    Adam and batchnorm loops that ``tests/test_backend_reference_kernels.py``
    holds to the seed), which is what lets the result cache ignore the
    kernel tier.
@@ -247,9 +247,9 @@ def test_unit_conv_at_batch_one_matches_seed(stride):
         assert got.tobytes() == want.tobytes(), f"{name} moved"
 
 
-def _resnet_steps(batch, steps=2):
+def _resnet_steps(batch, steps=2, backend="reference"):
     """Losses / grads / params of a narrow ResNet18 trained on 8x8 inputs."""
-    with use_backend("reference"):
+    with use_backend(backend):
         rng = np.random.default_rng(7)
         model = resnet18(num_classes=4, width_multiplier=0.0625,
                          rng=np.random.default_rng(42))
@@ -289,30 +289,29 @@ def test_resnet_steps_match_seed(batch):
 
 
 # ----------------------------------------------------------------------
-# 4. reference runs with and without the C kernels
+# 4. runs with and without the C kernels
 # ----------------------------------------------------------------------
 needs_c_tier = pytest.mark.skipif(not _ckernels.kernels(),
                                   reason="the C kernel tier cannot load here")
 
 
 @contextlib.contextmanager
-def reference_kernels(table):
-    """Give the registered reference backend the C kernel ``table``."""
+def backend_kernels(backend, table):
+    """Give the registered ``backend`` the C kernel ``table``."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(get_backend("reference"), "_kernels", table)
+        patch.setattr(get_backend(backend), "_kernels", table)
         yield
 
 
-# Every C kernel the reference backend runs: the conv lowering, max
-# pooling, and the float64 fake-quant, Adam and batchnorm loops.
-REFERENCE_KERNELS = ("im2col", "col2im", "maxpool_fwd", "maxpool_bwd",
-                     "fake_quant_f64", "adam_update_f64", "bn_centre_f64",
-                     "bn_normalize_f64", "bn_grad_terms_f64",
-                     "bn_grad_input_f64")
+# Every C kernel both backends run: the conv lowering, max pooling, and
+# the fake-quant, Adam and batchnorm loops.
+KERNELS = ("im2col", "col2im", "maxpool_fwd", "maxpool_bwd", "fake_quant",
+           "adam_update", "bn_centre", "bn_normalize", "bn_grad_terms",
+           "bn_grad_input")
 
 
 def _counted(calls):
-    """The reference backend's C kernels, counting the calls each one took."""
+    """The C kernels, counting the calls each one took."""
     def counting(name, kernel):
         def run(*args):
             ran = kernel(*args)
@@ -321,13 +320,13 @@ def _counted(calls):
         return run
 
     return {name: counting(name, _ckernels.kernels()[name])
-            for name in REFERENCE_KERNELS}
+            for name in KERNELS}
 
 
-def _smoke_run():
+def _smoke_run(backend):
     """Cache payload and final parameters of a ``vgg11-micro-smoke`` run."""
     experiment = experiments.Experiment(
-        experiments.get_config("vgg11-micro-smoke"))
+        experiments.get_config("vgg11-micro-smoke").evolve(backend=backend))
     report = experiment.run()
     payload = json.dumps(run_payload(report, experiment.artifacts),
                          sort_keys=True)
@@ -337,13 +336,14 @@ def _smoke_run():
 
 
 @needs_c_tier
-def test_reference_runs_do_not_depend_on_the_kernel_tier():
+@pytest.mark.parametrize("backend", ["reference", "fast"])
+def test_reference_runs_do_not_depend_on_the_kernel_tier(backend):
     calls = collections.Counter()
-    with reference_kernels(_counted(calls)):
-        compiled = _smoke_run(), _resnet_steps(3)
-    assert all(calls[name] > 0 for name in REFERENCE_KERNELS), calls
-    with reference_kernels({}):
-        numpy_only = _smoke_run(), _resnet_steps(3)
+    with backend_kernels(backend, _counted(calls)):
+        compiled = _smoke_run(backend), _resnet_steps(3, backend=backend)
+    assert all(calls[name] > 0 for name in KERNELS), calls
+    with backend_kernels(backend, {}):
+        numpy_only = _smoke_run(backend), _resnet_steps(3, backend=backend)
     (payload, params), resnet = compiled
     (numpy_payload, numpy_params), numpy_resnet = numpy_only
     assert payload == numpy_payload, "report or artifacts moved"

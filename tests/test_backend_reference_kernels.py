@@ -1,12 +1,16 @@
-"""The reference backend's compiled float64 chains against the seed.
+"""The compiled chains of both backends against the seed.
 
 ``ReferenceBackend`` runs eqn. 1's quantize -> dequantize chain, the
 Adam update, training-mode batchnorm and max pooling as float64 C loops
 where the C tier loads and takes the operands, and as the seed's numpy
-chains otherwise.  The seed chains live on here, verbatim, as the
-oracle.  Over grids of the bench trial's shapes, input and gradient
+chains otherwise; ``FastBackend`` runs the float32 instances of the
+same loops.  The seed chains live on here as the oracle, verbatim but
+for the dtype, which the seed fixed at float64 and which here is the
+operands'.  Over grids of the bench trial's shapes, input and gradient
 layouts, bit-widths, signed zeros, degenerate and non-finite values,
-and Adam steps, with and without the C kernels:
+and Adam steps, with and without the C kernels on the reference
+backend, and with them on the fast backend (fake-quant, Adam and
+batchnorm):
 
 1. every output — the fake-quantized array, the new parameter and the
    in-place moment buffers, batchnorm's output, statistics, residual
@@ -33,16 +37,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend.fast import FastBackend
 from repro.backend.reference import ReferenceBackend
 from repro.quant import UniformQuantizer
 
 
 # ----------------------------------------------------------------------
-# The seed oracle, verbatim: repro.quant.quantizer's quantize/dequantize
-# as UniformQuantizer.fake_quant composes them, and the seed's Adam.
+# The seed oracle: repro.quant.quantizer's quantize/dequantize as
+# UniformQuantizer.fake_quant composes them, in ``dtype``, and the
+# seed's Adam.
 # ----------------------------------------------------------------------
-def seed_fake_quant(x, bits, x_min=None, x_max=None):
-    x = np.asarray(x, dtype=np.float64)
+def seed_fake_quant(x, bits, x_min=None, x_max=None, dtype=np.float64):
+    x = np.asarray(x, dtype=dtype)
     lo = float(x.min()) if x_min is None else float(x_min)
     hi = float(x.max()) if x_max is None else float(x_max)
     levels = (1 << bits) - 1
@@ -52,8 +58,8 @@ def seed_fake_quant(x, bits, x_min=None, x_max=None):
         scaled = (np.clip(x, lo, hi) - lo) * (levels / (hi - lo))
         codes = np.round(scaled).astype(np.int64)
     if hi == lo:
-        return np.full(np.asarray(codes).shape, lo, dtype=np.float64)
-    return np.asarray(codes, dtype=np.float64) * ((hi - lo) / levels) + lo
+        return np.full(np.asarray(codes).shape, lo, dtype=dtype)
+    return np.asarray(codes, dtype=dtype) * ((hi - lo) / levels) + lo
 
 
 def seed_adam(param, grad, m, v, lr, beta1, beta2, eps, weight_decay,
@@ -127,6 +133,8 @@ def _backends():
 
 BACKENDS = _backends()
 C_TIER, NUMPY_TIER = (param.values[0] for param in BACKENDS)
+# The fast backend runs the float32 instances of the same loops.
+WITH_FAST = BACKENDS + [pytest.param(FastBackend(), id="fast")]
 
 
 @contextlib.contextmanager
@@ -186,22 +194,34 @@ BITS = [*range(1, 17), 32, 62]
 # Fake quantization
 # ----------------------------------------------------------------------
 def check_fake_quant(backend, x, quantizer, runs_c, oracle_range=(None, None)):
-    want = seed_fake_quant(x, quantizer.bits, *oracle_range)
+    want = seed_fake_quant(x, quantizer.bits, *oracle_range,
+                           dtype=backend.dtype)
     with counted(backend) as calls:
         got = backend.fake_quant(x, quantizer)
     assert_seed_array(got, want, f"fake_quant {x.shape} {quantizer}")
-    expected = int(runs_c and "fake_quant_f64" in backend._kernels)
-    assert calls["fake_quant_f64"] == expected, (
-        f"C fake-quant ran {calls['fake_quant_f64']} times, "
+    expected = int(runs_c and "fake_quant" in backend._kernels)
+    assert calls["fake_quant"] == expected, (
+        f"C fake-quant ran {calls['fake_quant']} times, "
         f"expected {expected}")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+# Per dtype: a range whose width overflows it, one whose width is
+# subnormal (so levels / width overflows), and a value near the top of
+# the dtype which, with the next value up, spans a range whose scales
+# are both finite.
+EXTREMES = {
+    np.dtype(np.float64): ([-1.5e308, 0.0, 1.5e308], [0.0, 5e-324, 1e-323],
+                           1e300),
+    np.dtype(np.float32): ([-2e38, 0.0, 2e38], [0.0, 1e-45, 3e-45], 1e30),
+}
+
+
+@pytest.mark.parametrize("backend", WITH_FAST)
 class TestFakeQuantMatchesSeed:
     @pytest.mark.parametrize("shape", WEIGHT_SHAPES + ACTIVATION_SHAPES)
     def test_bench_shapes_and_layouts(self, backend, shape):
         x = np.random.default_rng(0).normal(size=shape) * 0.3
-        for _name, arr, dense in layouts(x):
+        for _name, arr, dense in layouts(x.astype(backend.dtype)):
             for bits in (2, 8, 16):
                 check_fake_quant(backend, arr, UniformQuantizer(bits), dense)
 
@@ -209,18 +229,20 @@ class TestFakeQuantMatchesSeed:
     def test_bits(self, backend, bits):
         rng = np.random.default_rng(bits)
         x = channel_major(rng.normal(size=(25, 8, 4, 4)) * 2.0 + 0.5)
-        check_fake_quant(backend, x, UniformQuantizer(bits), True)
+        check_fake_quant(backend, x.astype(backend.dtype),
+                         UniformQuantizer(bits), True)
         if bits <= 12:
             # Every half-way point between two codes (scale 1): exact
             # ties, which round half to even.
             levels = (1 << bits) - 1
-            ties = np.arange(2 * levels + 1) / 2.0
+            ties = np.arange(2 * levels + 1, dtype=backend.dtype) / 2.0
             check_fake_quant(backend, ties, UniformQuantizer(bits), True)
 
     @pytest.mark.parametrize("shape", ACTIVATION_SHAPES)
     def test_relu_outputs_carry_negative_zero(self, backend, shape):
         rng = np.random.default_rng(1)
         for seed_x in (rng.normal(size=shape), -np.abs(rng.normal(size=shape))):
+            seed_x = seed_x.astype(backend.dtype)
             relu = seed_x * (seed_x > 0)  # -0.0 wherever seed_x < 0
             for _name, arr, dense in layouts(relu):
                 degenerate = not arr.any()
@@ -237,25 +259,30 @@ class TestFakeQuantMatchesSeed:
     ], ids=["constant", "zeros", "negative-zeros", "mixed-zeros",
             "mixed-zeros-negative-first", "one-subnormal"])
     def test_degenerate_ranges_take_the_seed_path(self, backend, values):
-        check_fake_quant(backend, np.array(values), UniformQuantizer(8), False)
+        check_fake_quant(backend, np.array(values, dtype=backend.dtype),
+                         UniformQuantizer(8), False)
 
     @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
     def test_non_finite_inputs_take_the_seed_path(self, backend, special):
         x = np.random.default_rng(2).normal(size=(4, 8, 3, 3))
+        x = x.astype(backend.dtype)
         x[1, 2, 0, 1] = special
         with np.errstate(invalid="ignore"):
             check_fake_quant(backend, x, UniformQuantizer(8), False)
 
     def test_extreme_ranges(self, backend):
+        dtype = backend.dtype
+        wide, narrow, top = EXTREMES[dtype]
         with np.errstate(invalid="ignore", over="ignore"):
             # hi - lo overflows to inf: scale 0, inverse scale inf.
-            check_fake_quant(backend, np.array([-1.5e308, 0.0, 1.5e308]),
+            check_fake_quant(backend, np.array(wide, dtype=dtype),
                              UniformQuantizer(8), False)
             # hi - lo is subnormal: levels / (hi - lo) overflows to inf.
-            check_fake_quant(backend, np.array([0.0, 5e-324, 1e-323]),
+            check_fake_quant(backend, np.array(narrow, dtype=dtype),
                              UniformQuantizer(16), False)
         # One ulp apart near the top of the range: both scales finite.
-        top = np.array([1e300, np.nextafter(1e300, np.inf)] * 4)
+        top = dtype.type(top)
+        top = np.array([top, np.nextafter(top, dtype.type(np.inf))] * 4)
         check_fake_quant(backend, top, UniformQuantizer(16), True)
 
     def test_static_quantizer_takes_the_seed_path(self, backend):
@@ -263,7 +290,7 @@ class TestFakeQuantMatchesSeed:
         quantizer = UniformQuantizer(4, dynamic=False)
         quantizer.calibrate(rng.normal(size=100))
         x = channel_major(rng.normal(size=(25, 8, 4, 4)) * 3.0)
-        check_fake_quant(backend, x, quantizer, False,
+        check_fake_quant(backend, x.astype(backend.dtype), quantizer, False,
                          (quantizer.x_min, quantizer.x_max))
 
 
@@ -273,13 +300,13 @@ class TestFakeQuantMatchesSeed:
 ADAM_SHAPES = [(8, 3, 3, 3), (64, 64, 3, 3), (64,), (10, 64), (10,)]
 
 
-def adam_operands(shape, seed, grad_order="C"):
+def adam_operands(shape, seed, grad_order="C", dtype=np.float64):
     rng = np.random.default_rng(seed)
     param = rng.normal(size=shape) * 0.1
     grad = np.asarray(rng.normal(size=shape) * 0.01, order=grad_order)
     m = rng.normal(size=shape) * 1e-3
     v = np.abs(rng.normal(size=shape)) * 1e-5
-    return param, grad, m, v
+    return tuple(a.astype(dtype) for a in (param, grad, m, v))
 
 
 def check_adam(backend, operands, step, weight_decay, runs_c):
@@ -296,22 +323,23 @@ def check_adam(backend, operands, step, weight_decay, runs_c):
     assert_seed_array(m, seed_m, f"{what}: m")
     assert_seed_array(v, seed_v, f"{what}: v")
     assert got is not param and not np.shares_memory(got, param)
-    expected = int(runs_c and "adam_update_f64" in backend._kernels)
-    assert calls["adam_update_f64"] == expected, (
-        f"C Adam ran {calls['adam_update_f64']} times, expected {expected}")
+    expected = int(runs_c and "adam_update" in backend._kernels)
+    assert calls["adam_update"] == expected, (
+        f"C Adam ran {calls['adam_update']} times, expected {expected}")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", WITH_FAST)
 class TestAdamMatchesSeed:
     @pytest.mark.parametrize("shape", ADAM_SHAPES)
     @pytest.mark.parametrize("step", [1, 10_000])
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
     def test_bench_shapes(self, backend, shape, step, weight_decay):
-        check_adam(backend, adam_operands(shape, step), step, weight_decay,
-                   True)
+        check_adam(backend, adam_operands(shape, step, dtype=backend.dtype),
+                   step, weight_decay, True)
 
     def test_repeated_steps_track_the_seed(self, backend):
-        param, grad, m, v = adam_operands((64, 32, 3, 3), 0)
+        param, grad, m, v = adam_operands((64, 32, 3, 3), 0,
+                                          dtype=backend.dtype)
         seed_param, seed_m, seed_v = param.copy(), m.copy(), v.copy()
         for step in range(1, 6):
             hyper = (1e-3, 0.9, 0.999, 1e-8, 1e-4,
@@ -325,20 +353,23 @@ class TestAdamMatchesSeed:
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
     def test_f_ordered_grad_takes_the_seed_path(self, backend, weight_decay):
         # The linear layer's weight gradient is a transposed GEMM output.
-        check_adam(backend, adam_operands((10, 64), 4, grad_order="F"), 3,
-                   weight_decay, False)
+        check_adam(backend, adam_operands((10, 64), 4, grad_order="F",
+                                          dtype=backend.dtype),
+                   3, weight_decay, False)
 
     def test_layouts_alike_run_compiled(self, backend):
         # A parameter with its moments and gradient in one non-C layout.
-        operands = tuple(channel_major(a) for a in adam_operands((8, 16, 3, 3), 5))
+        operands = tuple(channel_major(a) for a in adam_operands(
+            (8, 16, 3, 3), 5, dtype=backend.dtype))
         check_adam(backend, operands, 2, 0.0, True)
 
-    @pytest.mark.parametrize("mismatch", ["float32 grad", "sliced grad",
+    @pytest.mark.parametrize("mismatch", ["other-dtype grad", "sliced grad",
                                           "F-ordered m"])
     def test_mismatched_operands_take_the_seed_path(self, backend, mismatch):
-        param, grad, m, v = adam_operands((16, 8), 6)
-        if mismatch == "float32 grad":
-            grad = grad.astype(np.float32)
+        param, grad, m, v = adam_operands((16, 8), 6, dtype=backend.dtype)
+        if mismatch == "other-dtype grad":
+            other = np.float32 if backend.dtype == np.float64 else np.float64
+            grad = grad.astype(other)
         elif mismatch == "sliced grad":
             grad = np.repeat(grad, 2, axis=1)[:, ::2]
         else:
@@ -346,13 +377,13 @@ class TestAdamMatchesSeed:
         check_adam(backend, (param, grad, m, v), 7, 5e-4, False)
 
     def test_read_only_moments_are_not_written(self, backend):
-        param, grad, m, v = adam_operands((16, 8), 8)
+        param, grad, m, v = adam_operands((16, 8), 8, dtype=backend.dtype)
         frozen = np.lib.stride_tricks.as_strided(v, writeable=False)
         before = v.copy()
         with counted(backend) as calls, pytest.raises(ValueError):
             backend.adam_update(param, grad, m, frozen, 1e-3, 0.9, 0.999,
                                 1e-8, 0.0, 0.1, 0.001)
-        assert calls["adam_update_f64"] == 0
+        assert calls["adam_update"] == 0
         assert v.tobytes() == before.tobytes()
 
 
@@ -372,8 +403,8 @@ def pooled_view(a):
     channel-major image whose width is the window: a view with the
     window buffer's twisted strides (channel-major for 2x2 -> 1x1)."""
     n, c, h, w = a.shape
-    image = channel_major(np.zeros(a.shape))
-    view = seed_max_pool(image, w, np.zeros((n, c, h // w, 1)))[1]
+    image = channel_major(np.zeros(a.shape, a.dtype))
+    view = seed_max_pool(image, w, np.zeros((n, c, h // w, 1), a.dtype))[1]
     view[...] = a
     return view
 
@@ -388,13 +419,14 @@ def image_layouts(a):
 
 
 def plane_addressable(*arrays):
-    """The C loops' precondition: float64 images with positive strides
-    and contiguous rows."""
+    """The C loops' precondition: float or bool images with positive
+    strides and contiguous rows."""
     for a in arrays:
         if a is None:
             continue
         steps = [s for s, d in zip(a.strides, a.shape) if d > 1]
-        if not (a.dtype in (np.float64, np.bool_) and min(steps, default=1) > 0
+        if not (a.dtype in (np.float32, np.float64, np.bool_)
+                and min(steps, default=1) > 0
                 and (a.shape[3] == 1 or a.strides[3] == a.itemsize)):
             return False
     return True
@@ -413,7 +445,7 @@ def check_batchnorm(backend, x, gamma, beta, relu, grad):
     want = seed_batchnorm_train(x, gamma, beta, 1e-5, relu)
     with counted(backend) as calls:
         got = backend.batchnorm_train(x, gamma, beta, 1e-5, relu)
-    assert_tier_ran(backend, calls, ("bn_centre_f64", "bn_normalize_f64"),
+    assert_tier_ran(backend, calls, ("bn_centre", "bn_normalize"),
                     plane_addressable(x))
     for name, g, s in zip(("out", "mean", "var"), got, want):
         assert_seed_array(g, s, f"batchnorm {name} {x.strides}")
@@ -428,12 +460,19 @@ def check_batchnorm(backend, x, gamma, beta, relu, grad):
     with counted(backend) as calls:
         got = backend.batchnorm_bwd(grad, gamma, residual, True)
     x_hat, _, mask = residual
-    assert_tier_ran(backend, calls, ("bn_grad_terms_f64", "bn_grad_input_f64"),
+    assert_tier_ran(backend, calls, ("bn_grad_terms", "bn_grad_input"),
                     plane_addressable(grad, x_hat, mask))
     for name, g, s in zip(("gx", "ggamma", "gbeta"), got, want):
         assert_seed_array(g, s, f"batchnorm {name} grad {grad.strides}")
 
 
+def _draws(rng, dtype):
+    """Normal draws from ``rng`` (float64, as the seed drew them) in ``dtype``."""
+    return lambda size: rng.normal(size=size).astype(dtype)
+
+
+# A finite factor whose square overflows the dtype.
+HUGE = {np.dtype(np.float64): 1e300, np.dtype(np.float32): 1e30}
 # The bench trial's batchnorm inputs: conv outputs, channel-major.
 BN_SHAPES = [(25, 8, 16, 16), (25, 16, 8, 8), (25, 32, 4, 4), (25, 64, 2, 2),
              (25, 64, 1, 1)]
@@ -445,78 +484,77 @@ GRAD_LAYOUTS = {
 }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", WITH_FAST)
 class TestBatchnormMatchesSeed:
     @pytest.mark.parametrize("shape", BN_SHAPES)
     @pytest.mark.parametrize("relu", [True, False])
     @pytest.mark.parametrize("grad_layout", list(GRAD_LAYOUTS))
     def test_bench_shapes(self, backend, shape, relu, grad_layout):
         rng = np.random.default_rng(shape[1])
-        x = channel_major(rng.normal(size=shape) * 2.0 + 0.5)
-        gamma, beta = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+        draw = _draws(rng, backend.dtype)
+        x = channel_major(draw(shape) * 2.0 + 0.5)
+        gamma, beta = draw(shape[1]), draw(shape[1])
         check_batchnorm(backend, x, gamma, beta, relu,
-                        lambda out: GRAD_LAYOUTS[grad_layout](
-                            rng.normal(size=shape)))
+                        lambda out: GRAD_LAYOUTS[grad_layout](draw(shape)))
 
     @pytest.mark.parametrize("relu", [True, False])
     def test_pooled_grad_at_the_last_pool(self, backend, relu):
         # The 2x2 -> 1x1 pool's backward hands its twisted view on.
-        rng = np.random.default_rng(1)
+        draw = _draws(np.random.default_rng(1), backend.dtype)
         shape = (25, 64, 2, 2)
-        x = channel_major(rng.normal(size=shape))
-        grad = pooled_view(rng.normal(size=shape))
+        x = channel_major(draw(shape))
+        grad = pooled_view(draw(shape))
         assert not grad.flags.c_contiguous and plane_addressable(grad)
-        check_batchnorm(backend, x, rng.normal(size=64), rng.normal(size=64),
-                        relu, lambda out: grad)
+        check_batchnorm(backend, x, draw(64), draw(64), relu,
+                        lambda out: grad)
 
     @pytest.mark.parametrize("layout", ["C", "channel-major", "padded", "F",
                                         "reversed"])
     def test_input_layouts(self, backend, layout):
-        rng = np.random.default_rng(2)
-        values = rng.normal(size=(3, 4, 5, 6))
-        x = dict(image_layouts(values))[layout]
-        check_batchnorm(backend, x, rng.normal(size=4), rng.normal(size=4),
-                        True, lambda out: rng.normal(size=out.shape))
+        draw = _draws(np.random.default_rng(2), backend.dtype)
+        x = dict(image_layouts(draw((3, 4, 5, 6))))[layout]
+        check_batchnorm(backend, x, draw(4), draw(4), True,
+                        lambda out: draw(out.shape))
 
     @pytest.mark.parametrize("layout", ["F", "reversed"])
     def test_f_ordered_and_reversed_images_take_the_seed_path(self, backend,
                                                              layout):
-        rng = np.random.default_rng(3)
-        values = rng.normal(size=(4, 3, 5, 6))
-        x = dict(image_layouts(values))[layout]
+        draw = _draws(np.random.default_rng(3), backend.dtype)
+        x = dict(image_layouts(draw((4, 3, 5, 6))))[layout]
         assert not plane_addressable(x)
-        check_batchnorm(backend, x, rng.normal(size=3), rng.normal(size=3),
-                        True, lambda out: rng.normal(size=out.shape))
+        check_batchnorm(backend, x, draw(3), draw(3), True,
+                        lambda out: draw(out.shape))
 
     @pytest.mark.parametrize("relu", [True, False])
     def test_non_finite_values_and_signed_zeros(self, backend, relu):
-        rng = np.random.default_rng(4)
+        dtype = backend.dtype
+        draw = _draws(np.random.default_rng(4), dtype)
         shape = (6, 5, 3, 4)
-        values = rng.normal(size=shape)
+        values = draw(shape)
         values[0, 0, 0, 0] = np.nan         # channel 0: all NaN
         values[1, 1, 0, 1] = np.inf         # channel 1: inf - inf = NaN
         values[2, 2, 1, 1] = -np.inf
         values[:, 3] = -0.0                  # channel 3: var 0, x_hat NaN
-        values[:, 4, 0] *= 1e300             # channel 4: huge, finite
-        grad = rng.normal(size=shape)
+        values[:, 4, 0] *= dtype.type(HUGE[dtype])  # channel 4: huge, finite
+        grad = draw(shape)
         grad[0, 4, 0, 0] = np.nan
         grad[1, 4, 1, 1] = -np.inf
         grad[2, 4] = -0.0
-        gamma = np.array([1.0, -2.0, 0.5, 3.0, -0.0])
-        beta = np.array([0.0, 1.0, -1.0, -0.0, 2.0])
+        gamma = np.array([1.0, -2.0, 0.5, 3.0, -0.0], dtype=dtype)
+        beta = np.array([0.0, 1.0, -1.0, -0.0, 2.0], dtype=dtype)
         with np.errstate(invalid="ignore", over="ignore"):
             check_batchnorm(backend, channel_major(values), gamma, beta, relu,
                             lambda out: padded_view(grad))
 
     def test_eval_mode_backward_takes_the_seed_path(self, backend):
-        rng = np.random.default_rng(5)
-        x = channel_major(rng.normal(size=(4, 3, 2, 2)))
-        gamma = rng.normal(size=3)
+        draw = _draws(np.random.default_rng(5), backend.dtype)
+        x = channel_major(draw((4, 3, 2, 2)))
+        gamma = draw(3)
         _, _, _, residual = backend.batchnorm_train(x, gamma, gamma, 1e-5, True)
-        grad = rng.normal(size=x.shape)
+        grad = draw(x.shape)
         with counted(backend) as calls:
             got = backend.batchnorm_bwd(grad, gamma, residual, False)
-        assert not calls["bn_grad_terms_f64"]
+        assert not calls["bn_grad_terms"]
         x_hat, inv_std, mask = residual
         masked = grad * mask
         want = (masked * (gamma * inv_std)[None, :, None, None],

@@ -30,6 +30,12 @@ PINNED_KEYS = {
                         "1376bb2df2ef00e5e8803554a6580293"),
 }
 
+# ``vgg11-micro-smoke`` on ``fast`` as it hashed while fast ran its own
+# float32 kernels, whose results differ from today's: entries stored
+# under it are stale and must not be served.
+STALE_FAST_KEY = ("e90c21880bfa6b0ce17509e4d887fb9b"
+                  "293aabea374cc7579d11f3a160f531cd")
+
 
 class TestRegistry:
     def test_both_backends_registered(self):
@@ -136,6 +142,18 @@ class TestCacheKeyRegression:
         config = experiments.get_config("vgg11-micro-smoke")
         assert config.evolve(backend="fast").cache_key() != \
             config.cache_key()
+
+    def test_fast_key_carries_the_fast_revision(self):
+        # Fast results changed under the same config; the revision moves
+        # fast keys off the stale entries and leaves every other key,
+        # and the dict form, as they were.
+        config = experiments.get_config("vgg11-micro-smoke").evolve(
+            backend="fast")
+        assert config.cache_key() != STALE_FAST_KEY
+        assert "fast_revision" not in config.to_dict()
+        restored = ExperimentConfig.from_dict(config.to_dict())
+        assert restored == config
+        assert restored.cache_key() == config.cache_key()
 
     def test_explicit_reference_backend_keeps_the_key(self):
         # `backend="reference"` spelled out must hash like the field was
