@@ -1,6 +1,6 @@
-"""Compiled C kernels for both backends (cffi + a C compiler).
+"""Compiled C kernels for both backends (a C compiler, driven by cffi).
 
-One small C module, compiled once per source revision and flag set,
+One small shared object, compiled once per source revision and flag set,
 holds two groups of loops.  Every loop is a template instantiated for
 float32 and float64, so both backends run the same code, each in its
 own dtype; the numpy code the backends hold is the fallback and what
@@ -18,27 +18,38 @@ the seed oracles check:
   :class:`~repro.backend.base.ArrayBackend`'s numpy chains as one loop,
   in the chain's op order and with its bytes: these are built with FMA
   contraction off, so every multiply and add rounds on its own, as
-  numpy's do.  Batchnorm's sums are not among them: each pass writes
-  the arrays the chain sums next, and the caller sums them with numpy.
+  numpy's do.  Fake-quant also finds its dynamic range, in one pass
+  before its loop.  Batchnorm's sums are not among them: each pass
+  writes the arrays the chain sums next, and the caller sums them with
+  numpy.
+
+The same shared object holds a CPython module, the dispatch module,
+with one entry point per kernel name.  An entry point takes the numpy
+arrays as they are, reads each through the buffer protocol and checks
+it against its loop's rules in C: dtype and byte order, shape and
+size, alignment, layout and writability.  Then it either runs the loop
+with the GIL released and returns True, or returns False having written
+nothing, and the op runs its numpy fallback.  Each rule has that one
+implementation, next to the loop it guards.
 
 The fallbacks define the semantics and run whenever this tier cannot
-load (no cffi, no compiler, a build failure), or when a kernel cannot
-take its operands: every wrapper checks each operand's dtype, size and
-layout before it hands over a pointer, and returns False, writing
-nothing, when one does not fit.  There is no switch: :func:`kernels`
-either yields the whole table or an empty one.
+load (no cffi, no compiler, a build failure, no dispatch module), or
+when a kernel cannot take its operands.  There is no switch:
+:func:`kernels` either yields the whole table or an empty one.
 
 The flags are ``-O3 -march=native -funroll-loops -fno-math-errno``; the
 last lets ``sqrt`` compile to its instruction, so loops that call it
 vectorise, and changes no result.  The data-movement loops keep the
-compiler's default FMA contraction, which finds nothing there.  The build
-is cached on disk under ``REPRO_CKERNEL_CACHE`` (default
-``~/.cache/repro-ckernels``) keyed by a hash of the C source and the
-compiler flags, so worker subprocesses and later runs import the shared
-object instantly instead of re-invoking the compiler.  A build runs in
-a private temp directory and is published with one atomic rename, so a
-process killed mid-build never leaves a partial shared object for
-others to load.
+compiler's default FMA contraction, which finds nothing there.  cffi
+builds against CPython's limited API unless ``_CFFI_NO_LIMITED_API`` is
+defined; the dispatch module needs the full API (``Py_buffer``,
+``METH_FASTCALL``).  The build is cached on disk under
+``REPRO_CKERNEL_CACHE`` (default ``~/.cache/repro-ckernels``) keyed by a
+hash of the C source, the compiler flags and the macros, so worker
+subprocesses and later runs import the shared object instantly instead
+of re-invoking the compiler.  A build runs in a private temp directory
+and is published with one atomic rename, so a process killed mid-build
+never leaves a partial shared object for others to load.
 
 Nothing outside this module may import cffi directly, and nothing here
 runs at import time: the compiler starts on the first kernel lookup.
@@ -50,9 +61,8 @@ import hashlib
 import os
 import string
 
-import numpy as np
-
 _SOURCE = r"""
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -64,16 +74,8 @@ _SOURCE = r"""
 # both backends' image layouts (and the seed's padded gradient buffer)
 # are addressed in place.  The column matrix is C-ordered (C*k*k,
 # N*oh*ow): row (ci*k + ki)*k + kj holds tap (ki, kj) of channel ci at
-# every output position, N outermost.
-_CONV_CDEF = string.Template("""
-void im2col_$S(const $T* x, $T* cols, long n, long c, long h, long w,
-               long sn, long sc, long sh, long kernel, long stride,
-               long padding, long oh, long ow);
-void col2im_$S(const $T* cols, $T* gx, long n, long c, long h, long w,
-               long sn, long sc, long sh, long kernel, long stride,
-               long padding, long oh, long ow);
-""")
-
+# every output position, N outermost.  Every kernel returns 1 when it
+# ran, as the entry points report it.
 _CONV_SOURCE = string.Template(r"""
 /* im2col gather with implicit zero padding.  At stride 1 a tap that
    misses the image is one memset.  Otherwise each N block is the image
@@ -82,9 +84,9 @@ _CONV_SOURCE = string.Template(r"""
    sit end to end (sn == oh*ow, a channel-major image), else a copy per
    row.  In-image segments then alternate with zero runs: a head before
    the first, a gap between rows and a tail after the last. */
-void im2col_$S(const $T* x, $T* cols, long n, long c, long h, long w,
-               long sn, long sc, long sh, long kernel, long stride,
-               long padding, long oh, long ow) {
+static int im2col_$S(const $T* x, $T* cols, long n, long c, long h, long w,
+                     long sn, long sc, long sh, long kernel, long stride,
+                     long padding, long oh, long ow) {
     long block = oh * ow, ncols = n * block;
     for (long ci = 0; ci < c; ci++) {
         for (long ki = 0; ki < kernel; ki++) {
@@ -143,15 +145,17 @@ void im2col_$S(const $T* x, $T* cols, long n, long c, long h, long w,
             }
         }
     }
+    return 1;
 }
 
 /* col2im scatter, the adjoint: adds each tap into the (already zeroed)
    image, taps in (ki, kj) order, so every pixel sums its contributions
    in the seed's order.  At stride 1 a tap that misses the image is
    skipped, and the rest add only their in-image rows and columns. */
-void col2im_$S(const $T* restrict cols, $T* restrict gx, long n, long c,
-               long h, long w, long sn, long sc, long sh, long kernel,
-               long stride, long padding, long oh, long ow) {
+static int col2im_$S(const $T* restrict cols, $T* restrict gx, long n,
+                     long c, long h, long w, long sn, long sc, long sh,
+                     long kernel, long stride, long padding, long oh,
+                     long ow) {
     long block = oh * ow, ncols = n * block;
     for (long ci = 0; ci < c; ci++) {
         for (long ki = 0; ki < kernel; ki++) {
@@ -190,6 +194,7 @@ void col2im_$S(const $T* restrict cols, $T* restrict gx, long n, long c,
             }
         }
     }
+    return 1;
 }
 """)
 
@@ -197,22 +202,15 @@ void col2im_$S(const $T* restrict cols, $T* restrict gx, long n, long c,
 # like the conv lowering and addressing both images the same way: plane
 # (ni, ci) at ni*sn + ci*sc, contiguous rows sh apart.  The outputs and
 # window offsets are C-ordered (N, C, oh, ow).
-_POOL_CDEF = string.Template("""
-void maxpool_fwd_$S(const $T* x, $T* out, int64_t* idx, long n, long c,
-                    long h, long w, long sn, long sc, long sh, long k);
-int maxpool_bwd_$S(const $T* grad, const int64_t* idx, $T* gx, long n,
-                   long c, long h, long w, long gn, long gc, long gh,
-                   long sn, long sc, long sh, long k);
-""")
-
 _POOL_SOURCE = string.Template(r"""
 /* Each window's maximum and its offset ki*k + kj, chosen as numpy's
    argmax chooses: the first maximum wins, and a NaN wins and ends the
    scan.  A row of windows is scanned together, tap by tap in (ki, kj)
    order: a window takes a tap only while its best is not NaN and the
    tap is not <= it, a select rather than a branch. */
-void maxpool_fwd_$S(const $T* x, $T* out, int64_t* idx, long n, long c,
-                    long h, long w, long sn, long sc, long sh, long k) {
+static int maxpool_fwd_$S(const $T* x, $T* out, int64_t* idx, long n,
+                          long c, long h, long w, long sn, long sc, long sh,
+                          long k) {
     long oh = h / k, ow = w / k;
     $T* o = out;
     int64_t* at = idx;
@@ -237,14 +235,15 @@ void maxpool_fwd_$S(const $T* x, $T* out, int64_t* idx, long n, long c,
             }
         }
     }
+    return 1;
 }
 
 /* The adjoint: fills gx, each window zero but for its output gradient
    at the argmax tap.  Returns 0, writing nothing, if an offset lies
    outside its window. */
-int maxpool_bwd_$S(const $T* grad, const int64_t* idx, $T* gx, long n,
-                   long c, long h, long w, long gn, long gc, long gh,
-                   long sn, long sc, long sh, long k) {
+static int maxpool_bwd_$S(const $T* grad, const int64_t* idx, $T* gx,
+                          long n, long c, long h, long w, long gn, long gc,
+                          long gh, long sn, long sc, long sh, long k) {
     long oh = h / k, ow = w / k;
     for (long o = 0; o < n * c * oh * ow; o++)
         if (idx[o] < 0 || idx[o] >= k * k) return 0;
@@ -272,64 +271,80 @@ int maxpool_bwd_$S(const $T* grad, const int64_t* idx, $T* gx, long n,
 # numpy ops in the seed's order in the operand's own type, one rounding
 # per op: the pragmas stop the compiler from contracting a multiply and
 # an add into one FMA (GCC's pragma for GCC, the C99 one for clang,
-# which ignores GCC's).  $M is the C math functions' suffix for $T.
-_ARITH_CDEF = string.Template("""
-void fake_quant_$S(const $T* x, $T* out, long size, $T lo, $T hi, $T scale,
-                   $T inv_scale);
-void adam_update_$S(const $T* p, const $T* g, $T* m, $T* v, $T* out,
-                    long size, $T lr, $T beta1, $T beta2,
-                    $T one_minus_beta1, $T one_minus_beta2, $T eps,
-                    int decay, $T weight_decay, $T bias1, $T bias2);
-void bn_centre_$S(const $T* x, const $T* mean, $T* centered, $T* sq,
-                  long n, long c, long h, long w,
-                  long xn, long xc, long xh, long on, long oc, long oh);
-void bn_normalize_$S($T* x_hat, const $T* inv_std, const $T* gamma,
-                     const $T* beta, $T* out, unsigned char* mask,
-                     long n, long c, long h, long w,
-                     long xn, long xc, long xh, long on, long oc, long oh,
-                     long mn, long mc, long mh);
-void bn_grad_terms_$S(const $T* grad, const unsigned char* mask,
-                      const $T* x_hat, $T* masked, $T* prod,
-                      long n, long c, long h, long w,
-                      long gn, long gc, long gh, long mn, long mc, long mh,
-                      long xn, long xc, long xh, long an, long ac, long ah,
-                      long pn, long pc, long ph);
-void bn_grad_input_$S(const $T* grad, const $T* x_hat, const $T* scale,
-                      const $T* mean_dy, const $T* mean_dy_xhat, $T* gx,
-                      long n, long c, long h, long w,
-                      long gn, long gc, long gh, long xn, long xc, long xh,
-                      long on, long oc, long oh);
-""")
-
+# which ignores GCC's).  $M is the C math functions' suffix for $T, $L
+# its largest finite value.
 _ARITH_SOURCE = string.Template(r"""
-/* Eqn.-1 quantize -> dequantize as UniformQuantizer.fake_quant runs it:
-   clip to [lo, hi] (keeping x on a tie, as np.clip does), shift, scale,
-   round half to even, rescale, shift back.  The caller owns the range
-   and the two scales, and checks that every code fits int64: the seed's
-   round trip through an int64 code is then an identity on the result
-   (it turns a -0.0 code into 0.0, which the shift by lo does anyway),
-   so the loop leaves it out, and vectorises.  nearbyint is rint without
-   the inexact flag. */
-void fake_quant_$S(const $T* x, $T* out, long size, $T lo, $T hi, $T scale,
-                   $T inv_scale) {
+/* Eqn.-1 quantize -> dequantize on x's own range, as
+   UniformQuantizer.fake_quant runs it for a dynamic quantizer.
+
+   One pass finds the range: lanes of minima and maxima the compiler
+   keeps in vector registers, and a sum of v - v, which is NaN if any v
+   is not finite.  The extremes are numpy's x.min() and x.max() but for
+   the sign of a zero extreme, on which no output byte depends.  Then,
+   in double, as numpy's chain computes them: the width hi - lo, the
+   scale levels / width and the inverse scale width / levels, narrowed
+   to $T only after the width and the scale are checked against $L.
+   Returns 0, writing nothing, if x holds a NaN or an infinity, if the
+   range is degenerate or if the width or the scale exceeds $L: the
+   numpy chain decides those.
+
+   The loop clips to [lo, hi] (keeping x on a tie, as np.clip does),
+   shifts, scales, rounds half to even, rescales and shifts back.
+   Every code fits int64 (bits <= 62), so the seed's round trip through
+   an int64 code is an identity on the result (it turns a -0.0 code into
+   0.0, which the shift by lo does anyway): the loop leaves it out, and
+   vectorises.  nearbyint is rint without the inexact flag. */
+static int fake_quant_$S(const $T* x, $T* out, long size, long bits) {
 #if defined(__clang__)
 #pragma STDC FP_CONTRACT OFF
 #endif
-    for (long i = 0; i < size; i++) {
-        $T c = x[i] < lo ? lo : x[i];
-        c = c > hi ? hi : c;
-        out[i] = nearbyint$M((c - lo) * scale) * inv_scale + lo;
+    enum { LANES = 32 };  /* GCC 12 vectorises 32 lanes, not 8 or 16 */
+    $T lo[LANES], hi[LANES], bad[LANES];
+    for (int j = 0; j < LANES; j++) {
+        lo[j] = hi[j] = x[0];
+        bad[j] = 0;
     }
+    long i = 0;
+    for (; i + LANES <= size; i += LANES)
+        for (int j = 0; j < LANES; j++) {
+            $T v = x[i + j];
+            lo[j] = v < lo[j] ? v : lo[j];
+            hi[j] = v > hi[j] ? v : hi[j];
+            bad[j] += v - v;
+        }
+    for (; i < size; i++) {
+        $T v = x[i];
+        lo[0] = v < lo[0] ? v : lo[0];
+        hi[0] = v > hi[0] ? v : hi[0];
+        bad[0] += v - v;
+    }
+    for (int j = 1; j < LANES; j++) {
+        lo[0] = lo[j] < lo[0] ? lo[j] : lo[0];
+        hi[0] = hi[j] > hi[0] ? hi[j] : hi[0];
+        bad[0] += bad[j];
+    }
+    double width = (double) hi[0] - (double) lo[0];
+    double levels = (double) ((INT64_C(1) << bits) - 1);
+    double scale = levels / width;
+    if (bad[0] != 0 || !(0.0 < width && width <= $L) || !(scale <= $L))
+        return 0;
+    $T low = lo[0], high = hi[0], s = ($T) scale, inv = ($T) (width / levels);
+    for (i = 0; i < size; i++) {
+        $T c = x[i] < low ? low : x[i];
+        c = c > high ? high : c;
+        out[i] = nearbyint$M((c - low) * s) * inv + low;
+    }
+    return 1;
 }
 
 /* Bias-corrected Adam as ArrayBackend's numpy chain runs it: m and v in
    place, the new parameter into out.  The chain computes 1 - beta1,
    1 - beta2 and whether to decay in Python, in double, and only then
    narrows them to $T; so does the caller. */
-void adam_update_$S(const $T* p, const $T* g, $T* m, $T* v, $T* out,
-                    long size, $T lr, $T beta1, $T beta2,
-                    $T one_minus_beta1, $T one_minus_beta2, $T eps,
-                    int decay, $T weight_decay, $T bias1, $T bias2) {
+static int adam_update_$S(const $T* p, const $T* g, $T* m, $T* v, $T* out,
+                          long size, $T lr, $T beta1, $T beta2,
+                          $T one_minus_beta1, $T one_minus_beta2, $T eps,
+                          int decay, $T weight_decay, $T bias1, $T bias2) {
 #if defined(__clang__)
 #pragma STDC FP_CONTRACT OFF
 #endif
@@ -341,13 +356,14 @@ void adam_update_$S(const $T* p, const $T* g, $T* m, $T* v, $T* out,
         v[i] = vi;
         out[i] = p[i] - lr * (mi / bias1) / (sqrt$M(vi / bias2) + eps);
     }
+    return 1;
 }
 
 /* centered = x - mean and its square, the operand of the variance sum. */
-void bn_centre_$S(const $T* restrict x, const $T* mean,
-                  $T* restrict centered, $T* restrict sq,
-                  long n, long c, long h, long w,
-                  long xn, long xc, long xh, long on, long oc, long oh) {
+static int bn_centre_$S(const $T* restrict x, const $T* mean,
+                        $T* restrict centered, $T* restrict sq,
+                        long n, long c, long h, long w,
+                        long xn, long xc, long xh, long on, long oc, long oh) {
 #if defined(__clang__)
 #pragma STDC FP_CONTRACT OFF
 #endif
@@ -358,18 +374,19 @@ void bn_centre_$S(const $T* restrict x, const $T* mean,
         centered[BN_AT(on, oc, oh)] = d;
         sq[BN_AT(on, oc, oh)] = d * d;
     )
+    return 1;
 }
 
 /* x_hat = centered * inv_std, in place over centered, and out = gamma *
    x_hat + beta; with a mask, also mask = out > 0 and out = out * mask,
    written as a select: out * 1 is out, and out * 0 keeps the sign of a
    zero and turns -inf into NaN, as numpy's product does. */
-void bn_normalize_$S($T* restrict x_hat, const $T* inv_std,
-                     const $T* gamma, const $T* beta, $T* restrict out,
-                     unsigned char* restrict mask,
-                     long n, long c, long h, long w,
-                     long xn, long xc, long xh, long on, long oc, long oh,
-                     long mn, long mc, long mh) {
+static int bn_normalize_$S($T* restrict x_hat, const $T* inv_std,
+                           const $T* gamma, const $T* beta, $T* restrict out,
+                           unsigned char* restrict mask,
+                           long n, long c, long h, long w,
+                           long xn, long xc, long xh, long on, long oc,
+                           long oh, long mn, long mc, long mh) {
 #if defined(__clang__)
 #pragma STDC FP_CONTRACT OFF
 #endif
@@ -381,7 +398,7 @@ void bn_normalize_$S($T* restrict x_hat, const $T* inv_std,
             x_hat[BN_AT(xn, xc, xh)] = v;
             out[BN_AT(on, oc, oh)] = gamma[ci] * v + beta[ci];
         )
-        return;
+        return 1;
     }
     BN_WALK(walk, c,
         $T v = x_hat[BN_AT(xn, xc, xh)] * inv_std[ci];
@@ -390,17 +407,18 @@ void bn_normalize_$S($T* restrict x_hat, const $T* inv_std,
         out[BN_AT(on, oc, oh)] = o > 0 ? o : o * ($T) 0;
         mask[BN_AT(mn, mc, mh)] = o > 0;
     )
+    return 1;
 }
 
 /* The two arrays the backward sums: masked = grad * mask and prod =
    masked * x_hat; without a mask, just prod = grad * x_hat. */
-void bn_grad_terms_$S(const $T* restrict grad,
-                      const unsigned char* restrict mask,
-                      const $T* restrict x_hat, $T* restrict masked,
-                      $T* restrict prod, long n, long c, long h, long w,
-                      long gn, long gc, long gh, long mn, long mc, long mh,
-                      long xn, long xc, long xh, long an, long ac, long ah,
-                      long pn, long pc, long ph) {
+static int bn_grad_terms_$S(const $T* restrict grad,
+                            const unsigned char* restrict mask,
+                            const $T* restrict x_hat, $T* restrict masked,
+                            $T* restrict prod, long n, long c, long h, long w,
+                            long gn, long gc, long gh, long mn, long mc,
+                            long mh, long xn, long xc, long xh, long an,
+                            long ac, long ah, long pn, long pc, long ph) {
 #if defined(__clang__)
 #pragma STDC FP_CONTRACT OFF
 #endif
@@ -411,22 +429,23 @@ void bn_grad_terms_$S(const $T* restrict grad,
             prod[BN_AT(pn, pc, ph)] =
                 grad[BN_AT(gn, gc, gh)] * x_hat[BN_AT(xn, xc, xh)];
         )
-        return;
+        return 1;
     }
     BN_WALK(walk, c,
         $T g = grad[BN_AT(gn, gc, gh)] * ($T) mask[BN_AT(mn, mc, mh)];
         masked[BN_AT(an, ac, ah)] = g;
         prod[BN_AT(pn, pc, ph)] = g * x_hat[BN_AT(xn, xc, xh)];
     )
+    return 1;
 }
 
 /* gx = scale * ((grad - mean_dy) - x_hat * mean_dy_xhat), grad masked. */
-void bn_grad_input_$S(const $T* restrict grad, const $T* restrict x_hat,
-                      const $T* scale, const $T* mean_dy,
-                      const $T* mean_dy_xhat, $T* restrict gx,
-                      long n, long c, long h, long w,
-                      long gn, long gc, long gh, long xn, long xc, long xh,
-                      long on, long oc, long oh) {
+static int bn_grad_input_$S(const $T* restrict grad, const $T* restrict x_hat,
+                            const $T* scale, const $T* mean_dy,
+                            const $T* mean_dy_xhat, $T* restrict gx,
+                            long n, long c, long h, long w,
+                            long gn, long gc, long gh, long xn, long xc,
+                            long xh, long on, long oc, long oh) {
 #if defined(__clang__)
 #pragma STDC FP_CONTRACT OFF
 #endif
@@ -436,6 +455,7 @@ void bn_grad_input_$S(const $T* restrict grad, const $T* restrict x_hat,
         gx[BN_AT(on, oc, oh)] = scale[ci] * ((grad[BN_AT(gn, gc, gh)]
             - mean_dy[ci]) - x_hat[BN_AT(xn, xc, xh)] * mean_dy_xhat[ci]);
     )
+    return 1;
 }
 """)
 
@@ -498,12 +518,355 @@ static bn_walk bn_plan(long n, long h, long w, int count, const long* sn,
     }
 """
 
-# (C type, name suffix, dtype, math-function suffix) of each instance.
-_FLOAT_TYPES = (("float", "f32", np.float32, "f"),
-                ("double", "f64", np.float64, ""))
-_CDEF = "".join(cdef.substitute(T=t, S=s)
-                for cdef in (_CONV_CDEF, _POOL_CDEF, _ARITH_CDEF)
-                for t, s, _, _ in _FLOAT_TYPES)
+# The dispatch module.  It sits in the no-FMA block with the arithmetic
+# loops, which the compiler may inline into it.
+_DISPATCH = "_repro_dispatch"
+_DISPATCH_SOURCE = string.Template(r"""
+/* One METH_FASTCALL entry point per kernel, taking the numpy arrays as
+   they are.  Each reads every operand through the buffer protocol and
+   applies its loop's rules; then it either runs the loop with the GIL
+   released and returns True, or returns False having written nothing.
+   A wrong argument count, or a scalar that is not a number, raises. */
+
+/* An operand held for the call, and an image's element strides (sn, sc,
+   sh); `absent` stands for a missing mask: no buffer, zero strides. */
+typedef struct { Py_buffer view; long s[3]; } operand;
+typedef struct { operand ops[6]; int count; } held;
+static operand absent;
+#define HOLD(h) held h; h.count = 0
+
+#define BUF(op) ((op)->view.buf)
+#define FMT(op) ((op)->view.format)
+#define SHAPE(op) ((op)->view.shape)
+#define SIZE(op) ((op)->view.len / (op)->view.itemsize)
+#define DIMS(op) SHAPE(op)[0], SHAPE(op)[1], SHAPE(op)[2], SHAPE(op)[3]
+#define S3(op) (op)->s[0], (op)->s[1], (op)->s[2]
+
+/* `obj` as an aligned array of one of `kinds`, each in native byte
+   order ('f' float32, 'd' float64, '?' bool, 'q' or 'l' int64), writable
+   if `write`; else NULL, with no error set.  Alignment reads the pointer
+   and the strides of the axes longer than one: numpy's export rewrites
+   the others' when the array is contiguous, and none is ever stepped. */
+static operand *take(held *h, PyObject *obj, const char *kinds, int write) {
+    operand *op = &h->ops[h->count];
+    Py_buffer *b = &op->view;
+    if (PyObject_GetBuffer(obj, b, PyBUF_STRIDES | PyBUF_FORMAT
+                                   | (write ? PyBUF_WRITABLE : 0))) {
+        PyErr_Clear();
+        return NULL;
+    }
+    h->count++;
+    const char *f = b->format ? b->format : "B";
+    char kind = f[0] == 'l' ? 'q' : f[0];
+    if (!kind || f[1] || !strchr(kinds, kind)
+        || b->itemsize != (kind == 'f' ? 4 : kind == '?' ? 1 : 8))
+        return NULL;
+    uintptr_t bits = (uintptr_t) b->buf;
+    for (int i = 0; i < b->ndim; i++)
+        if (b->shape[i] > 1) bits |= (uintptr_t) b->strides[i];
+    return bits % (uintptr_t) b->itemsize ? NULL : op;
+}
+
+static int shaped(const Py_buffer *b, int ndim, const Py_ssize_t *shape) {
+    if (b->ndim != ndim) return 0;
+    for (int i = 0; i < ndim; i++)
+        if (b->shape[i] != shape[i]) return 0;
+    return 1;
+}
+
+/* numpy's C-contiguity: the axes longer than one C-ordered, no gaps. */
+static int contiguous(const operand *op) {
+    const Py_buffer *b = &op->view;
+    Py_ssize_t step = b->itemsize;
+    for (int i = b->ndim - 1; i >= 0; i--)
+        if (b->shape[i] > 1) {
+            if (b->strides[i] != step) return !b->len;
+            step *= b->shape[i];
+        }
+    return 1;
+}
+
+/* A per-channel vector: C-contiguous, of `count` elements. */
+static int vector(const operand *op, Py_ssize_t count) {
+    return op && contiguous(op) && SIZE(op) == count;
+}
+
+/* A 4-D image with contiguous rows; sets its plane strides.  An axis of
+   length one is never stepped, and its stride reads as contiguous:
+   sn = h*w, sc = 1, sh = w. */
+static int planes(operand *op) {
+    const Py_buffer *b = &op->view;
+    const Py_ssize_t *d = b->shape, *t = b->strides, item = b->itemsize;
+    if (b->ndim != 4 || (d[3] > 1 && t[3] != item)) return 0;
+    op->s[0] = d[0] > 1 ? t[0] / item : d[2] * d[3];
+    op->s[1] = d[1] > 1 ? t[1] / item : 1;
+    op->s[2] = d[2] > 1 ? t[2] / item : d[3];
+    return 1;
+}
+
+/* An image the pooling and batchnorm loops take: non-empty, of `shape`,
+   with contiguous rows and positive plane strides. */
+static int image(operand *op, const Py_ssize_t *shape) {
+    return op && planes(op) && shaped(&op->view, 4, shape) && op->view.len
+        && op->s[0] > 0 && op->s[1] > 0 && op->s[2] > 0;
+}
+
+/* The flat loops' operands, every one held: the first's elements fill
+   one gap-free block upward from its pointer, and all share its shape
+   and its stride on each axis longer than one, so that element i of
+   each sits at the same offset. */
+static int alike(const held *h) {
+    const Py_buffer *first = &h->ops[0].view;
+    Py_ssize_t step = first->itemsize;
+    int stepped = 0;
+    for (int i = 0; i < first->ndim; i++) stepped += first->shape[i] > 1;
+    while (stepped--) {  /* the next axis out is the one `step` apart */
+        int i = 0;
+        while (i < first->ndim
+               && !(first->shape[i] > 1 && first->strides[i] == step)) i++;
+        if (i == first->ndim) return 0;
+        step *= first->shape[i];
+    }
+    for (int k = 1; k < h->count; k++) {
+        const Py_buffer *b = &h->ops[k].view;
+        if (!shaped(b, first->ndim, first->shape)) return 0;
+        for (int i = 0; i < b->ndim; i++)
+            if (b->shape[i] > 1 && b->strides[i] != first->strides[i])
+                return 0;
+    }
+    return 1;
+}
+
+static int arity(const char *name, Py_ssize_t nargs, Py_ssize_t want) {
+    if (nargs == want) return 1;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
+                 name, want, nargs);
+    return 0;
+}
+
+static int longs(PyObject *const *args, int count, long *out) {
+    for (int i = 0; i < count; i++)
+        if ((out[i] = PyLong_AsLong(args[i])) == -1 && PyErr_Occurred())
+            return 0;
+    return 1;
+}
+
+static PyObject *finish(held *h, int ok) {
+    while (h->count) PyBuffer_Release(&h->ops[--h->count].view);
+    return PyBool_FromLong(ok);
+}
+
+/* Runs kernel `fn` in lead's type with the GIL released; ok = its result. */
+#define RUN(ok, lead, fn, ...) do {                                         \
+        Py_BEGIN_ALLOW_THREADS                                              \
+        ok = (lead)->view.itemsize == 4 ? fn##_f32(__VA_ARGS__)             \
+                                        : fn##_f64(__VA_ARGS__);            \
+        Py_END_ALLOW_THREADS                                                \
+    } while (0)
+
+/* The conv lowering: an image with contiguous rows, any plane strides,
+   and the C-ordered (C*k*k, N*out_h*out_w) column matrix.  im2col reads
+   the image (argument 0), col2im writes it (argument 1). */
+static PyObject *conv(PyObject *const *a, Py_ssize_t nargs, int scatter) {
+    long p[5];  /* kernel, stride, padding, out_h, out_w */
+    HOLD(h);
+    operand *img, *cols;
+    if (!arity(scatter ? "col2im" : "im2col", nargs, 7) || !longs(a + 2, 5, p))
+        return NULL;
+    int ok = (img = take(&h, a[scatter], "fd", scatter))
+        && (cols = take(&h, a[!scatter], FMT(img), !scatter))
+        && planes(img) && contiguous(cols) && cols->view.ndim == 2
+        && SHAPE(cols)[0] == SHAPE(img)[1] * p[0] * p[0]
+        && SHAPE(cols)[1] == SHAPE(img)[0] * p[3] * p[4];
+    if (ok && scatter)
+        RUN(ok, img, col2im, BUF(cols), BUF(img), DIMS(img), S3(img),
+            p[0], p[1], p[2], p[3], p[4]);
+    else if (ok)
+        RUN(ok, img, im2col, BUF(img), BUF(cols), DIMS(img), S3(img),
+            p[0], p[1], p[2], p[3], p[4]);
+    return finish(&h, ok);
+}
+
+static PyObject *run_im2col(PyObject *m, PyObject *const *a, Py_ssize_t n) {
+    return conv(a, n, 0);
+}
+
+static PyObject *run_col2im(PyObject *m, PyObject *const *a, Py_ssize_t n) {
+    return conv(a, n, 1);
+}
+
+/* Pooling: the image and the k x k windows that tile it, the outputs
+   and int64 offsets C-ordered (N, C, H/k, W/k). */
+static PyObject *run_maxpool_fwd(PyObject *m, PyObject *const *a,
+                                 Py_ssize_t nargs) {
+    long k;
+    HOLD(h);
+    operand *x, *out, *idx;
+    if (!arity("maxpool_fwd", nargs, 4) || !longs(a + 3, 1, &k)) return NULL;
+    int ok = k >= 1 && (x = take(&h, a[0], "fd", 0))
+        && (out = take(&h, a[1], FMT(x), 1)) && (idx = take(&h, a[2], "q", 1))
+        && image(x, SHAPE(x)) && SHAPE(x)[2] % k == 0 && SHAPE(x)[3] % k == 0
+        && contiguous(out) && SIZE(out) == SIZE(x) / (k * k)
+        && contiguous(idx) && SIZE(idx) == SIZE(out);
+    if (ok)
+        RUN(ok, x, maxpool_fwd, BUF(x), BUF(out), BUF(idx), DIMS(x), S3(x), k);
+    return finish(&h, ok);
+}
+
+static PyObject *run_maxpool_bwd(PyObject *m, PyObject *const *a,
+                                 Py_ssize_t nargs) {
+    long k;
+    HOLD(h);
+    operand *grad, *idx, *gx;
+    if (!arity("maxpool_bwd", nargs, 4) || !longs(a + 3, 1, &k)) return NULL;
+    int ok = k >= 1 && (gx = take(&h, a[2], "fd", 1))
+        && (grad = take(&h, a[0], FMT(gx), 0)) && (idx = take(&h, a[1], "q", 0))
+        && image(gx, SHAPE(gx)) && SHAPE(gx)[2] % k == 0 && SHAPE(gx)[3] % k == 0;
+    if (ok) {
+        Py_ssize_t pooled[4] = {SHAPE(gx)[0], SHAPE(gx)[1], SHAPE(gx)[2] / k,
+                                SHAPE(gx)[3] / k};
+        ok = image(grad, pooled) && shaped(&idx->view, 4, pooled)
+            && contiguous(idx);
+    }
+    if (ok)
+        RUN(ok, gx, maxpool_bwd, BUF(grad), BUF(idx), BUF(gx), DIMS(gx),
+            S3(grad), S3(gx), k);
+    return finish(&h, ok);
+}
+
+/* The flat loops: non-empty input for fake-quant, whose range needs an
+   element, and dense operands laid out alike. */
+static PyObject *run_fake_quant(PyObject *m, PyObject *const *a,
+                                Py_ssize_t nargs) {
+    long bits;
+    HOLD(h);
+    operand *x, *out;
+    if (!arity("fake_quant", nargs, 3) || !longs(a + 2, 1, &bits)) return NULL;
+    int ok = bits >= 1 && bits <= 62 && (x = take(&h, a[0], "fd", 0))
+        && (out = take(&h, a[1], FMT(x), 1)) && x->view.len && alike(&h);
+    if (ok) RUN(ok, x, fake_quant, BUF(x), BUF(out), SIZE(x), bits);
+    return finish(&h, ok);
+}
+
+static PyObject *run_adam_update(PyObject *m, PyObject *const *a,
+                                 Py_ssize_t nargs) {
+    double f[7];  /* lr, beta1, beta2, eps, weight_decay, bias1, bias2 */
+    HOLD(h);
+    if (!arity("adam_update", nargs, 12)) return NULL;
+    for (int i = 0; i < 7; i++)
+        if ((f[i] = PyFloat_AsDouble(a[5 + i])) == -1.0 && PyErr_Occurred())
+            return NULL;
+    operand *p = take(&h, a[0], "fd", 0);
+    int ok = p != NULL;
+    for (int i = 1; ok && i < 5; i++)  /* grad; then m, v, out, written */
+        ok = take(&h, a[i], FMT(p), i > 1) != NULL;
+    ok = ok && alike(&h);
+    if (ok)
+        RUN(ok, p, adam_update, BUF(p), BUF(&h.ops[1]), BUF(&h.ops[2]),
+            BUF(&h.ops[3]), BUF(&h.ops[4]), SIZE(p), f[0], f[1], f[2],
+            1.0 - f[1], 1.0 - f[2], f[3], f[4] != 0, f[4], f[5], f[6]);
+    return finish(&h, ok);
+}
+
+/* Batchnorm's passes: images of one shape that the loops take, and
+   per-channel vectors; a missing mask is None, and bn_grad_terms takes
+   `masked` exactly when it takes `mask`. */
+static PyObject *run_bn_centre(PyObject *m, PyObject *const *a,
+                               Py_ssize_t nargs) {
+    HOLD(h);
+    operand *x, *mean, *cen, *sq;
+    if (!arity("bn_centre", nargs, 4)) return NULL;
+    int ok = (x = take(&h, a[0], "fd", 0)) && image(x, SHAPE(x))
+        && vector(mean = take(&h, a[1], FMT(x), 0), SHAPE(x)[1])
+        && image(cen = take(&h, a[2], FMT(x), 1), SHAPE(x))
+        && image(sq = take(&h, a[3], FMT(x), 1), SHAPE(x))
+        && !memcmp(sq->s, cen->s, sizeof cen->s);
+    if (ok)
+        RUN(ok, x, bn_centre, BUF(x), BUF(mean), BUF(cen), BUF(sq), DIMS(x),
+            S3(x), S3(cen));
+    return finish(&h, ok);
+}
+
+static PyObject *run_bn_normalize(PyObject *m, PyObject *const *a,
+                                  Py_ssize_t nargs) {
+    HOLD(h);
+    operand *xh, *inv, *gamma, *beta, *out, *mask = &absent;
+    if (!arity("bn_normalize", nargs, 6)) return NULL;
+    int ok = (xh = take(&h, a[0], "fd", 1)) && image(xh, SHAPE(xh))
+        && vector(inv = take(&h, a[1], FMT(xh), 0), SHAPE(xh)[1])
+        && vector(gamma = take(&h, a[2], FMT(xh), 0), SHAPE(xh)[1])
+        && vector(beta = take(&h, a[3], FMT(xh), 0), SHAPE(xh)[1])
+        && image(out = take(&h, a[4], FMT(xh), 1), SHAPE(xh))
+        && (a[5] == Py_None || image(mask = take(&h, a[5], "?", 1), SHAPE(xh)));
+    if (ok)
+        RUN(ok, xh, bn_normalize, BUF(xh), BUF(inv), BUF(gamma), BUF(beta),
+            BUF(out), BUF(mask), DIMS(xh), S3(xh), S3(out), S3(mask));
+    return finish(&h, ok);
+}
+
+static PyObject *run_bn_grad_terms(PyObject *m, PyObject *const *a,
+                                   Py_ssize_t nargs) {
+    HOLD(h);
+    operand *grad, *xh, *prod, *mask = &absent, *masked = &absent;
+    if (!arity("bn_grad_terms", nargs, 5)) return NULL;
+    int ok = (a[1] == Py_None) == (a[3] == Py_None)
+        && (xh = take(&h, a[2], "fd", 0)) && image(xh, SHAPE(xh))
+        && image(grad = take(&h, a[0], FMT(xh), 0), SHAPE(xh))
+        && image(prod = take(&h, a[4], FMT(xh), 1), SHAPE(xh))
+        && (a[1] == Py_None
+            || (image(mask = take(&h, a[1], "?", 0), SHAPE(xh))
+                && image(masked = take(&h, a[3], FMT(xh), 1), SHAPE(xh))));
+    if (ok)
+        RUN(ok, xh, bn_grad_terms, BUF(grad), BUF(mask), BUF(xh), BUF(masked),
+            BUF(prod), DIMS(xh), S3(grad), S3(mask), S3(xh), S3(masked),
+            S3(prod));
+    return finish(&h, ok);
+}
+
+static PyObject *run_bn_grad_input(PyObject *m, PyObject *const *a,
+                                   Py_ssize_t nargs) {
+    HOLD(h);
+    operand *grad, *xh, *scale, *mean_dy, *mean_dy_xhat, *gx;
+    if (!arity("bn_grad_input", nargs, 6)) return NULL;
+    int ok = (xh = take(&h, a[1], "fd", 0)) && image(xh, SHAPE(xh))
+        && image(grad = take(&h, a[0], FMT(xh), 0), SHAPE(xh))
+        && vector(scale = take(&h, a[2], FMT(xh), 0), SHAPE(xh)[1])
+        && vector(mean_dy = take(&h, a[3], FMT(xh), 0), SHAPE(xh)[1])
+        && vector(mean_dy_xhat = take(&h, a[4], FMT(xh), 0), SHAPE(xh)[1])
+        && image(gx = take(&h, a[5], FMT(xh), 1), SHAPE(xh));
+    if (ok)
+        RUN(ok, xh, bn_grad_input, BUF(grad), BUF(xh), BUF(scale),
+            BUF(mean_dy), BUF(mean_dy_xhat), BUF(gx), DIMS(xh), S3(grad),
+            S3(xh), S3(gx));
+    return finish(&h, ok);
+}
+
+#define ENTRY(name, args) {#name, (PyCFunction) (void (*)(void)) run_##name, \
+                           METH_FASTCALL, #name "(" args ") -> bool"}
+static PyMethodDef entries[] = {
+    ENTRY(im2col, "x, cols, kernel, stride, padding, out_h, out_w"),
+    ENTRY(col2im, "cols, gx, kernel, stride, padding, out_h, out_w"),
+    ENTRY(maxpool_fwd, "x, out, idx, k"),
+    ENTRY(maxpool_bwd, "grad, idx, gx, k"),
+    ENTRY(fake_quant, "x, out, bits"),
+    ENTRY(adam_update, "param, grad, m, v, out, lr, beta1, beta2, eps, "
+                       "weight_decay, bias1, bias2"),
+    ENTRY(bn_centre, "x, mean, centered, sq"),
+    ENTRY(bn_normalize, "x_hat, inv_std, gamma, beta, out, mask"),
+    ENTRY(bn_grad_terms, "grad, mask, x_hat, masked, prod"),
+    ENTRY(bn_grad_input, "grad, x_hat, scale, mean_dy, mean_dy_xhat, gx"),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef dispatch = {PyModuleDef_HEAD_INIT, .m_name = "$D",
+                                      .m_size = -1, .m_methods = entries};
+
+PyMODINIT_FUNC PyInit_$D(void) { return PyModule_Create(&dispatch); }
+""")
+
+# (C type, name suffix, math-function suffix, largest value) of each
+# instance.
+_FLOAT_TYPES = (("float", "f32", "f", "FLT_MAX"), ("double", "f64", "", "DBL_MAX"))
 _SOURCE += "".join(source.substitute(T=t, S=s)
                    for source in (_CONV_SOURCE, _POOL_SOURCE)
                    for t, s, _, _ in _FLOAT_TYPES)
@@ -512,8 +875,9 @@ _SOURCE += _BN_WALK_SOURCE + """
 #pragma GCC push_options
 #pragma GCC optimize ("fp-contract=off")
 #endif
-""" + "".join(_ARITH_SOURCE.substitute(T=t, S=s, M=m)
-              for t, s, _, m in _FLOAT_TYPES) + """
+""" + "".join(_ARITH_SOURCE.substitute(T=t, S=s, M=m, L=largest)
+              for t, s, m, largest in _FLOAT_TYPES) + \
+    _DISPATCH_SOURCE.substitute(D=_DISPATCH) + """
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC pop_options
 #endif
@@ -522,7 +886,15 @@ _SOURCE += _BN_WALK_SOURCE + """
 # -fno-math-errno lets sqrt compile to its instruction, so the Adam
 # loop vectorises; it changes no result.
 _COMPILE_ARGS = ("-O3", "-march=native", "-funroll-loops", "-fno-math-errno")
+# Also part of the key: without this macro cffi compiles against the
+# limited API, which hides Py_buffer and METH_FASTCALL.
+_MACROS = (("_CFFI_NO_LIMITED_API", None),)
 _LIBRARIES = ("m",)
+
+# The kernels' names: each is an entry point of the dispatch module.
+_WRAPPERS = ("im2col", "col2im", "maxpool_fwd", "maxpool_bwd", "fake_quant",
+             "adam_update", "bn_centre", "bn_normalize", "bn_grad_terms",
+             "bn_grad_input")
 
 
 def _cache_dir() -> str:
@@ -536,7 +908,7 @@ def _build_path() -> tuple[str, str]:
     """``(module name, shared-object path)`` of this source under these flags."""
     import sysconfig
 
-    build = repr((_CDEF, _SOURCE, _COMPILE_ARGS, _LIBRARIES))
+    build = repr((_SOURCE, _COMPILE_ARGS, _MACROS, _LIBRARIES))
     digest = hashlib.sha256(build.encode()).hexdigest()[:16]
     modname = f"_repro_ck_{digest}"
     return modname, os.path.join(_cache_dir(), digest,
@@ -544,7 +916,7 @@ def _build_path() -> tuple[str, str]:
 
 
 def _load():
-    """Import the compiled module, building and publishing it on a cache miss."""
+    """Import the dispatch module, building and publishing it on a cache miss."""
     import importlib.util
     import shutil
     import tempfile
@@ -561,17 +933,19 @@ def _load():
                                   dir=_cache_dir())
         try:
             ffi = cffi.FFI()
-            ffi.cdef(_CDEF)
             ffi.set_source(
                 modname,
                 _SOURCE,
+                define_macros=list(_MACROS),
                 extra_compile_args=list(_COMPILE_ARGS),
                 libraries=list(_LIBRARIES),
             )
             os.replace(ffi.compile(tmpdir=tmpdir, verbose=False), sofile)
         finally:
             shutil.rmtree(tmpdir, ignore_errors=True)
-    spec = importlib.util.spec_from_file_location(modname, sofile)
+    # cffi's own module in the shared object is never imported: the
+    # dispatch module sits beside it under its own init function.
+    spec = importlib.util.spec_from_file_location(_DISPATCH, sofile)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -586,383 +960,13 @@ def kernels() -> dict:
     if _KERNELS is None:
         try:
             module = _load()
-        except Exception:  # no cffi / no compiler / broken toolchain
-            _KERNELS = {}
-        else:
-            _KERNELS = {name: wrap(module) for name, wrap in _WRAPPERS.items()}
+            table = {name: getattr(module, name) for name in _WRAPPERS}
+        except Exception:  # no cffi / no compiler / broken build or module
+            table = {}
+        _KERNELS = table
     return _KERNELS
 
 
 def get_kernel(name: str):
-    """Return a callable for C kernel ``name``, or None when unavailable."""
+    """Return the C kernel ``name``, or None when unavailable."""
     return kernels().get(name)
-
-
-_I64 = np.dtype(np.int64)
-_BOOL = np.dtype(np.bool_)
-
-
-# The checks below run on every kernel call, so they are plain loops
-# that read each array's flags once.
-def _takes(dtype, size, *arrays):
-    """Whether a flat-pointer kernel may read ``arrays``: each an aligned,
-    C-contiguous ``dtype`` array of ``size`` elements."""
-    for a in arrays:
-        flags = a.flags
-        if not (a.dtype == dtype and a.size == size and flags.c_contiguous
-                and flags.aligned):
-            return False
-    return True
-
-
-def _fills(dtype, size, *arrays):
-    """Whether a flat-pointer kernel may write ``arrays``: each a writeable,
-    aligned, C-contiguous ``dtype`` array of ``size`` elements."""
-    for a in arrays:
-        if not (a.dtype == dtype and a.size == size and a.flags.carray):
-            return False
-    return True
-
-
-def _dense(a):
-    """Whether ``a``'s elements fill one gap-free block upward from its
-    data pointer: a C-contiguous array with its axes in some order."""
-    step = a.itemsize
-    for stride, dim in sorted(zip(a.strides, a.shape)):
-        if dim > 1:
-            if stride != step:
-                return False
-            step *= dim
-    return True
-
-
-def _stepped_strides(a):
-    """``a``'s strides on its axes longer than one: the only ones stepped."""
-    return tuple(s for s, d in zip(a.strides, a.shape) if d > 1)
-
-
-def _alike(dtype, arrays, outputs):
-    """Whether an elementwise kernel may run flat over ``arrays``:
-    aligned, dense ``dtype`` arrays of one shape and one layout, so
-    element i of each sits at the same offset, with ``outputs`` among
-    them writeable."""
-    first = arrays[0]
-    shape = first.shape
-    for a in arrays:  # the common case first: all of them C-contiguous
-        flags = a.flags
-        if not (flags.c_contiguous and flags.aligned and a.dtype == dtype
-                and a.shape == shape):
-            break
-    else:
-        return all(a.flags.writeable for a in outputs)
-    layout = _stepped_strides(first)
-    return (_dense(first)
-            and all(a.dtype == dtype and a.shape == shape
-                    and a.flags.aligned and _stepped_strides(a) == layout
-                    for a in arrays)
-            and all(a.flags.writeable for a in outputs))
-
-
-def _planes(a, dtype, shape, write=False):
-    """Element strides ``(sn, sc, sh)`` through which a plane kernel
-    addresses ``a``, or None when it cannot.
-
-    ``a`` must be an aligned ``dtype`` array of the non-empty (N, C, H, W)
-    ``shape``, writeable if ``write``, with contiguous rows and positive
-    strides.  A stride never stepped reads as contiguous: ``sh = w`` for
-    a one-row plane, ``sn = h*w`` for a batch of one.
-    """
-    flags = a.flags
-    if (a.ndim != 4 or a.dtype != dtype or a.shape != shape
-            or not flags.aligned or (write and not flags.writeable)
-            or not a.size):
-        return None
-    n, c, h, w = shape
-    item = a.itemsize
-    sn, sc, sh, sw = a.strides
-    sn = sn if n > 1 else h * w * item
-    sc = sc if c > 1 else item
-    sh = sh if h > 1 else w * item
-    if ((w > 1 and sw != item) or min(sn, sc, sh) <= 0
-            or sn % item or sc % item or sh % item):
-        return None
-    return sn // item, sc // item, sh // item
-
-
-def _conv_strides(image, cols, kernel, out_h, out_w):
-    """Element strides ``(sn, sc, sh)`` of ``image`` for a conv kernel, or None.
-
-    None when the kernels cannot address the pair: ``cols`` is not the
-    C-ordered (C*k*k, N*out_h*out_w) matrix over ``image`` in its dtype,
-    the rows of ``image`` are not contiguous, or either is misaligned.
-    """
-    n, c, h, w = image.shape
-    item = image.itemsize
-    sn, sc, sh, sw = image.strides
-    if (cols.dtype != image.dtype or not cols.flags.c_contiguous
-            or cols.shape != (c * kernel * kernel, n * out_h * out_w)
-            or (w > 1 and sw != item) or sn % item or sc % item or sh % item
-            or not (image.flags.aligned and cols.flags.aligned)):
-        return None
-    # One row's stride is never stepped: call it w, so a one-row plane
-    # counts as a "same" plane whenever its width matches.
-    return sn // item, sc // item, sh // item if h > 1 else w
-
-
-def _addr(ffi, ctype, array):
-    """A ``ctype *`` to element 0 of ``array``, whatever its strides."""
-    if array.flags.c_contiguous:
-        return ffi.from_buffer(ctype + "[]", array)
-    if array.ndim == 4:
-        # A conv output is channel-major: C-ordered once N and C swap.
-        swapped = array.transpose(1, 0, 2, 3)
-        if swapped.flags.c_contiguous:
-            return ffi.from_buffer(ctype + "[]", swapped)
-    return ffi.cast(ctype + " *", array.ctypes.data)
-
-
-def _instances(module, op):
-    """``{dtype: (C function, C type)}`` of the per-dtype kernel ``op``."""
-    return {np.dtype(dtype): (getattr(module.lib, f"{op}_{suffix}"), ctype)
-            for ctype, suffix, dtype, _ in _FLOAT_TYPES}
-
-
-def _wrap_im2col(module):
-    ffi, instances = module.ffi, _instances(module, "im2col")
-
-    def im2col(x, cols, kernel, stride, padding, out_h, out_w):
-        """Fill ``cols`` from ``x``; False, writing nothing, if they do not fit."""
-        instance = instances.get(x.dtype)
-        strides = _conv_strides(x, cols, kernel, out_h, out_w)
-        if instance is None or strides is None or not cols.flags.writeable:
-            return False
-        fn, ctype = instance
-        fn(_addr(ffi, ctype, x), _addr(ffi, ctype, cols), *x.shape, *strides,
-           kernel, stride, padding, out_h, out_w)
-        return True
-
-    return im2col
-
-
-def _wrap_col2im(module):
-    ffi, instances = module.ffi, _instances(module, "col2im")
-
-    def col2im(cols, gx, kernel, stride, padding, out_h, out_w):
-        """Add ``cols`` into ``gx``; False, writing nothing, if they do not fit."""
-        instance = instances.get(gx.dtype)
-        strides = _conv_strides(gx, cols, kernel, out_h, out_w)
-        if instance is None or strides is None or not gx.flags.writeable:
-            return False
-        fn, ctype = instance
-        fn(_addr(ffi, ctype, cols), _addr(ffi, ctype, gx), *gx.shape, *strides,
-           kernel, stride, padding, out_h, out_w)
-        return True
-
-    return col2im
-
-
-def _wrap_maxpool_fwd(module):
-    ffi, instances = module.ffi, _instances(module, "maxpool_fwd")
-
-    def maxpool_fwd(x, out, idx, k):
-        """Fill ``out`` and its window offsets ``idx`` (int64) from ``x``;
-        False, writing nothing, if they do not fit."""
-        instance = instances.get(x.dtype)
-        n, c, h, w = x.shape
-        planes = _planes(x, x.dtype, x.shape)
-        size = n * c * (h // k) * (w // k)
-        if (instance is None or planes is None or h % k or w % k
-                or not (_fills(x.dtype, size, out) and _fills(_I64, size, idx))):
-            return False
-        fn, ctype = instance
-        fn(_addr(ffi, ctype, x), ffi.from_buffer(ctype + "[]", out),
-           ffi.from_buffer("int64_t[]", idx), n, c, h, w, *planes, k)
-        return True
-
-    return maxpool_fwd
-
-
-def _wrap_maxpool_bwd(module):
-    ffi, instances = module.ffi, _instances(module, "maxpool_bwd")
-
-    def maxpool_bwd(grad, idx, gx, k):
-        """Fill ``gx``: ``grad`` at the window offsets ``idx``, zero
-        elsewhere; False, writing nothing, if they do not fit or an
-        offset lies outside its window."""
-        instance = instances.get(gx.dtype)
-        n, c, h, w = gx.shape
-        pooled = (n, c, h // k, w // k)
-        src = _planes(grad, gx.dtype, pooled)
-        dst = _planes(gx, gx.dtype, gx.shape, write=True)
-        if (instance is None or src is None or dst is None or h % k or w % k
-                or idx.shape != pooled or not _takes(_I64, idx.size, idx)):
-            return False
-        fn, ctype = instance
-        return bool(fn(_addr(ffi, ctype, grad), ffi.from_buffer("int64_t[]", idx),
-                       _addr(ffi, ctype, gx), n, c, h, w, *src, *dst, k))
-
-    return maxpool_bwd
-
-
-def _wrap_fake_quant(module):
-    ffi, instances = module.ffi, _instances(module, "fake_quant")
-
-    def fake_quant(x, out, lo, hi, scale, inv_scale):
-        """Fill ``out`` from ``x``; False, writing nothing, if they do not fit."""
-        instance = instances.get(x.dtype)
-        if instance is None or not _alike(x.dtype, (x, out), (out,)):
-            return False
-        fn, ctype = instance
-        fn(_addr(ffi, ctype, x), _addr(ffi, ctype, out), x.size, lo, hi, scale,
-           inv_scale)
-        return True
-
-    return fake_quant
-
-
-def _wrap_adam(module):
-    ffi, instances = module.ffi, _instances(module, "adam_update")
-
-    def adam_update(param, grad, m, v, out, lr, beta1, beta2, eps,
-                    weight_decay, bias1, bias2):
-        """The new parameter into ``out``, ``m``/``v`` in place; False,
-        writing nothing, if any operand does not fit."""
-        instance = instances.get(param.dtype)
-        operands = (param, grad, m, v, out)
-        if instance is None or not _alike(param.dtype, operands, (m, v, out)):
-            return False
-        fn, ctype = instance
-        fn(*(_addr(ffi, ctype, a) for a in operands), param.size, lr, beta1,
-           beta2, 1.0 - beta1, 1.0 - beta2, eps, bool(weight_decay),
-           weight_decay, bias1, bias2)
-        return True
-
-    return adam_update
-
-
-# Batchnorm's passes.  Each takes (N, C, H, W) operands of one shape and
-# dtype through their plane strides, and per-channel vectors as dense
-# (C,) arrays of that dtype; a missing mask is None.
-def _bn_operands(shape, *operands):
-    """Concatenated plane strides of ``(array, dtype, write)`` operands,
-    or None when one does not fit; a None array gives zero strides."""
-    strides = ()
-    for a, dtype, write in operands:
-        if a is None:
-            strides += (0, 0, 0)
-            continue
-        planes = _planes(a, dtype, shape, write)
-        if planes is None:
-            return None
-        strides += planes
-    return strides
-
-
-def _wrap_bn_centre(module):
-    ffi, instances = module.ffi, _instances(module, "bn_centre")
-
-    def bn_centre(x, mean, centered, sq):
-        """``centered = x - mean`` and ``sq = centered * centered``, the two
-        outputs laid out alike; False, writing nothing, if they do not fit."""
-        shape, dtype = x.shape, x.dtype
-        instance = instances.get(dtype)
-        strides = _bn_operands(shape, (x, dtype, False), (centered, dtype, True))
-        if (instance is None or strides is None
-                or _planes(sq, dtype, shape, True) != strides[3:]
-                or not _takes(dtype, shape[1], mean)):
-            return False
-        fn, ctype = instance
-        fn(_addr(ffi, ctype, x), _addr(ffi, ctype, mean),
-           _addr(ffi, ctype, centered), _addr(ffi, ctype, sq), *shape, *strides)
-        return True
-
-    return bn_centre
-
-
-def _wrap_bn_normalize(module):
-    ffi, instances = module.ffi, _instances(module, "bn_normalize")
-
-    def bn_normalize(x_hat, inv_std, gamma, beta, out, mask):
-        """``x_hat *= inv_std`` in place, then ``out = gamma * x_hat + beta``
-        and, given a ``mask``, the relu; False, writing nothing, if they do
-        not fit."""
-        shape, dtype = x_hat.shape, x_hat.dtype
-        instance = instances.get(dtype)
-        strides = _bn_operands(shape, (x_hat, dtype, True), (out, dtype, True),
-                               (mask, _BOOL, True))
-        if (instance is None or strides is None
-                or not _takes(dtype, shape[1], inv_std, gamma, beta)):
-            return False
-        fn, ctype = instance
-        fn(_addr(ffi, ctype, x_hat), _addr(ffi, ctype, inv_std),
-           _addr(ffi, ctype, gamma), _addr(ffi, ctype, beta),
-           _addr(ffi, ctype, out),
-           ffi.NULL if mask is None else _addr(ffi, "unsigned char", mask),
-           *shape, *strides)
-        return True
-
-    return bn_normalize
-
-
-def _wrap_bn_grad_terms(module):
-    ffi, instances = module.ffi, _instances(module, "bn_grad_terms")
-
-    def bn_grad_terms(grad, mask, x_hat, masked, prod):
-        """``masked = grad * mask`` and ``prod = masked * x_hat`` (without a
-        mask, ``prod = grad * x_hat`` and ``masked`` is None); False,
-        writing nothing, if they do not fit."""
-        shape, dtype = x_hat.shape, x_hat.dtype
-        instance = instances.get(dtype)
-        strides = _bn_operands(
-            shape, (grad, dtype, False), (mask, _BOOL, False),
-            (x_hat, dtype, False), (masked, dtype, True), (prod, dtype, True))
-        if (instance is None or strides is None
-                or (mask is None) != (masked is None)):
-            return False
-        fn, ctype = instance
-        null = ffi.NULL
-        fn(_addr(ffi, ctype, grad),
-           null if mask is None else _addr(ffi, "unsigned char", mask),
-           _addr(ffi, ctype, x_hat),
-           null if masked is None else _addr(ffi, ctype, masked),
-           _addr(ffi, ctype, prod), *shape, *strides)
-        return True
-
-    return bn_grad_terms
-
-
-def _wrap_bn_grad_input(module):
-    ffi, instances = module.ffi, _instances(module, "bn_grad_input")
-
-    def bn_grad_input(grad, x_hat, scale, mean_dy, mean_dy_xhat, gx):
-        """``gx = scale * ((grad - mean_dy) - x_hat * mean_dy_xhat)``;
-        False, writing nothing, if they do not fit."""
-        shape, dtype = x_hat.shape, x_hat.dtype
-        instance = instances.get(dtype)
-        strides = _bn_operands(shape, (grad, dtype, False),
-                               (x_hat, dtype, False), (gx, dtype, True))
-        if (instance is None or strides is None
-                or not _takes(dtype, shape[1], scale, mean_dy, mean_dy_xhat)):
-            return False
-        fn, ctype = instance
-        fn(_addr(ffi, ctype, grad), _addr(ffi, ctype, x_hat),
-           _addr(ffi, ctype, scale), _addr(ffi, ctype, mean_dy),
-           _addr(ffi, ctype, mean_dy_xhat), _addr(ffi, ctype, gx),
-           *shape, *strides)
-        return True
-
-    return bn_grad_input
-
-
-_WRAPPERS = {
-    "im2col": _wrap_im2col,
-    "col2im": _wrap_col2im,
-    "maxpool_fwd": _wrap_maxpool_fwd,
-    "maxpool_bwd": _wrap_maxpool_bwd,
-    "fake_quant": _wrap_fake_quant,
-    "adam_update": _wrap_adam,
-    "bn_centre": _wrap_bn_centre,
-    "bn_normalize": _wrap_bn_normalize,
-    "bn_grad_terms": _wrap_bn_grad_terms,
-    "bn_grad_input": _wrap_bn_grad_input,
-}

@@ -26,7 +26,10 @@ tier of :mod:`repro.backend._ckernels` loads and takes the operands,
 the conv lowering, max pooling, fake-quant, Adam and training-mode
 batchnorm's elementwise passes run as its C loops, in the operands'
 dtype; each returns its numpy chain's bytes and strides, so no
-backend's results depend on the kernel tier.
+backend's results depend on the kernel tier.  A kernel is one C call:
+it checks the operands it is handed and returns False, writing
+nothing, when its loop cannot take them, and the op then runs the
+numpy code below.
 Residuals are backend-opaque: each kernel saves exactly what its
 backward needs (a bool mask for relu, ``(x_hat, inv_std, ...)`` for
 batchnorm), and nothing else — forward temporaries die with the
@@ -135,33 +138,21 @@ class ArrayBackend:
     # ------------------------------------------------------------------
     # Fused hot loops
     # ------------------------------------------------------------------
-    @functools.cached_property
-    def _largest(self) -> float:
-        """The dtype's largest finite value."""
-        return float(np.finfo(self.dtype).max)
-
     def fake_quant(self, x: np.ndarray, quantizer) -> np.ndarray:
         """Quantize-dequantize ``x`` through ``quantizer`` (eqn. 1).
 
         The quantizer's quantize -> int64 -> dequantize chain in this
-        backend's dtype.  The C loop runs that chain on a dynamic range
-        numpy found, when the range and both scales are finite in the
-        dtype and every code fits int64.
+        backend's dtype.  For a dynamic quantizer the C loop runs that
+        chain on the range it finds in the same call, when x is finite,
+        the range is not degenerate, its width and scale are finite in
+        the dtype and every code fits int64.
         """
         x = np.asarray(x, dtype=self.dtype)
         kernel = self._kernels.get("fake_quant")
-        if kernel is not None and quantizer.dynamic and quantizer.bits < 63:
-            lo, hi = quantizer._range_for(x)
-            width = hi - lo
-            # x - lo must stay finite in the dtype: the loop skips the
-            # chain's int64 code, an identity only on finite codes.
-            if 0.0 < width <= self._largest:
-                levels = (1 << quantizer.bits) - 1
-                scale = levels / width
-                out = np.empty_like(x)
-                if scale <= self._largest and kernel(x, out, lo, hi, scale,
-                                                     width / levels):
-                    return out
+        if kernel is not None and quantizer.dynamic:
+            out = np.empty_like(x)
+            if kernel(x, out, quantizer.bits):
+                return out
         return quantizer.fake_quant(x, self.dtype)
 
     def sgd_update(self, param: np.ndarray, grad: np.ndarray,

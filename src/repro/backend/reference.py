@@ -16,9 +16,9 @@ code otherwise:
 
 * the conv lowering — im2col/col2im;
 * max pooling — the window maxima and argmax taps, and their adjoint;
-* eqn.-1 fake quantization — one loop over clip, shift, scale, round,
-  rescale and shift back, for a dynamic quantizer whose range is finite
-  and non-degenerate;
+* eqn.-1 fake quantization — one pass that finds the range, then one
+  loop over clip, shift, scale, round, rescale and shift back, for a
+  dynamic quantizer over finite input whose range is non-degenerate;
 * the Adam update — one loop writing a fresh parameter and updating
   ``m``/``v`` in place, for dense operands laid out alike;
 * training-mode batchnorm, forward and backward — two loops per
@@ -27,11 +27,12 @@ code otherwise:
 They keep the seed's bytes because each loop runs the seed's numpy ops
 in the seed's order, with every multiply and add rounded on its own
 (the build forbids contracting them into FMAs), and because the parts
-numpy computes with its own algorithms stay in numpy.  Every reduction
-stays a numpy call: fake-quant's range ``x.min()``/``x.max()`` (which
-also decides the sign of a zero ``lo``), batchnorm's four sums, and
-max pooling's tie and NaN rule, which the kernel copies from numpy's
-argmax rather than calling it.  numpy's sums block by the memory order
+numpy computes with its own algorithms stay in numpy: every sum is a
+numpy call.  Fake-quant's range is a minimum and a maximum, which are
+exact in any order; the C pass finds numpy's ``x.min()``/``x.max()``
+but for the sign of a zero extreme, on which no output byte depends.
+Max pooling's tie and NaN rule is numpy argmax's, which the kernel
+copies rather than calls.  numpy's sums block by the memory order
 of their operand, so each array a loop writes for a later sum is laid
 out as numpy's own ufunc would have laid it out (see
 ``base._product_like``), and every output keeps the seed's strides.

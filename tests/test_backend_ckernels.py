@@ -8,12 +8,19 @@ Three guarantees:
    rule: the first maximum, or the first NaN) and the arithmetic
    (batchnorm, Adam, fake-quant), whose loops run the numpy chain's ops
    in its order, each rounded on its own;
-2. an operand a C kernel cannot take (another dtype, size or layout)
-   leaves the op to its numpy fallback: the wrapper checks every
-   operand before it hands over a pointer;
+2. an operand a C kernel cannot take leaves the op to its numpy
+   fallback: each kernel's entry point checks every operand in C,
+   through the buffer protocol, and on any misfit (another dtype or
+   byte order, a read-only output, a misaligned view, strides or a
+   shape its loop does not address, an empty operand, a non-bool mask,
+   an object that is not an array) returns False, raises nothing and
+   writes nothing, in either dtype; a wrong argument count raises
+   TypeError;
 3. the on-disk kernel cache never serves a partial build, nor one
-   compiled from other source or flags: a process killed mid-build
-   leaves nothing a later process would load.
+   compiled from other source, flags or macros; a build whose dispatch
+   module does not import yields no kernels at all, never part of the
+   table.  A process killed mid-build leaves nothing a later process
+   would load.
 
 The first two and the killed build skip where the C tier cannot load
 (no cffi or no C compiler).  ``tests/test_backend_conv_lowering.py``
@@ -29,6 +36,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import types
 from pathlib import Path
 
 import numpy as np
@@ -172,9 +180,9 @@ class TestOperandsAKernelCannotTake:
     """An operand a C kernel cannot take leaves the op to its fallback.
 
     The float32 instances read every operand through a ``float *``; a
-    float64 one would be read as garbage, so the wrapper checks each
-    operand's dtype, size and contiguity first and the backend falls
-    back when it declines.
+    float64 one would be read as garbage, so the entry point checks each
+    operand's dtype, size and layout first and the backend falls back
+    when it declines.
     """
 
     @staticmethod
@@ -235,6 +243,176 @@ class TestOperandsAKernelCannotTake:
         )
 
 
+# ----------------------------------------------------------------------
+# Guarantee 2, entry point by entry point: the misfit grid.
+# ----------------------------------------------------------------------
+SENTINEL = 12345.0
+OTHER_FLOAT = {np.dtype(np.float32): np.float64, np.dtype(np.float64): np.float32}
+
+
+def fitting_call(name, dtype):
+    """``(args, roles)``: a call the entry point ``name`` takes, in ``dtype``.
+
+    ``roles[i]`` is None for a scalar and otherwise ``(kind, written)``:
+    kind "float" for an operand of the kernel's dtype, "conv" for a conv
+    image (its loops take any plane strides), "bool" for a mask and
+    "int64" for window offsets.  Written arrays hold a sentinel.
+    """
+    rng = np.random.default_rng(0)
+
+    def draw(*shape):
+        return rng.normal(size=shape).astype(dtype)
+
+    def out(*shape):
+        return np.full(shape, SENTINEL, dtype)
+
+    read, written = ("float", False), ("float", True)
+    if name in ("im2col", "col2im"):
+        image, cols = (draw(2, 3, 5, 5), out(27, 50)) if name == "im2col" else (
+            out(2, 3, 5, 5), draw(27, 50))
+        conv = ("conv", name == "col2im")
+        arrays = [(image, conv), (cols, written if name == "im2col" else read)]
+        if name == "col2im":
+            arrays.reverse()
+        return [a for a, _ in arrays] + [3, 1, 1, 5, 5], [
+            r for _, r in arrays] + [None] * 5
+    if name == "maxpool_fwd":
+        return ([draw(2, 3, 4, 4), out(2, 3, 2, 2),
+                 np.full((2, 3, 2, 2), -7, np.int64), 2],
+                [read, written, ("int64", True), None])
+    if name == "maxpool_bwd":
+        return ([draw(2, 3, 2, 2), rng.integers(0, 4, (2, 3, 2, 2)),
+                 out(2, 3, 4, 4), 2],
+                [read, ("int64", False), written, None])
+    if name == "fake_quant":
+        return [draw(3, 4, 5), out(3, 4, 5), 8], [read, written, None]
+    if name == "adam_update":
+        return ([draw(4, 3), draw(4, 3), draw(4, 3), np.abs(draw(4, 3)),
+                 out(4, 3), 1e-3, 0.9, 0.999, 1e-8, 1e-4, 0.1, 0.001],
+                [read, read, written, written, written] + [None] * 7)
+    if name == "bn_centre":
+        return ([draw(2, 3, 4, 5), draw(3), out(2, 3, 4, 5), out(2, 3, 4, 5)],
+                [read, read, written, written])
+    if name == "bn_normalize":
+        mask = np.zeros((2, 3, 4, 5), np.bool_)
+        mask.view(np.uint8)[...] = 2  # a byte the kernel never writes
+        return ([draw(2, 3, 4, 5), draw(3), draw(3), draw(3), out(2, 3, 4, 5),
+                 mask], [written, read, read, read, written, ("bool", True)])
+    if name == "bn_grad_terms":
+        return ([draw(2, 3, 4, 5), rng.random((2, 3, 4, 5)) > 0.5,
+                 draw(2, 3, 4, 5), out(2, 3, 4, 5), out(2, 3, 4, 5)],
+                [read, ("bool", False), read, written, written])
+    assert name == "bn_grad_input"
+    return ([draw(2, 3, 4, 5), draw(2, 3, 4, 5), draw(3), draw(3), draw(3),
+             out(2, 3, 4, 5)], [read, read, read, read, read, written])
+
+
+def _misaligned(a):
+    """``a`` copied into a view one byte off an aligned buffer."""
+    view = np.zeros(a.nbytes + 1, np.uint8)[1:].view(a.dtype).reshape(a.shape)
+    view[...] = a
+    return view
+
+
+def _misaligned_buffer(a):
+    """``a`` as a memoryview one byte off an aligned buffer, in ``a``'s
+    format: numpy marks its own misaligned views in the format ("=d"),
+    other exporters need not."""
+    view = memoryview(np.zeros(a.nbytes + 1, np.uint8))[1:]
+    view[:] = a.tobytes()
+    return view.cast(a.dtype.char, a.shape)
+
+
+def _read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def _rows_apart(a):
+    """``a`` with its innermost axis strided: an F-ordered image, else
+    every other element of a doubled array."""
+    if a.ndim == 4:
+        return np.asfortranarray(a)
+    return np.repeat(a, 2, axis=-1)[..., ::2]
+
+
+def _other_dtype(a):
+    if a.dtype.kind == "f":
+        return a.astype(OTHER_FLOAT[a.dtype])
+    return a.astype(np.float32 if a.dtype == np.bool_ else np.int32)
+
+
+# Each misfit: (name, applies to (kind, written), operand -> misfit).
+MISFITS = [
+    ("another dtype", lambda kind, w: True, _other_dtype),
+    ("big-endian", lambda kind, w: kind != "bool",
+     lambda a: a.astype(a.dtype.newbyteorder(">"))),
+    ("read-only", lambda kind, w: w, _read_only),
+    ("misaligned", lambda kind, w: kind != "bool", _misaligned),
+    ("misaligned buffer", lambda kind, w: kind != "bool", _misaligned_buffer),
+    ("zero stride", lambda kind, w: kind != "conv",
+     lambda a: np.lib.stride_tricks.as_strided(a, strides=(0,) + a.strides[1:])),
+    ("negative stride", lambda kind, w: kind != "conv", lambda a: a[::-1]),
+    ("rows apart", lambda kind, w: True, _rows_apart),
+    ("zero-size", lambda kind, w: True,
+     lambda a: np.empty((0,) + a.shape[1:], a.dtype)),
+    ("wrong shape", lambda kind, w: True,
+     lambda a: np.zeros((a.shape[0] + 1,) + a.shape[1:], a.dtype)),
+    ("bytearray", lambda kind, w: True, lambda a: bytearray(a.nbytes)),
+]
+
+
+def misfit_calls(name, dtype):
+    """``(label, args)`` of every misfit call of entry point ``name``:
+    one operand at a time replaced by each misfit that applies to it,
+    and the entry point's own cases."""
+    args, roles = fitting_call(name, dtype)
+    for misfit, applies, make in MISFITS:
+        for i, role in enumerate(roles):
+            if role is not None and applies(*role):
+                yield (f"{misfit} argument {i}",
+                       args[:i] + [make(args[i])] + args[i + 1:])
+    if name == "bn_grad_terms":
+        yield "masked without mask", [args[0], None] + args[2:]
+        yield "mask without masked", args[:3] + [None, args[4]]
+    if name == "fake_quant":
+        for bits in (0, 63):
+            yield f"{bits} bits", args[:2] + [bits]
+
+
+needs_c_tier = pytest.mark.skipif(not _ckernels.kernels(),
+                                  reason="the C kernel tier cannot load here")
+
+
+@needs_c_tier
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("name", _ckernels._WRAPPERS)
+class TestMisfitGrid:
+    def test_fitting_call_runs(self, name, dtype):
+        args, _ = fitting_call(name, np.dtype(dtype))
+        assert _ckernels.kernels()[name](*args) is True
+
+    def test_misfits_return_false_and_write_nothing(self, name, dtype):
+        kernel = _ckernels.kernels()[name]
+
+        def snapshot(args):
+            return [a if a is None or np.isscalar(a) else
+                    memoryview(a).tobytes() for a in args]
+
+        for label, args in misfit_calls(name, np.dtype(dtype)):
+            before = snapshot(args)
+            assert kernel(*args) is False, label
+            assert snapshot(args) == before, f"{label}: an operand was written"
+
+    def test_wrong_argument_count_raises(self, name, dtype):
+        args, _ = fitting_call(name, np.dtype(dtype))
+        kernel = _ckernels.kernels()[name]
+        for wrong in (args[:-1], args + [0]):
+            with pytest.raises(TypeError):
+                kernel(*wrong)
+
+
 def _c_toolchain_present() -> bool:
     try:
         importlib.import_module("cffi")
@@ -280,13 +458,41 @@ print("ok")
 
 
 def test_build_cache_key_covers_compile_flags(monkeypatch):
-    """A build under other flags is other code: it gets its own cache entry."""
+    """A build under other flags or macros is other code: it gets its own
+    cache entry.  Without its macro cffi builds against the limited API."""
     modname, sofile = _ckernels._build_path()
-    monkeypatch.setattr(_ckernels, "_COMPILE_ARGS",
-                        _ckernels._COMPILE_ARGS + ("-g",))
-    other_modname, other_sofile = _ckernels._build_path()
-    assert other_modname != modname
-    assert os.path.dirname(other_sofile) != os.path.dirname(sofile)
+    for setting, other in (("_COMPILE_ARGS", _ckernels._COMPILE_ARGS + ("-g",)),
+                           ("_MACROS", ())):
+        with monkeypatch.context() as patch:
+            patch.setattr(_ckernels, setting, other)
+            other_modname, other_sofile = _ckernels._build_path()
+        assert other_modname != modname, setting
+        assert os.path.dirname(other_sofile) != os.path.dirname(sofile), setting
+
+
+@needs_c_tier
+def test_every_kernel_name_resolves():
+    for name in _ckernels._WRAPPERS:
+        assert callable(_ckernels.get_kernel(name)), name
+    assert set(_ckernels.kernels()) == set(_ckernels._WRAPPERS)
+
+
+@needs_c_tier
+@pytest.mark.parametrize("failure", ["import raises", "entry point missing"])
+def test_a_broken_dispatch_module_yields_no_kernels(monkeypatch, failure):
+    """The shared object builds but its dispatch module does not serve
+    every kernel: the table is empty, never half full."""
+    module = _ckernels._load()
+    if failure == "import raises":
+        # The built object has no init function under this name, so
+        # importing it raises ImportError.
+        monkeypatch.setattr(_ckernels, "_DISPATCH", "_repro_no_such_module")
+    else:
+        monkeypatch.setattr(_ckernels, "_load", lambda: types.SimpleNamespace(
+            **{name: getattr(module, name) for name in _ckernels._WRAPPERS[1:]}))
+    monkeypatch.setattr(_ckernels, "_KERNELS", None)
+    assert _ckernels.kernels() == {}
+    assert _ckernels.get_kernel("im2col") is None
 
 
 @pytest.mark.skipif(not _c_toolchain_present(),

@@ -19,13 +19,18 @@ batchnorm):
    never stepped);
 2. the C loop ran exactly where it should: a dynamic quantizer with a
    finite, non-degenerate range over a dense input, Adam operands that
-   are dense float64 arrays laid out alike, and batchnorm and pooling
-   operands with positive strides and contiguous rows.  Static
-   quantizers, non-finite or degenerate ranges, non-dense inputs, an
-   F-ordered gradient and reversed or F-ordered images take the seed
+   are dense arrays of the backend's dtype laid out alike, and
+   batchnorm and pooling operands with positive strides and contiguous
+   rows, all aligned and in native byte order.  Static quantizers,
+   non-finite or degenerate ranges, empty, misaligned or non-dense
+   inputs, an F-ordered, big-endian or broadcast gradient and reversed,
+   F-ordered, misaligned, big-endian or broadcast images take the seed
    path;
 3. a hypothesis search over small shapes and those layouts finds no
-   batchnorm or pooling input on which the two tiers differ.
+   batchnorm, pooling, fake-quant or Adam input on which the two tiers
+   differ, in bytes or strides: fake-quant over dynamic and static
+   quantizers of 1-62 bits with signed zeros and NaN as extremes, Adam
+   over operands laid out alike and not, with and without weight decay.
 """
 
 import collections
@@ -167,6 +172,13 @@ def assert_seed_array(got, want, what):
         f"{what}: strides {got.strides} != seed {want.strides}")
 
 
+def misaligned(a):
+    """``a`` copied into a view one byte off an aligned buffer."""
+    view = np.zeros(a.nbytes + 1, np.uint8)[1:].view(a.dtype).reshape(a.shape)
+    view[...] = a
+    return view
+
+
 def channel_major(x):
     """``x`` laid out as a conv output: the (C, N, H, W) buffer, transposed."""
     return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
@@ -285,6 +297,18 @@ class TestFakeQuantMatchesSeed:
         top = np.array([top, np.nextafter(top, dtype.type(np.inf))] * 4)
         check_fake_quant(backend, top, UniformQuantizer(16), True)
 
+    def test_misaligned_input_takes_the_seed_path(self, backend):
+        x = np.random.default_rng(4).normal(size=(25, 8, 4, 4))
+        check_fake_quant(backend, misaligned(x.astype(backend.dtype)),
+                         UniformQuantizer(8), False)
+
+    def test_empty_input_raises_numpys_error(self, backend):
+        with counted(backend) as calls, pytest.raises(ValueError,
+                                                      match="zero-size"):
+            backend.fake_quant(np.empty((0, 4), backend.dtype),
+                               UniformQuantizer(8))
+        assert calls["fake_quant"] == 0
+
     def test_static_quantizer_takes_the_seed_path(self, backend):
         rng = np.random.default_rng(3)
         quantizer = UniformQuantizer(4, dynamic=False)
@@ -364,7 +388,9 @@ class TestAdamMatchesSeed:
         check_adam(backend, operands, 2, 0.0, True)
 
     @pytest.mark.parametrize("mismatch", ["other-dtype grad", "sliced grad",
-                                          "F-ordered m"])
+                                          "F-ordered m", "big-endian grad",
+                                          "misaligned m", "broadcast grad",
+                                          "reversed grad"])
     def test_mismatched_operands_take_the_seed_path(self, backend, mismatch):
         param, grad, m, v = adam_operands((16, 8), 6, dtype=backend.dtype)
         if mismatch == "other-dtype grad":
@@ -372,19 +398,31 @@ class TestAdamMatchesSeed:
             grad = grad.astype(other)
         elif mismatch == "sliced grad":
             grad = np.repeat(grad, 2, axis=1)[:, ::2]
-        else:
+        elif mismatch == "F-ordered m":
             m = np.asfortranarray(m)
+        elif mismatch == "big-endian grad":
+            grad = grad.astype(grad.dtype.newbyteorder(">"))
+        elif mismatch == "misaligned m":
+            m = misaligned(m)
+        elif mismatch == "broadcast grad":
+            grad = np.broadcast_to(grad[:1], grad.shape)
+        else:
+            grad = np.ascontiguousarray(grad[::-1])[::-1]
         check_adam(backend, (param, grad, m, v), 7, 5e-4, False)
 
     def test_read_only_moments_are_not_written(self, backend):
-        param, grad, m, v = adam_operands((16, 8), 8, dtype=backend.dtype)
-        frozen = np.lib.stride_tricks.as_strided(v, writeable=False)
-        before = v.copy()
-        with counted(backend) as calls, pytest.raises(ValueError):
-            backend.adam_update(param, grad, m, frozen, 1e-3, 0.9, 0.999,
-                                1e-8, 0.0, 0.1, 0.001)
-        assert calls["adam_update"] == 0
-        assert v.tobytes() == before.tobytes()
+        for moment in "mv":
+            operands = dict(zip("pgmv", adam_operands((16, 8), 8,
+                                                      dtype=backend.dtype)))
+            target = operands[moment]
+            operands[moment] = np.lib.stride_tricks.as_strided(
+                target, writeable=False)
+            before = target.copy()
+            with counted(backend) as calls, pytest.raises(ValueError):
+                backend.adam_update(*operands.values(), 1e-3, 0.9, 0.999,
+                                    1e-8, 0.0, 0.1, 0.001)
+            assert calls["adam_update"] == 0, moment
+            assert target.tobytes() == before.tobytes(), moment
 
 
 # ----------------------------------------------------------------------
@@ -419,13 +457,14 @@ def image_layouts(a):
 
 
 def plane_addressable(*arrays):
-    """The C loops' precondition: float or bool images with positive
-    strides and contiguous rows."""
+    """The C loops' precondition: aligned float or bool images in native
+    byte order with positive strides and contiguous rows."""
     for a in arrays:
         if a is None:
             continue
         steps = [s for s, d in zip(a.strides, a.shape) if d > 1]
         if not (a.dtype in (np.float32, np.float64, np.bool_)
+                and a.flags.aligned
                 and min(steps, default=1) > 0
                 and (a.shape[3] == 1 or a.strides[3] == a.itemsize)):
             return False
@@ -516,11 +555,16 @@ class TestBatchnormMatchesSeed:
         check_batchnorm(backend, x, draw(4), draw(4), True,
                         lambda out: draw(out.shape))
 
-    @pytest.mark.parametrize("layout", ["F", "reversed"])
+    @pytest.mark.parametrize("layout", ["F", "reversed", "misaligned",
+                                        "big-endian", "broadcast"])
     def test_f_ordered_and_reversed_images_take_the_seed_path(self, backend,
                                                              layout):
         draw = _draws(np.random.default_rng(3), backend.dtype)
-        x = dict(image_layouts(draw((4, 3, 5, 6))))[layout]
+        x = draw((4, 3, 5, 6))
+        x = {"misaligned": misaligned,
+             "big-endian": lambda a: a.astype(a.dtype.newbyteorder(">")),
+             "broadcast": lambda a: np.broadcast_to(a[:1], a.shape),
+             }.get(layout, lambda a: dict(image_layouts(a))[layout])(x)
         assert not plane_addressable(x)
         check_batchnorm(backend, x, draw(3), draw(3), True,
                         lambda out: draw(out.shape))
@@ -677,8 +721,69 @@ def assert_same(got, want, what):
         assert_seed_array(got, want, what)
 
 
+# Each dtype's (C, numpy) tier pair.
+FAST_C, FAST_NUMPY = FastBackend(), FastBackend()
+FAST_NUMPY._kernels = {}
+TIER_PAIRS = [(C_TIER, NUMPY_TIER), (FAST_C, FAST_NUMPY)]
+FLAT_LAYOUTS = ["C", "F", "channel-major", "reversed", "sliced"]
+
+
+def flat_layout(values, layout):
+    """``values`` (4-D) laid out for a flat loop: dense in one of three
+    orders, or not dense."""
+    return {"C": np.ascontiguousarray, "F": np.asfortranarray,
+            "channel-major": channel_major, "reversed": lambda a: a[::-1],
+            "sliced": lambda a: np.repeat(a, 2, axis=3)[..., ::2],
+            }[layout](values)
+
+
 @pytest.mark.skipif(not C_TIER._kernels, reason="the C kernel tier cannot load here")
 class TestTiersAgree:
+    @settings.get_profile("reference-kernels")
+    @given(images(), st.sampled_from(["mixed", "non-negative", "non-positive"]),
+           st.integers(1, 62), st.booleans(), st.sampled_from(TIER_PAIRS))
+    def test_fake_quant(self, image, sign, bits, dynamic, tiers):
+        # Signed inputs with SPECIALS placed make a zero of either sign,
+        # or a NaN, an extreme of the range.
+        values, rng = image
+        finite = np.isfinite(values)
+        if sign != "mixed":
+            values[finite] = np.abs(values[finite]) * (
+                1.0 if sign == "non-negative" else -1.0)
+        quantizer = UniformQuantizer(bits, dynamic=dynamic)
+        if not dynamic:
+            quantizer.calibrate(rng.normal(size=7))
+        x = values.astype(tiers[0].dtype)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            for name, arr, _ in layouts(x):
+                got, want = (backend.fake_quant(arr, quantizer)
+                             for backend in tiers)
+                assert_same(got, want, f"fake_quant {name} {quantizer}")
+
+    @settings.get_profile("reference-kernels")
+    @given(images(), st.booleans(), st.lists(st.sampled_from(FLAT_LAYOUTS),
+                                             min_size=4, max_size=4),
+           st.sampled_from([0.0, 5e-4]), st.sampled_from(TIER_PAIRS))
+    def test_adam(self, image, alike, layouts_drawn, weight_decay, tiers):
+        values, rng = image
+        dtype = tiers[0].dtype
+        if alike:
+            layouts_drawn = layouts_drawn[:1] * 4
+        arrays = [values, rng.normal(size=values.shape) * 0.01,
+                  rng.normal(size=values.shape) * 1e-3,
+                  np.abs(rng.normal(size=values.shape)) * 1e-5]
+        results = []
+        with np.errstate(invalid="ignore", over="ignore"):
+            for backend in tiers:
+                param, grad, m, v = (flat_layout(a.astype(dtype), layout)
+                                     for a, layout in zip(arrays,
+                                                          layouts_drawn))
+                new = backend.adam_update(param, grad, m, v, 1e-3, 0.9, 0.999,
+                                          1e-8, weight_decay, 0.1, 0.001)
+                results.append((new, m, v))
+        for name, got, want in zip(("param", "m", "v"), *results):
+            assert_same(got, want, f"adam {name} {layouts_drawn}")
+
     @settings.get_profile("reference-kernels")
     @given(images(), st.sampled_from(LAYOUT_NAMES), st.sampled_from(LAYOUT_NAMES),
            st.booleans())
