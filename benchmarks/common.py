@@ -1,6 +1,6 @@
 """Shared paper reference vectors for the benchmark harnesses.
 
-Scaling note (see DESIGN.md §2): the trained benchmarks run the *paper
+Scaling note (see README, "Scale and substitutions"): the trained benchmarks run the *paper
 topologies* (VGG19 = 16 conv + FC; ResNet18 = stem + 16 block convs +
 FC) at reduced channel width and input resolution so that CPU-only
 numpy training completes in minutes.  Those scale knobs live in the

@@ -1,4 +1,4 @@
-"""Ablation — PIM design choices called out in DESIGN.md §5.
+"""Ablation — PIM design choices (README, "Scale and substitutions").
 
 1. Hardware precision snapping {2,4,8,16} vs ideal per-bit widths: how
    much efficiency does the restricted precision set cost?

@@ -1,4 +1,4 @@
-"""Ablation — saturation-detector sensitivity (DESIGN.md §5).
+"""Ablation — saturation-detector sensitivity (README, "Scale and substitutions").
 
 Algorithm 1 re-quantizes when AD "saturates"; the window/tolerance of
 the detector controls how long each iteration trains.  The bench runs

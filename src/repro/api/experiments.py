@@ -181,7 +181,8 @@ def apply_speculation(kind: str, preset, speculate: int | None):
 
 # ---------------------------------------------------------------------------
 # Sweep presets — the paper's grids (Tables II/III across models/seeds)
-# and the DESIGN §5 ablation grids, runnable via `repro sweep --preset`.
+# and the ablation grids (README, "Scale and substitutions"), runnable
+# via `repro sweep --preset`.
 #
 # Registration is lazy: repro.orchestration imports this module's config
 # presets, so the SweepConfig import must wait until first access.
@@ -381,7 +382,7 @@ def _ensure_sweeps() -> None:
         return
     from repro.orchestration.sweep import SweepAxis, SweepConfig
 
-    # The DESIGN §5 saturation-tolerance ablation (benchmarks run this
+    # The saturation-tolerance ablation (benchmarks run this
     # same grid through `repro.orchestration.SweepRunner`).
     ablation_base = get_config("vgg19-cifar10-quant").evolve(
         model={"seed": 5},
@@ -391,14 +392,14 @@ def _ensure_sweeps() -> None:
     )
     _SWEEPS["ablation-saturation"] = SweepConfig(
         name="ablation-saturation",
-        description=("DESIGN §5: saturation-detector tolerance sweep "
+        description=("Ablation: saturation-detector tolerance sweep "
                      "(looser tolerance -> earlier re-quantization)."),
         base=ablation_base,
         axes=(SweepAxis("quant.saturation_tolerance", (0.005, 0.05, 0.5)),),
     )
     _SWEEPS["ablation-initial-bits"] = SweepConfig(
         name="ablation-initial-bits",
-        description=("DESIGN §5: starting precision sweep (Table II(c) "
+        description=("Ablation: starting precision sweep (Table II(c) "
                      "uses a 32-bit start)."),
         base=get_config("vgg19-cifar10-quant").evolve(
             quant={"max_iterations": 2}

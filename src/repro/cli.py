@@ -476,10 +476,9 @@ class _SweepOutStream:
                                  point_dicts=self.point_dicts)
 
     def write(self) -> None:
-        from repro.utils.serialization import atomic_write
+        from repro.utils.serialization import save_json
 
-        data = (json.dumps(self._payload(), indent=2) + "\n").encode("utf-8")
-        atomic_write(self.path, lambda handle: handle.write(data))
+        save_json(self.path, self._payload())
 
 
 def _report_interrupted(args, stop, stream, kind: str) -> int:

@@ -95,8 +95,7 @@ class ADPruner:
                     f"invalid channel budget {target} for {handle.name} "
                     f"(layer has {total})"
                 )
-            current_mask = np.asarray(handle.mask_host.channel_mask).copy()
-            active = np.flatnonzero(current_mask)
+            active = np.flatnonzero(handle.host.channel_mask)
             if target >= active.size:
                 continue  # pruning never re-grows channels
             per_channel = handle.meter.channel_density()

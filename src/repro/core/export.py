@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 from repro.core.report import ExperimentReport, SweepEntry, SweepReport, TableRow
+from repro.utils.serialization import save_json
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
@@ -40,10 +41,8 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 
 def save_report_json(report: ExperimentReport, path) -> None:
-    """Write the report as pretty-printed JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report_to_dict(report), indent=2))
+    """Write the report as pretty-printed JSON, atomically (see :func:`save_json`)."""
+    save_json(path, report_to_dict(report))
 
 
 def load_report_json(path) -> ExperimentReport:

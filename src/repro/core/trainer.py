@@ -36,15 +36,12 @@ class Trainer:
         ``layer_handles()`` and a ``ctx`` measurement context).
     optimizer / loss_fn:
         Optimization objects from :mod:`repro.nn`.
-    collect_density:
-        When True (default) density meters run during training forwards.
     """
 
-    def __init__(self, model, optimizer, loss_fn, collect_density: bool = True):
+    def __init__(self, model, optimizer, loss_fn):
         self.model = model
         self.optimizer = optimizer
         self.loss_fn = loss_fn
-        self.collect_density = collect_density
         self.registry = model.layer_handles()
         self.monitor = DensityMonitor(self.registry.names())
         self.epochs_completed = 0
@@ -68,7 +65,7 @@ class Trainer:
         """Run one epoch; returns loss/accuracy/AD stats."""
         self.model.train()
         self._reset_meters()
-        self.model.ctx.enabled = self.collect_density
+        self.model.ctx.enabled = True
         total_loss = 0.0
         correct = 0
         seen = 0
@@ -87,9 +84,8 @@ class Trainer:
             self.model.ctx.enabled = False
         if seen == 0:
             raise RuntimeError("training loader yielded no batches")
-        densities = self._snapshot_densities() if self.collect_density else {}
-        if self.collect_density:
-            self.monitor.record(densities)
+        densities = self._snapshot_densities()
+        self.monitor.record(densities)
         stats = EpochStats(
             epoch=self.epochs_completed,
             loss=total_loss / seen,

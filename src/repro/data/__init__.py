@@ -3,8 +3,8 @@
 The paper evaluates on CIFAR-10, CIFAR-100 and TinyImageNet.  Those
 datasets cannot be downloaded in this offline environment, so this
 package provides deterministic *synthetic* stand-ins with the same
-shapes and class counts (see ``DESIGN.md`` §2 for the substitution
-rationale): class-conditional structured images on which ReLU networks
+shapes and class counts (the README's "Scale and substitutions" gives
+the rationale): class-conditional structured images on which ReLU networks
 exhibit the same qualitative activation-density dynamics the method
 relies on.
 """

@@ -20,56 +20,46 @@ def activation_density(activations: np.ndarray, threshold: float = 0.0) -> float
 class ActivationDensityMeter:
     """Streaming AD accumulator for one layer.
 
-    Batches are folded in with :meth:`update`; :meth:`density` returns
-    the AD over everything seen since the last :meth:`reset`.  This
-    matches the paper's definition of AD "calculated by passing the
-    training set through the network".
+    Batches of shape ``(N, C, ...)`` are folded in with :meth:`update`;
+    :meth:`density` returns the AD over everything seen since the last
+    :meth:`reset`.  This matches the paper's definition of AD
+    "calculated by passing the training set through the network".
 
-    The meter also accumulates *per-channel* non-zero counts (channel =
-    axis 1 for conv maps, feature axis for 2-D activations), which the
-    AD-based pruner uses to rank channels when shrinking a layer to
-    ``round(C_l * AD_l)`` channels (eqn. 5).
+    The meter keeps *per-channel* non-zero counts (channel = axis 1 for
+    conv maps, feature axis for 2-D activations), which the AD-based
+    pruner uses to rank channels when shrinking a layer to
+    ``round(C_l * AD_l)`` channels (eqn. 5).  Their sum is the layer's
+    non-zero count, and every channel sees ``count / C`` values.
     """
 
-    def __init__(self, name: str = "", threshold: float = 0.0):
+    def __init__(self, name: str = ""):
         self.name = name
-        self.threshold = threshold
-        self._nonzero = 0
         self._total = 0
         self._channel_nonzero: np.ndarray | None = None
-        self._channel_total: np.ndarray | None = None
 
     def update(self, activations: np.ndarray) -> None:
         activations = np.asarray(activations)
-        mask = activations > self.threshold
-        self._nonzero += int(np.count_nonzero(mask))
+        reduce_axes = (0,) + tuple(range(2, activations.ndim))
+        per_channel = (activations > 0).sum(axis=reduce_axes)
+        if self._channel_nonzero is None:
+            self._channel_nonzero = per_channel.astype(np.int64)
+        elif self._channel_nonzero.shape != per_channel.shape:
+            raise ValueError(f"meter {self.name!r} saw inconsistent channel counts")
+        else:
+            self._channel_nonzero += per_channel
         self._total += int(activations.size)
-        if activations.ndim >= 2:
-            channels = activations.shape[1]
-            reduce_axes = tuple(i for i in range(activations.ndim) if i != 1)
-            per_channel = mask.sum(axis=reduce_axes)
-            per_channel_total = activations.size // channels
-            if self._channel_nonzero is None:
-                self._channel_nonzero = per_channel.astype(np.int64)
-                self._channel_total = np.full(channels, per_channel_total, dtype=np.int64)
-            elif self._channel_nonzero.shape[0] != channels:
-                raise ValueError(
-                    f"meter {self.name!r} saw inconsistent channel counts"
-                )
-            else:
-                self._channel_nonzero += per_channel
-                self._channel_total += per_channel_total
 
     def density(self) -> float:
         if self._total == 0:
             raise RuntimeError(f"density meter {self.name!r} has seen no data")
-        return self._nonzero / self._total
+        return int(self._channel_nonzero.sum()) / self._total
 
     def channel_density(self) -> np.ndarray:
         """Per-channel AD over everything seen since the last reset."""
         if self._channel_nonzero is None:
             raise RuntimeError(f"meter {self.name!r} has no per-channel data")
-        return self._channel_nonzero / np.maximum(self._channel_total, 1)
+        channels = self._channel_nonzero.shape[0]
+        return self._channel_nonzero / max(self._total // channels, 1)
 
     @property
     def count(self) -> int:
@@ -77,10 +67,8 @@ class ActivationDensityMeter:
         return self._total
 
     def reset(self) -> None:
-        self._nonzero = 0
         self._total = 0
         self._channel_nonzero = None
-        self._channel_total = None
 
     # ------------------------------------------------------------------
     # Checkpointing (JSON-serializable; channel vectors are short)
@@ -88,35 +76,26 @@ class ActivationDensityMeter:
     def state(self) -> dict:
         """Accumulated counts as a JSON-serializable dict."""
         return {
-            "nonzero": self._nonzero,
             "total": self._total,
             "channel_nonzero": (
                 None
                 if self._channel_nonzero is None
                 else [int(v) for v in self._channel_nonzero]
             ),
-            "channel_total": (
-                None
-                if self._channel_total is None
-                else [int(v) for v in self._channel_total]
-            ),
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore counts captured by :meth:`state`."""
-        self._nonzero = int(state["nonzero"])
+        """Restore counts captured by :meth:`state`.
+
+        Older states also carry ``nonzero`` and ``channel_total``; both
+        follow from the two counts kept here and are ignored.
+        """
         self._total = int(state["total"])
         channel_nonzero = state.get("channel_nonzero")
-        channel_total = state.get("channel_total")
         self._channel_nonzero = (
             None
             if channel_nonzero is None
             else np.asarray(channel_nonzero, dtype=np.int64)
-        )
-        self._channel_total = (
-            None
-            if channel_total is None
-            else np.asarray(channel_total, dtype=np.int64)
         )
 
     def __repr__(self) -> str:

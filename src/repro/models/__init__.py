@@ -1,13 +1,14 @@
 """Network architectures evaluated in the paper (VGG19, ResNet18).
 
 Models are built from :class:`~repro.models.blocks.ConvUnit` /
-:class:`~repro.models.blocks.LinearUnit` blocks that carry the
-instrumentation the AD-quantization algorithm needs: an activation
-fake-quant slot, an activation-density meter, and a channel-pruning
-mask.  Every model exposes an ordered ``layer_handles()`` registry
-mapping onto the paper's "layers l = 1..L" (first and last layers are
-marked frozen; ResNet downsample convs follow their destination layer's
-bit-width per Fig. 2).
+:class:`~repro.models.blocks.LinearUnit` blocks whose outputs end in
+the one instrumentation tail the AD-quantization algorithm needs
+(:class:`~repro.models.blocks.LayerOutput`): a channel-pruning mask, an
+activation fake-quant slot, and an activation-density meter.  Every
+model exposes an ordered ``layer_handles()`` registry mapping onto the
+paper's "layers l = 1..L" (first and last layers are marked frozen;
+ResNet downsample convs follow their destination layer's bit-width per
+Fig. 2); only the registry's layers carry meters.
 """
 
 from repro.models.blocks import ConvUnit, LinearUnit, MeasurementContext

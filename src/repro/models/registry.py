@@ -4,20 +4,25 @@ A :class:`LayerHandle` binds one table row (bit-width ``k_l``, channel
 count ``C_l``) to the module objects the algorithm must manipulate:
 
 * ``unit`` — the conv/linear whose *weights* are quantized;
-* ``host`` — the object owning the layer's activation-quant slot and
-  density meter.  For VGG units this is the unit itself; for the second
-  conv of a ResNet BasicBlock it is the block, because that layer's
-  output activation is the post-residual-add ReLU (paper Fig. 2);
+* ``host`` — the :class:`~repro.models.blocks.LayerOutput` emitting the
+  layer's output, whose tail holds its eqn.-(5) channel mask,
+  activation-quant slot and density meter.  For VGG units this is the
+  unit itself; for the second conv of a ResNet BasicBlock it is the
+  block, because that layer's output activation is the
+  post-residual-add ReLU (paper Fig. 2);
 * ``follower_units`` / ``follower_quants`` — ResNet skip-branch
-  machinery that must mirror this layer's bit-width;
-* ``mask_host`` — where eqn.-(5) channel-pruning masks are installed.
+  machinery that must mirror this layer's bit-width.
+
+A :class:`LayerRegistry` gives each host its meter, so the registry's
+layers are exactly the outputs that are measured.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.models.blocks import ConvUnit, LinearUnit
+from repro.density import ActivationDensityMeter
+from repro.models.blocks import ConvUnit, LayerOutput, LinearUnit
 from repro.quant import FakeQuantize
 
 
@@ -28,8 +33,7 @@ class LayerHandle:
     name: str
     unit: ConvUnit | LinearUnit
     role: str = "hidden"
-    host: object | None = None
-    mask_host: object | None = None
+    host: LayerOutput | None = None
     follower_units: list[ConvUnit] = field(default_factory=list)
     follower_quants: list[FakeQuantize] = field(default_factory=list)
     prunable: bool = True
@@ -39,8 +43,6 @@ class LayerHandle:
             raise ValueError(f"invalid role {self.role!r}")
         if self.host is None:
             self.host = self.unit
-        if self.mask_host is None:
-            self.mask_host = self.unit
 
     @property
     def is_conv(self) -> bool:
@@ -76,13 +78,13 @@ class LayerHandle:
     # ------------------------------------------------------------------
     @property
     def out_channels(self) -> int:
-        return self.mask_host.out_channels
+        return self.host.out_channels
 
     def active_channels(self) -> int:
-        return self.mask_host.active_channels()
+        return self.host.active_channels()
 
     def set_channel_mask(self, mask) -> None:
-        self.mask_host.set_channel_mask(mask)
+        self.host.set_channel_mask(mask)
 
 
 class LayerRegistry:
@@ -93,6 +95,8 @@ class LayerRegistry:
         if len(set(names)) != len(names):
             raise ValueError("duplicate layer names in registry")
         self.handles = list(handles)
+        for handle in self.handles:
+            handle.host.meter = ActivationDensityMeter(handle.name)
 
     def __iter__(self):
         return iter(self.handles)

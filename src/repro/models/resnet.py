@@ -17,22 +17,21 @@ import numpy as np
 from repro.autograd import Tensor
 from repro.backend import active_backend
 from repro.autograd.conv import global_avg_pool2d
-from repro.density import ActivationDensityMeter
-from repro.models.blocks import ConvUnit, LinearUnit, MeasurementContext
+from repro.models.blocks import ConvUnit, LayerOutput, LinearUnit, MeasurementContext
 from repro.models.registry import LayerHandle, LayerRegistry
 from repro.nn import Module, ModuleList
 from repro.quant import FakeQuantize
 
 
-class BasicBlock(Module):
+class BasicBlock(LayerOutput):
     """Two 3x3 convs with a residual connection.
 
     The second conv's "layer output" is the post-add ReLU, so this block
-    hosts that layer's activation quantizer (``act_quant``), density
-    meter (``meter``) and pruning mask (``channel_mask``).  The skip
-    branch's activations pass through ``skip_quant``, which Algorithm 1
-    keeps synchronized with the destination layer's bit-width (Fig. 2),
-    as does the downsample conv's weight quantizer.
+    is that layer's :class:`~repro.models.blocks.LayerOutput`: its tail
+    carries the activation quantizer, density meter and pruning mask.
+    The skip branch's activations pass through ``skip_quant``, which
+    Algorithm 1 keeps synchronized with the destination layer's
+    bit-width (Fig. 2), as does the downsample conv's weight quantizer.
     """
 
     def __init__(
@@ -44,16 +43,13 @@ class BasicBlock(Module):
         stride: int = 1,
         rng: np.random.Generator | None = None,
     ):
-        super().__init__()
-        self.name = name
-        self.ctx = ctx
+        super().__init__(name, ctx)
         self.unit1 = ConvUnit(
             f"{name}.conv1", in_channels, out_channels, 3, ctx,
             stride=stride, padding=1, relu=True, rng=rng,
         )
-        # The unit's internal meter observes the pre-add activation and is
-        # not part of the layer registry; the block-level meter below is
-        # the authoritative one for this layer (post-add ReLU).
+        # The pre-add output is not a registry layer: this block's tail
+        # (post-add ReLU) is the layer output the registry measures.
         self.unit2 = ConvUnit(
             f"{name}.conv2_preadd", out_channels, out_channels, 3, ctx,
             stride=1, padding=1, relu=False, rng=rng,
@@ -67,30 +63,11 @@ class BasicBlock(Module):
             self.downsample = None
         # Skip-branch activation quantizer (destination layer's bits).
         self.skip_quant = FakeQuantize(16, enabled=False)
-        # Destination-layer instrumentation (post-add ReLU output).
-        self.act_quant: FakeQuantize | None = None
-        self.meter = ActivationDensityMeter(f"{name}.conv2")
         self.register_buffer("channel_mask", active_backend().ones(out_channels))
 
-    # ------------------------------------------------------------------
-    # Pruning-mask host protocol (see LayerHandle)
-    # ------------------------------------------------------------------
     @property
     def out_channels(self) -> int:
         return self.unit2.out_channels
-
-    def active_channels(self) -> int:
-        return int(self.channel_mask.sum())
-
-    def set_channel_mask(self, mask: np.ndarray) -> None:
-        mask = active_backend().asarray(np.asarray(mask))
-        if mask.shape != (self.out_channels,):
-            raise ValueError("mask shape must equal (out_channels,)")
-        if not np.all((mask == 0) | (mask == 1)):
-            raise ValueError("mask entries must be 0 or 1")
-        if mask.sum() < 1:
-            raise ValueError("at least one channel must remain active")
-        self._set_buffer("channel_mask", mask)
 
     # ------------------------------------------------------------------
     def forward(self, x: Tensor) -> Tensor:
@@ -99,19 +76,7 @@ class BasicBlock(Module):
         skip = self.downsample(x) if self.downsample is not None else x
         if self.skip_quant.enabled:
             skip = self.skip_quant(skip)
-        out = (out + skip).relu()
-        pruned = not np.all(self.channel_mask == 1.0)
-        if pruned:
-            out = out * Tensor(self.channel_mask.reshape(1, -1, 1, 1))
-        if self.act_quant is not None:
-            out = self.act_quant(out)
-        if self.ctx.enabled:
-            if pruned:
-                active = np.flatnonzero(self.channel_mask)
-                self.meter.update(out.data[:, active])
-            else:
-                self.meter.update(out.data)
-        return out
+        return self.emit((out + skip).relu())
 
     def __repr__(self) -> str:
         return (
@@ -179,7 +144,6 @@ class ResNet(Module):
                         block.unit2,
                         role="hidden",
                         host=block,
-                        mask_host=block,
                         follower_units=followers,
                         follower_quants=[block.skip_quant],
                     )

@@ -30,7 +30,7 @@ import re
 import tarfile
 from pathlib import Path, PurePosixPath
 
-from repro.utils.serialization import atomic_write
+from repro.utils.serialization import atomic_write, save_json
 
 CACHE_VERSION = 1
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -113,8 +113,7 @@ class ResultCache:
     def write_entry(self, entry: dict) -> Path:
         """Atomically write one full entry dict (keyed by its own key)."""
         path = self.path_for(entry["key"])
-        data = json.dumps(entry, indent=2).encode("utf-8")
-        atomic_write(path, lambda handle: handle.write(data))
+        save_json(path, entry)
         return path
 
     def keys(self) -> list[str]:

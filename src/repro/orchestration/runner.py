@@ -226,7 +226,7 @@ def sweep_out_payload(name: str, points, results,
     ``results`` parallels ``points``; a ``None`` slot (not finished yet)
     becomes a ``"status": "pending"`` placeholder, so the file is valid,
     complete-in-shape JSON at every moment of a streaming sweep.  With
-    no pending slots (and no ``expansion_total``) the payload equals
+    no pending slots (and no ``expansion_total``) it is
     :meth:`SweepResult.to_dict`.
 
     ``expansion_total`` records the size of the *full* (unsharded)
@@ -420,14 +420,8 @@ class SweepResult:
         run-local diagnostics (see :attr:`stats`), excluded so a warm
         re-run serializes identically to the cold run it replays.
         """
-        return {
-            "sweep": self.name,
-            "stats": _status_counts(self.points),
-            "points": [
-                point_dict(point, position)
-                for position, point in enumerate(self.points)
-            ],
-        }
+        # Every point is finished, so the results double as the points.
+        return sweep_out_payload(self.name, self.points, self.points)
 
 
 class SweepInterrupted(RuntimeError):

@@ -1164,7 +1164,8 @@ def planned_trials(search: SearchConfig) -> tuple[int, bool]:
 # Running a search and serializing its outcome.
 # ---------------------------------------------------------------------------
 
-def _point_summary(result: PointResult | None) -> dict | None:
+def point_summary(result: PointResult | None) -> dict | None:
+    """A trial's label, key, config and metrics (the best/baseline entry)."""
     if result is None:
         return None
     return {
@@ -1193,8 +1194,8 @@ def search_out_payload(search: SearchConfig, name: str, points, results,
         "objective": search.objective,
         "accuracy_drop": search.accuracy_drop,
         "config": search.to_dict(),
-        "baseline": _point_summary(baseline),
-        "best": _point_summary(best),
+        "baseline": point_summary(baseline),
+        "best": point_summary(best),
         # The winning per-layer assignment ({layer: bits}, None until a
         # best exists) — the artifact a layer-bits search is run for,
         # published for every strategy since any best trial carries one.

@@ -468,17 +468,11 @@ class Master:
         }
         scheduler = run.scheduler
         if hasattr(scheduler, "best"):
-            from repro.orchestration.search import bit_vector_of, trial_metrics
+            from repro.orchestration.search import bit_vector_of, point_summary
 
             best = scheduler.best()
             summary["search"] = {
-                "best": None if best is None else {
-                    "label": best.label,
-                    "key": best.key,
-                    "config": (best.config.to_dict()
-                               if best.config is not None else None),
-                    "metrics": trial_metrics(best),
-                },
+                "best": point_summary(best),
                 "bit_vector": bit_vector_of(best),
                 "feasibility": scheduler.feasibility(),
             }

@@ -230,12 +230,9 @@ class JobQueue:
     def persist(self) -> None:
         if self.state_path is None:
             return
-        import json
+        from repro.utils.serialization import save_json
 
-        from repro.utils.serialization import atomic_write
-
-        data = (json.dumps(self.to_dict(), indent=2) + "\n").encode("utf-8")
-        atomic_write(self.state_path, lambda handle: handle.write(data))
+        save_json(self.state_path, self.to_dict())
 
     @classmethod
     def load(cls, state_path) -> "JobQueue":

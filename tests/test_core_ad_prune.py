@@ -52,7 +52,7 @@ class TestApplyPlan:
         handle = pruner.prunable_handles()[0]
         scores = handle.meter.channel_density()
         pruner.apply_plan(pruner.compute_plan({h.name: 0.5 for h in pruner.prunable_handles()}))
-        mask = np.asarray(handle.mask_host.channel_mask)
+        mask = np.asarray(handle.host.channel_mask)
         kept = np.flatnonzero(mask)
         dropped = np.flatnonzero(mask == 0)
         if dropped.size and kept.size:

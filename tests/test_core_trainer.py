@@ -36,17 +36,6 @@ class TestTrainEpoch:
         stats = trainer.train_epoch(tiny_loader)
         assert all(0.0 <= d <= 1.0 for d in stats.densities.values())
 
-    def test_collect_density_disabled(self, micro_vgg, tiny_loader):
-        trainer = Trainer(
-            micro_vgg,
-            Adam(micro_vgg.parameters(), lr=1e-3),
-            CrossEntropyLoss(),
-            collect_density=False,
-        )
-        stats = trainer.train_epoch(tiny_loader)
-        assert stats.densities == {}
-        assert trainer.monitor.num_epochs == 0
-
     def test_ctx_disabled_after_epoch(self, micro_vgg, tiny_loader):
         trainer = make_trainer(micro_vgg)
         trainer.train_epoch(tiny_loader)

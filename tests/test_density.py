@@ -102,6 +102,26 @@ class TestMeter:
         meter.update(acts)
         assert np.allclose(meter.channel_density(), [1.0, 0.0])
 
+    def test_loads_state_with_channel_totals(self, rng):
+        # Older states also carry "nonzero" and per-channel totals; they
+        # load to the same densities as the counts they were made from.
+        acts = rng.normal(size=(3, 4, 2, 2))
+        positive = acts > 0
+        state = {
+            "nonzero": int(positive.sum()),
+            "total": acts.size,
+            "channel_nonzero": positive.sum(axis=(0, 2, 3)).tolist(),
+            "channel_total": [12, 12, 12, 12],
+        }
+        meter = ActivationDensityMeter()
+        meter.load_state(state)
+        fresh = ActivationDensityMeter()
+        fresh.update(acts)
+        assert meter.density() == fresh.density() == state["nonzero"] / acts.size
+        expected = np.asarray(state["channel_nonzero"]) / np.asarray(state["channel_total"])
+        np.testing.assert_array_equal(meter.channel_density(), expected)
+        np.testing.assert_array_equal(fresh.channel_density(), expected)
+
 
 class TestMonitor:
     def test_record_and_latest(self):

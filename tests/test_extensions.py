@@ -110,6 +110,21 @@ class TestReportExport:
         assert loaded.rows[1].channel_counts == report.rows[1].channel_counts
         assert loaded.rows[0].train_complexity == 1.0
 
+    def test_failed_json_write_keeps_existing_report(self, tmp_path, monkeypatch):
+        import repro.utils.serialization as serialization
+
+        path = tmp_path / "report.json"
+        save_report_json(make_report(), path)
+        good = path.read_bytes()
+
+        def crash(target, write):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(serialization, "atomic_write", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_report_json(ExperimentReport("VGG11", "x", ["a"]), path)
+        assert path.read_bytes() == good
+
     def test_csv_contents(self, tmp_path):
         path = tmp_path / "report.csv"
         save_report_csv(make_report(), path)

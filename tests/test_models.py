@@ -6,7 +6,14 @@ import pytest
 from repro.autograd import Tensor
 from repro.models import resnet18, vgg11, vgg16, vgg19
 from repro.models.blocks import ConvUnit, MeasurementContext
+from repro.models.registry import LayerHandle, LayerRegistry
 from repro.quant import FakeQuantize
+
+
+def registered(unit):
+    """``unit`` as the one layer of a registry, which gives it its meter."""
+    LayerRegistry([LayerHandle(unit.name, unit)])
+    return unit
 
 
 class TestVGGTopology:
@@ -129,7 +136,7 @@ class TestResNetTopology:
 class TestConvUnitInstrumentation:
     def test_meter_collects_only_when_enabled(self, rng):
         ctx = MeasurementContext()
-        unit = ConvUnit("u", 2, 4, 3, ctx, padding=1, rng=rng)
+        unit = registered(ConvUnit("u", 2, 4, 3, ctx, padding=1, rng=rng))
         unit(Tensor(rng.normal(size=(1, 2, 5, 5))))
         assert unit.meter.count == 0
         ctx.enabled = True
@@ -165,7 +172,7 @@ class TestConvUnitInstrumentation:
 
     def test_masked_channels_excluded_from_meter(self, rng):
         ctx = MeasurementContext()
-        unit = ConvUnit("u", 2, 4, 3, ctx, padding=1, rng=rng)
+        unit = registered(ConvUnit("u", 2, 4, 3, ctx, padding=1, rng=rng))
         unit.set_channel_mask(np.array([1.0, 0.0, 1.0, 1.0]))
         ctx.enabled = True
         unit(Tensor(rng.normal(size=(2, 2, 5, 5))))
@@ -191,6 +198,19 @@ class TestBasicBlockInstrumentation:
         out = model.stem(Tensor(rng.normal(size=(1, 3, 8, 8))))
         out = block(out)
         assert np.all(out.data[:, 0] == 0)
+
+    def test_only_registry_hosts_are_measured(self, rng):
+        # The 8 pre-add units and 3 downsample convs are not registry
+        # layers: one forward with measurement on must feed the 18
+        # registry hosts' meters and nothing else.
+        model = resnet18(width_multiplier=0.125, rng=rng)
+        model.ctx.enabled = True
+        model(Tensor(rng.normal(size=(2, 3, 8, 8))))
+        metered = [m for m in model.modules() if getattr(m, "meter", None) is not None]
+        registry = model.layer_handles()
+        assert {id(m) for m in metered} == {id(h.host) for h in registry}
+        assert len(metered) == len(registry) == 18
+        assert all(h.meter.count > 0 for h in registry)
 
     def test_block_meter_via_registry(self, rng):
         model = resnet18(width_multiplier=0.125, rng=rng)
