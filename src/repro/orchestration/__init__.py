@@ -12,11 +12,14 @@ Execution is split into three composable pieces: a
 :class:`ADSearchScheduler` / :class:`LayerBitSearchScheduler` /
 :class:`SuccessiveHalvingScheduler` for
 searches where finished points propose new ones, and
-:class:`SpeculativeScheduler` racing a sequential search's likely next
-trials bit-identically — ``--speculate K``), an executor backend
+:class:`SpeculativeScheduler` naming a sequential search's likely next
+trials as bets — ``--speculate K``), an executor backend
 (:class:`SerialExecutor` / :class:`ProcessExecutor`, with dead-worker
 detection) runs them, and the :class:`SweepRunner` driver loop joins
-the two with caching, dedup, and streaming callbacks in between.
+the two with caching, dedup, and streaming callbacks in between.  The
+driver (:class:`SchedulerDrive`) also races the bets on idle workers,
+quarantined until a real proposal adopts one, so speculative searches
+stay bit-identical to sequential ones.
 
 Quick tour::
 
@@ -79,11 +82,8 @@ from repro.orchestration.runner import (
 )
 from repro.orchestration.scheduler import (
     DONE,
-    Cancel,
-    Confirm,
     Done,
     Scheduler,
-    SpeculativePoint,
     StaticScheduler,
 )
 from repro.orchestration.search import (
@@ -114,10 +114,8 @@ from repro.orchestration.sweep import (
 __all__ = [
     "ADSearchScheduler",
     "CacheMergeConflict",
-    "Cancel",
     "CheckpointCallback",
     "CheckpointStage",
-    "Confirm",
     "DEFAULT_CACHE_DIR",
     "DONE",
     "Done",
@@ -131,7 +129,6 @@ __all__ = [
     "SearchResult",
     "SerialExecutor",
     "ShardSpec",
-    "SpeculativePoint",
     "SpeculativeScheduler",
     "StaticScheduler",
     "SuccessiveHalvingScheduler",

@@ -152,9 +152,7 @@ class SerialExecutor:
         Serial execution has no running-in-the-background state: a task
         is either still queued (``"queued"`` — dropped for free, no
         outcome will ever arrive) or already executed and returned
-        (``"unknown"``).  Nothing is ever wasted at ``jobs == 1``, which
-        is why a speculative search under the serial executor degrades
-        to exactly the sequential search.
+        (``"unknown"``).
         """
         with self._lock:
             for position, task in enumerate(self._queue):
@@ -290,13 +288,6 @@ class ProcessExecutor:
         with self._lock:
             while self._backlog and len(self._futures) < self.jobs:
                 task = self._backlog[0]
-                if task.get("index") in self._abandoned:
-                    # Belt-and-braces: a cancelled entry never consumes
-                    # a worker slot (cancel() purges the backlog, so
-                    # this only catches an index abandoned out of band).
-                    self._backlog.pop(0)
-                    self._abandoned.discard(task.get("index"))
-                    continue
                 try:
                     future = self._ensure_pool().submit(self.execute, task)
                 except Exception:

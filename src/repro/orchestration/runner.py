@@ -49,14 +49,7 @@ from repro.orchestration.executor import (
     SerialExecutor,
     TaskInterrupted,
 )
-from repro.orchestration.scheduler import (
-    Cancel,
-    Confirm,
-    Done,
-    Scheduler,
-    SpeculativePoint,
-    StaticScheduler,
-)
+from repro.orchestration.scheduler import Done, Scheduler, StaticScheduler
 from repro.orchestration.sweep import SweepConfig, SweepPoint, expand
 
 
@@ -374,7 +367,7 @@ class SweepResult:
     the run had no cache at all.  ``speculation_stats`` likewise records
     speculative-execution accounting (``{"speculated", "confirmed",
     "cancelled", "wasted_trials"}``) and is ``None`` when the scheduler
-    never speculated.
+    does not speculate.
     """
 
     name: str
@@ -453,6 +446,10 @@ class SchedulerDrive:
     executor outcome back in.  This split lets the synchronous runner
     loop and the asyncio ``repro master`` (which multiplexes many
     drives over one shared executor) share identical semantics.
+
+    The drive also owns a speculating scheduler's bets (see
+    :mod:`repro.orchestration.scheduler`), keyed by cache key like
+    every point, dedup group and cached outcome.
     """
 
     def __init__(self, scheduler: Scheduler, name: str | None = None,
@@ -466,8 +463,8 @@ class SchedulerDrive:
         self._log = log or (lambda message: None)
         self.on_point = on_point
         self.on_schedule = on_schedule
-        # ``on_cancel(task_id) -> disposition`` revokes a speculative
-        # task the caller already submitted; the returned disposition
+        # ``on_cancel(task_id) -> disposition`` revokes a bet's task
+        # the caller already submitted; the returned disposition
         # ("queued" / "running" / "unknown", the executor cancel()
         # contract) tells the drive whether an outcome will still
         # arrive.  None (no way to revoke) is treated as "unknown".
@@ -482,21 +479,26 @@ class SchedulerDrive:
         self.cache_stats = (
             {"hits": 0, "misses": 0} if cache is not None else None
         )
-        # Speculation bookkeeping.  Speculative tasks use a private
-        # negative id space so they can never collide with the leader
-        # positions real tasks are keyed by.
-        self.speculation_stats: dict | None = None
-        self._speculations: dict[int, dict] = {}  # token -> record
-        self._spec_by_task: dict[int, int] = {}   # task id -> token
-        self._dropped_tasks: set = set()          # cancelled, outcome due
-        self._next_spec_task = -1
+        # A scheduler speculates when it has ``bets()``.
+        self.speculation_stats = (
+            {"speculated": 0, "confirmed": 0,
+             "cancelled": 0, "wasted_trials": 0}
+            if hasattr(scheduler, "bets") else None
+        )
+        # Live bets by cache key: each holds its executor task id while
+        # it runs, then its quarantined outcome.  Bet tasks use a
+        # private negative id space so they can never collide with the
+        # leader positions real tasks are keyed by.
+        self._bets: dict[str, dict] = {}
+        self._dropped: set = set()  # cancelled bet tasks, outcome due
+        self._next_bet_task = -1
 
     @property
     def in_flight(self) -> int:
         """Tasks submitted (or returned by :meth:`round`) and unresolved.
 
-        Confirmed work only: speculative tasks are bets, not commitments,
-        so they never hold the driver loop open.
+        Real work only: a bet is not a commitment until a proposal
+        adopts it, so bets never hold the driver loop open.
         """
         return len(self._by_task)
 
@@ -505,65 +507,37 @@ class SchedulerDrive:
         """Consult the scheduler until it waits or finishes.
 
         Returns the executor task payloads for every newly-proposed
-        point that missed the cache; the caller must submit each one and
-        eventually :meth:`deliver` its outcome.  Cache hits and
-        re-proposals complete inside the call (their results stream via
-        ``on_point`` and feed the scheduler's next consultation, so a
-        batch completed wholly from cache immediately yields the next).
+        point that missed the cache, then for every new bet; the caller
+        must submit each one and eventually :meth:`deliver` its outcome.
+        Cache hits, re-proposals and adopted bets that already finished
+        complete inside the call (their results stream via ``on_point``
+        and feed the scheduler's next consultation, so a batch
+        completed wholly from cache immediately yields the next).
         Raises when the scheduler waits while nothing is in flight — a
         deadlock no event could ever unblock.
 
-        Batches may interleave plain points with speculation directives
-        (:class:`~repro.orchestration.scheduler.SpeculativePoint` /
-        ``Confirm`` / ``Cancel``); items are processed in list order, so
-        contiguous plain-point runs schedule exactly as they always
-        have and a ``Confirm`` completing from a held speculative
-        outcome feeds the scheduler's next consultation immediately.
+        Bets change only once per round: when the scheduler waits, the
+        drive keeps exactly its current ``bets()`` live.  At ``DONE``
+        every live bet is cancelled.
         """
         tasks: list[dict] = []
         while not self.done:
             batch = self.scheduler.next_points(tuple(self._completed))
             if isinstance(batch, Done):
                 self.done = True
+                self.cancel_speculations()
                 break
             if not batch:
-                if not self._by_task and not tasks:
+                if not self._by_task:
                     raise RuntimeError(
                         f"scheduler {type(self.scheduler).__name__} "
                         "proposed no new points while none are in flight "
                         "— the sweep would wait forever"
                     )
+                tasks.extend(self._refresh_bets())
                 break
-            self._consume(list(batch), tasks)
+            tasks.extend(self._schedule(list(batch)))
         return tasks
-
-    def _consume(self, batch: list, tasks: list[dict]) -> None:
-        """Process one batch: plain points plus speculation directives."""
-        plain: list[SweepPoint] = []
-
-        def flush() -> None:
-            if plain:
-                tasks.extend(self._schedule(list(plain)))
-                plain.clear()
-
-        for item in batch:
-            if isinstance(item, SweepPoint):
-                plain.append(item)
-                continue
-            flush()
-            if isinstance(item, SpeculativePoint):
-                task = self._speculate(item)
-                if task is not None:
-                    tasks.append(task)
-            elif isinstance(item, Confirm):
-                self._confirm(item)
-            elif isinstance(item, Cancel):
-                self._cancel(item.token)
-            else:
-                raise TypeError(
-                    f"not a SweepPoint or speculation directive: {item!r}"
-                )
-        flush()
 
     def _schedule(self, batch: list[SweepPoint]) -> list[dict]:
         start = len(self.points)
@@ -590,205 +564,118 @@ class SchedulerDrive:
         tasks: list[dict] = []
         for key in new_keys:
             leader = self._groups[key][0]
-            payload = (
-                self.cache.load(self.points[leader].config)
-                if self.cache is not None else None
-            )
-            if payload is not None:
+            config = self.points[leader].config
+            bet = self._bets.pop(key, None)
+            if bet is not None:
+                # The proposal is a live bet's config: adopt the bet's
+                # running or finished execution instead of a new task.
+                self.speculation_stats["confirmed"] += 1
+            else:
+                bet = {"task": None, "outcome": self._cached(config)}
+            outcome = bet["outcome"]
+            if outcome is not None and outcome["status"] == "cached":
                 self.cache_stats["hits"] += 1
-                self._finish_group(
-                    key, {"status": "cached", "payload": payload}
-                )
+                self._finish_group(key, outcome)
                 continue
             if self.cache_stats is not None:
                 self.cache_stats["misses"] += 1
-            self._by_task[leader] = key
-            tasks.append({
-                "index": leader,
-                "config": self.points[leader].config.to_dict(),
-            })
+            if outcome is not None:
+                # The bet already ran to completion while quarantined;
+                # only now may its payload touch the cache and stream.
+                self._settle(key, outcome)
+            elif bet["task"] is not None:
+                self._by_task[bet["task"]] = key
+            else:
+                self._by_task[leader] = key
+                tasks.append({"index": leader, "config": config.to_dict()})
         return tasks
 
-    # ------------------------------------------------------------------
-    # Speculation: quarantined execution of bets the scheduler placed.
-    # ------------------------------------------------------------------
-    def _speculate(self, spec: SpeculativePoint) -> dict | None:
-        """Launch one speculative point; returns its task payload or None.
-
-        The point is *not* added to the run's point list and its cache
-        lookup touches no counters: until confirmed, nothing about the
-        bet is observable.  No task is launched when the config is
-        already finished or in flight as a real point (the recorded /
-        pending outcome covers a later confirm), or when the cache
-        holds it (the payload is held quarantined in the record).
-        """
-        if not isinstance(spec.point, SweepPoint):
-            raise TypeError(f"not a SweepPoint: {spec.point!r}")
-        if spec.token in self._speculations:
-            raise RuntimeError(
-                f"scheduler reused live speculation token {spec.token!r}"
-            )
-        if self.speculation_stats is None:
-            self.speculation_stats = {
-                "speculated": 0, "confirmed": 0,
-                "cancelled": 0, "wasted_trials": 0,
-            }
-        self.speculation_stats["speculated"] += 1
-        key = spec.point.config.cache_key()
-        record = {
-            "point": spec.point,
-            "key": key,
-            "task": None,       # executor task id while unresolved
-            "outcome": None,    # held outcome once resolved
-            "cached": False,    # outcome came from the cache, not a run
+    def _cached(self, config: ExperimentConfig) -> dict | None:
+        """The cached outcome of ``config``, or None on a miss."""
+        payload = self.cache.load(config) if self.cache is not None else None
+        return None if payload is None else {
+            "status": "cached", "payload": payload,
         }
-        self._speculations[spec.token] = record
-        if key in self._groups:
-            # The same config already ran (or is running) as a real
-            # point; its recorded or in-flight outcome covers a confirm.
-            return None
-        if self.cache is not None:
-            payload = self.cache.load(spec.point.config)
-            if payload is not None:
-                record["outcome"] = {"status": "cached", "payload": payload}
-                record["cached"] = True
-                return None
-        task_id = self._next_spec_task
-        self._next_spec_task -= 1
-        record["task"] = task_id
-        self._spec_by_task[task_id] = spec.token
-        self._log(f"speculate {spec.point.label}")
-        return {"index": task_id, "config": spec.point.config.to_dict()}
 
-    def _confirm(self, directive: Confirm) -> None:
-        """Adopt a speculation's execution for the real proposal.
+    # ------------------------------------------------------------------
+    # Speculation: quarantined execution of the scheduler's bets.
+    # ------------------------------------------------------------------
+    def _refresh_bets(self) -> list[dict]:
+        """Keep exactly the scheduler's current bets live.
 
-        The authoritative point (label/overrides/index exactly as the
-        sequential run would emit them) is scheduled normally —
-        ``on_schedule`` fires, the point joins its cache-key group —
-        and the bet's execution is wired to it: a held outcome finishes
-        the point immediately, a still-running task is re-keyed so
-        :meth:`deliver` routes it like any real task.  Cache counters
-        move *now* (hit for a quarantined cache load, miss for an
-        executed bet), matching what the sequential run would have
-        counted at proposal time.
+        Bets that dropped out are cancelled; new ones are placed, and
+        their task payloads returned.  A config that is already a real
+        point needs no bet.
         """
-        record = self._speculations.pop(directive.token, None)
-        if record is None:
-            raise RuntimeError(
-                f"scheduler confirmed unknown speculation token "
-                f"{directive.token!r}"
-            )
-        point = directive.point
-        if not isinstance(point, SweepPoint):
-            raise TypeError(f"not a SweepPoint: {point!r}")
-        key = point.config.cache_key()
-        if key != record["key"]:
-            raise RuntimeError(
-                f"scheduler confirmed speculation {directive.token!r} "
-                f"with a different config than it speculated "
-                f"({key[:12]} != {record['key'][:12]})"
-            )
-        self.speculation_stats["confirmed"] += 1
-        position = len(self.points)
-        self.points.append(point)
-        self.results.append(None)
-        if self.on_schedule is not None:
-            self.on_schedule([point], len(self.points))
-        positions = self._groups.setdefault(key, [])
-        positions.append(position)
-        if key in self._outcomes:
-            # The config finished earlier as a real point: the confirm
-            # replays the recorded result, exactly like a re-proposal.
-            self._finish(position, self._outcomes[key])
-            self._drop_spec_task(record)
-            return
-        if len(positions) > 1:
-            # In flight as a real point; the group fan-out covers this.
-            self._drop_spec_task(record)
-            return
-        outcome = record["outcome"]
-        if record["cached"]:
-            self.cache_stats["hits"] += 1
-            self._finish_group(key, outcome)
-            return
-        if self.cache_stats is not None:
-            self.cache_stats["misses"] += 1
-        if outcome is not None:
-            # The bet already ran to completion while quarantined; only
-            # now may its payload touch the cache and stream out.
-            if outcome["status"] == "ok" and self.cache is not None:
-                self.cache.store(point.config, outcome["payload"])
-            self._finish_group(key, outcome)
-            return
-        # Still executing: hand the task over to the real bookkeeping.
-        task_id = record["task"]
-        self._spec_by_task.pop(task_id, None)
-        self._by_task[task_id] = key
+        if self.speculation_stats is None:
+            return []  # the scheduler does not speculate
+        wanted: dict[str, ExperimentConfig] = {}
+        for config in self.scheduler.bets():
+            key = config.cache_key()
+            if key not in self._groups:
+                wanted.setdefault(key, config)
+        for key in [key for key in self._bets if key not in wanted]:
+            self._cancel_bet(key)
+        tasks: list[dict] = []
+        for key, config in wanted.items():
+            if key in self._bets:
+                continue
+            self.speculation_stats["speculated"] += 1
+            # A bet's cache lookup moves no counter: until a proposal
+            # adopts it, nothing about the bet is observable.
+            bet = {"task": None, "outcome": self._cached(config)}
+            if bet["outcome"] is None:
+                bet["task"] = self._next_bet_task
+                self._next_bet_task -= 1
+                self._log(f"speculate {config.name} ({key[:12]})")
+                tasks.append({"index": bet["task"],
+                              "config": config.to_dict()})
+            self._bets[key] = bet
+        return tasks
 
-    def _cancel(self, token: int) -> None:
-        """Abandon a speculation; nothing it computed becomes visible."""
-        record = self._speculations.pop(token, None)
-        if record is None:
-            raise RuntimeError(
-                f"scheduler cancelled unknown speculation token {token!r}"
-            )
+    def _cancel_bet(self, key: str) -> None:
+        """Abandon one bet; nothing it computed becomes visible."""
+        bet = self._bets.pop(key)
         self.speculation_stats["cancelled"] += 1
-        if record["task"] is None:
-            # Never launched (covered by a real point or a quarantined
-            # cache hit — free) or already finished: an executed run
+        if bet["task"] is None:
+            # Finished: a cache hit cost nothing, an executed run
             # occupied a worker for nothing.
-            if record["outcome"] is not None and not record["cached"]:
+            if bet["outcome"]["status"] != "cached":
                 self.speculation_stats["wasted_trials"] += 1
             return
-        self._drop_spec_task(record)
-
-    def _drop_spec_task(self, record: dict) -> None:
-        """Revoke a bet's launched executor task (no outcome wanted)."""
-        task_id = record["task"]
-        if task_id is None:
-            return
-        self._spec_by_task.pop(task_id, None)
         disposition = (
-            self.on_cancel(task_id) if self.on_cancel is not None
+            self.on_cancel(bet["task"]) if self.on_cancel is not None
             else "unknown"
         )
         if disposition == "queued":
             return  # dropped before it cost anything; no outcome due
         # Running (or already in transit): one outcome will still
         # arrive for this task id — drop it silently on delivery.
-        self._dropped_tasks.add(task_id)
+        self._dropped.add(bet["task"])
         self.speculation_stats["wasted_trials"] += 1
 
     def cancel_speculations(self) -> int:
-        """Cancel every outstanding speculation (service preemption).
+        """Cancels every live bet and returns how many there were.
 
-        A paused job must not hold worker slots with bets: queued
-        speculative tasks free their slots immediately and running ones
-        are abandoned, so the pause drains real work only.  The
-        scheduler is notified via its optional
-        ``speculations_cancelled()`` hook so it re-proposes the bets
-        after resumption instead of confirming into a void.
+        The drive does this itself at ``DONE``.  Whoever stops a drive
+        early (service preemption, a cancelled or failed job, an
+        interrupted run) calls it too, so queued bets free their slots,
+        running ones are abandoned, and every bet ends confirmed or
+        cancelled.  A resumed drive places fresh bets in its next round.
         """
-        if not self._speculations:
-            return 0
-        count = 0
-        for token in list(self._speculations):
-            self._cancel(token)
-            count += 1
-        notify = getattr(self.scheduler, "speculations_cancelled", None)
-        if notify is not None:
-            notify()
+        count = len(self._bets)
+        for key in list(self._bets):
+            self._cancel_bet(key)
         return count
 
     # ------------------------------------------------------------------
     def deliver(self, outcome) -> None:
         """Route one executor outcome to its point group (and the cache).
 
-        Speculative outcomes are quarantined in their bet's record (or
-        silently dropped when the bet was cancelled mid-run) — only
-        outcomes of real or confirmed tasks reach the cache, the
-        completed list, and the streaming callbacks.
+        A live bet's outcome is held, quarantined, in the bet (and a
+        cancelled bet's is dropped) — only outcomes of real or adopted
+        tasks reach the cache, the completed list, and the streaming
+        callbacks.
         """
         if not isinstance(outcome, dict):
             raise RuntimeError(
@@ -796,15 +683,13 @@ class SchedulerDrive:
                 f"{outcome!r} instead of a result dict"
             )
         index = outcome.get("index")
-        token = self._spec_by_task.pop(index, None)
-        if token is not None:
-            record = self._speculations[token]
-            record["task"] = None
-            record["outcome"] = outcome
+        if index in self._dropped:
+            self._dropped.discard(index)
             return
-        if index in self._dropped_tasks:
-            self._dropped_tasks.discard(index)
-            return
+        for bet in self._bets.values():
+            if bet["task"] is not None and bet["task"] == index:
+                bet["task"], bet["outcome"] = None, outcome
+                return
         key = self._by_task.pop(index, None)
         if key is None:
             raise RuntimeError(
@@ -812,6 +697,10 @@ class SchedulerDrive:
                 f"or already-completed task index "
                 f"{outcome.get('index')!r}"
             )
+        self._settle(key, outcome)
+
+    def _settle(self, key: str, outcome: dict) -> None:
+        """Cache an executed outcome (when ok) and finish its group."""
         if outcome["status"] == "ok" and self.cache is not None:
             self.cache.store(
                 self.points[self._groups[key][0]].config,
@@ -911,8 +800,9 @@ class SweepRunner:
     interrupt:
         Optional zero-argument callable polled between (and, for
         process pools, during) waits; once it returns true the run
-        stops cleanly, shutting the executor down and raising
-        :class:`SweepInterrupted` with the completed points.
+        stops cleanly, cancelling its live bets, shutting the executor
+        down and raising :class:`SweepInterrupted` with the completed
+        points.
     """
 
     def __init__(self, jobs: int = 1, cache=None, progress=None,
@@ -986,10 +876,15 @@ class SweepRunner:
                 on_point=self.on_point, on_schedule=self.on_schedule,
                 on_cancel=executor.cancel,
             )
+
+            def interrupted() -> SweepInterrupted:
+                drive.cancel_speculations()
+                return SweepInterrupted(drive.partial_result(),
+                                        pending=drive.in_flight)
+
             while True:
                 if self.interrupt is not None and self.interrupt():
-                    raise SweepInterrupted(drive.partial_result(),
-                                           pending=drive.in_flight)
+                    raise interrupted()
                 for task in drive.round():
                     executor.submit(task)
                 if drive.done and not drive.in_flight:
@@ -1009,8 +904,6 @@ class SweepRunner:
                 try:
                     outcome = executor.next_result()
                 except TaskInterrupted:
-                    raise SweepInterrupted(
-                        drive.partial_result(), pending=drive.in_flight
-                    ) from None
+                    raise interrupted() from None
                 drive.deliver(outcome)
         return drive.result()

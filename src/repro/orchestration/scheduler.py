@@ -29,28 +29,23 @@ Speculative execution
 ---------------------
 
 A sequential search (one proposal in flight at a time) can still use
-idle workers by *betting*: alongside its batch a scheduler may emit
+idle workers by *betting* on its likely next proposals.  A speculating
+scheduler (:class:`~repro.orchestration.search.SpeculativeScheduler`)
+also has a ``bets()`` method returning the configs worth betting on
+now.  The driver asks for them once per round, when the scheduler
+waits, and keeps exactly those live: it starts new bets, cancels the
+ones that dropped out, and when a proposal carries a live bet's config
+(matched by cache key) it adopts that bet's running or finished
+execution instead of starting a new task.
 
-* :class:`SpeculativePoint` — "start running this config now, I *might*
-  propose it next" — tagged with a scheduler-chosen cancel ``token``;
-* :class:`Confirm` — "my real next proposal is the config speculation
-  ``token`` already bet on": the driver adopts the bet's (possibly
-  finished) execution for the carried authoritative point;
-* :class:`Cancel` — "the bet is off": the driver drops the
-  speculation's queued task for free, or abandons its running one (the
-  outcome is discarded on arrival).
-
-Speculative outcomes are quarantined by the driver: they never enter
-``completed``, the result cache, or streamed output until confirmed, so
-every trial decision is made from exactly the results a sequential run
-would see — which is what makes speculative runs bit-identical to
-sequential ones.  The four item kinds may be mixed freely in one batch
-and are processed in list order.
+Bet outcomes are quarantined by the driver: they never enter
+``completed``, the result cache, or streamed output unless a proposal
+adopts them, so every trial decision is made from exactly the results a
+sequential run would see — which is what makes speculative runs
+bit-identical to sequential ones.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.orchestration.sweep import SweepPoint
 
@@ -79,49 +74,6 @@ class Done:
 DONE = Done()
 
 
-@dataclass(frozen=True)
-class SpeculativePoint:
-    """A bet: run ``point`` now, it *may* become the next real proposal.
-
-    ``token`` is scheduler-chosen, unique among the scheduler's live
-    speculations; a later :class:`Confirm` or :class:`Cancel` for the
-    same token settles the bet.  The driver executes the point but
-    quarantines its outcome — nothing about it is observable (completed
-    results, cache, streamed output) unless the bet is confirmed.
-    """
-
-    point: SweepPoint
-    token: int
-
-
-@dataclass(frozen=True)
-class Confirm:
-    """Settle a speculation: the real next proposal is the bet's config.
-
-    ``point`` is the *authoritative* sequential proposal (its label,
-    overrides, and index are what a sequential run would have emitted)
-    and must carry the same config — matched by cache key — as the
-    speculation identified by ``token``.  The driver schedules ``point``
-    normally and wires the speculation's execution (queued, running, or
-    already finished) to it instead of starting a new task.
-    """
-
-    token: int
-    point: SweepPoint
-
-
-@dataclass(frozen=True)
-class Cancel:
-    """Settle a speculation the other way: the bet is abandoned.
-
-    A still-queued speculative task is dropped for free; a running one
-    is abandoned (its outcome discarded on arrival and counted as a
-    wasted trial).  Nothing the speculation computed becomes visible.
-    """
-
-    token: int
-
-
 class Scheduler:
     """Protocol for point proposers driving a sweep or search.
 
@@ -142,11 +94,6 @@ class Scheduler:
         ``[]`` to wait for in-flight points to finish, or :data:`DONE`
         when the schedule is exhausted.  Returning ``[]`` while nothing
         is in flight is a deadlock and makes the driver raise.
-
-        Batches may mix :class:`~repro.orchestration.sweep.SweepPoint`
-        items with the speculation directives
-        :class:`SpeculativePoint` / :class:`Confirm` / :class:`Cancel`
-        (processed in list order; see the module docstring).
         """
         raise NotImplementedError
 

@@ -44,10 +44,11 @@ They can, however, be *speculated*: most next-trial decisions are
 predictable from the current one (the eqn.-3 step, its 1-bit/bisection
 fallbacks, the next energy-ranked layer moves), so with
 ``SearchConfig.speculation = K`` (``repro search --speculate K``) a
-:class:`SpeculativeScheduler` wraps the sequential scheduler and races
-its top-K predicted next trials on idle workers, confirming the one the
-sequential decision actually picks and cancelling the rest.  The
-sequential scheduler only ever sees confirmed results, so the chosen
+:class:`SpeculativeScheduler` wraps the sequential scheduler and names
+its top-K predicted next trials, which the driver races on idle
+workers; the driver adopts the bet whose config the sequential decision
+actually picks and cancels the rest.  The sequential scheduler only
+ever sees the results of real proposals, so the chosen
 trial sequence — reports, bit vectors, cache contents — is bit-identical
 to the unspeculated search; speculation only changes which configs are
 bet on early, never which results are kept.
@@ -66,14 +67,7 @@ from repro.orchestration.runner import (
     execute_point,
     sweep_out_payload,
 )
-from repro.orchestration.scheduler import (
-    DONE,
-    Cancel,
-    Confirm,
-    Done,
-    Scheduler,
-    SpeculativePoint,
-)
+from repro.orchestration.scheduler import DONE, Done, Scheduler
 from repro.orchestration.sweep import SweepAxis, SweepConfig, SweepPoint, expand
 
 STRATEGIES = ("ad-bits", "layer-bits", "halving")
@@ -404,25 +398,21 @@ class ADSearchScheduler(Scheduler):
                 accuracy >= self._ref_accuracy - self.search.accuracy_drop
             )
             if trial["feasible"]:
-                self._next_bits = self._descend(trial["bits"], metrics)
+                self._next_bits = self._descend(
+                    trial["bits"], float(metrics["total_ad"]))
             else:
                 self._next_bits = self._bisect_up(trial["bits"])
         if self._next_bits is not None \
                 and len(self._trials) >= self.search.max_trials:
             self._next_bits = None
 
-    def _descend(self, bits: int, metrics: dict) -> int | None:
+    def _descend(self, bits: int, density: float) -> int | None:
         """Eqn.-3 step down from a feasible trial (1-bit step at AD~1).
 
         Feasibility is assumed monotone in bits (the upward bisection
         already relies on it), so a proposal at or below a width already
         judged infeasible would waste a trial on a known outcome —
         those redirect into refining the feasibility gap instead.
-        """
-        return self._descend_for(bits, float(metrics["total_ad"]))
-
-    def _descend_for(self, bits: int, density: float) -> int | None:
-        """:meth:`_descend` with the density supplied directly.
 
         Pure (reads scheduler state, mutates nothing), so speculation
         can evaluate the step under a *hypothetical* density — the last
@@ -501,8 +491,8 @@ class ADSearchScheduler(Scheduler):
             None,
         )
         if density is not None:
-            candidates.append(self._descend_for(bits, float(density)))
-        candidates.append(self._descend_for(bits, 1.0))
+            candidates.append(self._descend(bits, float(density)))
+        candidates.append(self._descend(bits, 1.0))
         candidates.append(self._bisect_up(bits))
         seen: set[int] = set()
         configs: list[ExperimentConfig] = []
@@ -623,7 +613,9 @@ class LayerBitSearchScheduler(Scheduler):
             return []
         if self._total >= self.search.max_trials:
             return DONE
-        move = self._next_move()
+        move = self._next_move(
+            self._vector, self._incumbent, self._blocked, self._tried,
+        )
         if move is None:
             return DONE
         return [self._propose(*move)]
@@ -656,21 +648,16 @@ class LayerBitSearchScheduler(Scheduler):
         self._tried.add(tuple(sorted(vector.items())))
 
     # ------------------------------------------------------------------
-    def _next_move(self) -> tuple[str, dict] | None:
-        """The highest-energy movable layer, stepped down one bit."""
-        return self._next_move_from(
-            self._vector, self._incumbent, self._blocked, self._tried,
-        )
+    def _next_move(self, vector: dict, incumbent: dict,
+                   blocked: set, tried: set) -> tuple[str, dict] | None:
+        """The highest-energy movable layer of ``vector``, one bit down.
 
-    def _next_move_from(self, vector: dict, incumbent: dict,
-                        blocked: set, tried: set) -> tuple[str, dict] | None:
-        """:meth:`_next_move` over explicit state instead of ``self``.
-
-        Pure (reads the scheduler's immovable set and min-bits floor,
-        mutates nothing), so speculation can rank moves under
-        *hypothetical* state — e.g. the in-flight trial's vector with
-        the current incumbent's (stale) per-layer energies standing in
-        for its own.
+        ``incumbent``'s per-layer energies rank the layers; ``blocked``
+        layers and ``tried`` vectors are skipped.  Pure (reads the
+        scheduler's immovable set and min-bits floor, mutates nothing),
+        so speculation can rank moves under *hypothetical* state — e.g.
+        the in-flight trial's vector with the current incumbent's
+        (stale) per-layer energies standing in for its own.
         """
         artifacts = (incumbent["result"].payload or {}).get(
             "artifacts"
@@ -787,7 +774,7 @@ class LayerBitSearchScheduler(Scheduler):
         trial = self._trials[-1]
         tried = set(self._tried)
         configs: list[ExperimentConfig] = []
-        move = self._next_move_from(
+        move = self._next_move(
             trial["vector"], self._incumbent, self._blocked, tried,
         )
         if move is not None:
@@ -796,7 +783,7 @@ class LayerBitSearchScheduler(Scheduler):
             configs.append(self._config_for(candidate))
         blocked = set(self._blocked) | {trial["layer"]}
         for _ in range(len(self._vector)):
-            move = self._next_move_from(
+            move = self._next_move(
                 self._vector, self._incumbent, blocked, tried,
             )
             if move is None:
@@ -982,28 +969,23 @@ class SuccessiveHalvingScheduler(Scheduler):
 
 
 class SpeculativeScheduler(Scheduler):
-    """Race a sequential search's likely next trials; keep only its path.
+    """Name a sequential search's likely next trials as bets.
 
     Wraps a sequential scheduler exposing ``speculative_candidates()``
     (:class:`ADSearchScheduler`, :class:`LayerBitSearchScheduler`).  The
-    inner scheduler stays the ground truth: it only ever sees confirmed
-    results, so its decision sequence is *exactly* the sequential one —
-    which makes the sped-up run bit-identical by construction.  Around
-    each inner call this wrapper:
+    inner scheduler stays the ground truth: :meth:`next_points` passes
+    straight through, so it only ever sees the results of real
+    proposals and its decision sequence is *exactly* the sequential one
+    — which makes the sped-up run bit-identical by construction.
 
-    1. matches the inner's real proposals against live bets by config
-       cache key, turning hits into :class:`Confirm` (carrying the
-       authoritative point) so the driver adopts the bet's execution;
-    2. refreshes the bet set to the inner's current top-``k``
-       candidates — stale bets get :class:`Cancel`, new ones
-       :class:`SpeculativePoint`;
-    3. on ``DONE``, cancels every surviving bet before yielding the
-       sentinel.
-
-    Every trial is a pure function of its config, so a confirmed bet's
-    quarantined outcome is byte-for-byte the outcome the sequential run
-    would have computed; speculation only changes *when* configs start
-    running, never *which* results become visible.
+    The wrapper's one job is :meth:`bets`: the inner scheduler's top
+    ``k`` candidates.  The driver,
+    :class:`~repro.orchestration.runner.SchedulerDrive`, places,
+    cancels and adopts the bets itself.  Every trial is a pure function
+    of its config, so an adopted bet's quarantined outcome is
+    byte-for-byte the outcome the sequential run would have computed;
+    speculation only changes *when* configs start running, never
+    *which* results become visible.
     """
 
     def __init__(self, inner: Scheduler, k: int):
@@ -1018,74 +1000,18 @@ class SpeculativeScheduler(Scheduler):
         self.inner = inner
         self.k = k
         self.name = inner.name
-        self._live: dict[int, str] = {}  # token -> config cache key
-        self._next_token = 0
-        self._finished = False
 
-    def next_points(self, completed) -> list | Done:
-        if self._finished:
-            return DONE
-        inner_batch = self.inner.next_points(completed)
-        if isinstance(inner_batch, Done):
-            self._finished = True
-            leftovers = [Cancel(token) for token in self._live]
-            self._live.clear()
-            # The driver processes the cancels, then the next call
-            # returns the bare sentinel.
-            return leftovers if leftovers else DONE
-        batch: list = []
-        proposed_keys: set[str] = set()
-        for point in inner_batch:
-            key = point.config.cache_key()
-            proposed_keys.add(key)
-            token = next(
-                (t for t, k_ in self._live.items() if k_ == key), None,
-            )
-            if token is not None:
-                del self._live[token]
-                batch.append(Confirm(token, point))
-            else:
-                batch.append(point)
-        # Refresh the bet set to the top-k candidates of the *new*
-        # inner state, skipping anything just proposed for real.
-        wanted: list[tuple[str, ExperimentConfig]] = []
-        seen = set(proposed_keys)
+    def next_points(self, completed) -> list[SweepPoint] | Done:
+        return self.inner.next_points(completed)
+
+    def bets(self) -> list[ExperimentConfig]:
+        """The first ``k`` distinct candidates, best guess first."""
+        configs: dict[str, ExperimentConfig] = {}
         for config in self.inner.speculative_candidates():
-            key = config.cache_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            wanted.append((key, config))
-            if len(wanted) >= self.k:
+            configs.setdefault(config.cache_key(), config)
+            if len(configs) == self.k:
                 break
-        wanted_keys = {key for key, _ in wanted}
-        for token, key in list(self._live.items()):
-            if key not in wanted_keys:
-                del self._live[token]
-                batch.append(Cancel(token))
-        live_keys = set(self._live.values())
-        for key, config in wanted:
-            if key in live_keys:
-                continue
-            token = self._next_token
-            self._next_token += 1
-            self._live[token] = key
-            batch.append(SpeculativePoint(
-                SweepPoint(label=f"speculative:{config.name}",
-                           config=config),
-                token,
-            ))
-        return batch
-
-    def speculations_cancelled(self) -> None:
-        """Driver notification: every live bet was force-cancelled.
-
-        The service master calls :meth:`SchedulerDrive.cancel_speculations`
-        when preempting a job; the wrapper must forget its live tokens
-        so resumption re-bets from scratch instead of confirming tokens
-        the driver no longer tracks.
-        """
-        self._live.clear()
+        return list(configs.values())
 
     def __getattr__(self, attr):
         # best() / baseline() / feasibility() / trials /

@@ -446,11 +446,13 @@ class Master:
         A cancelled (or crashed) job can leave proposed tasks in its
         backlog and submitted ones in the executor's; without this purge
         the executor would keep feeding them to workers — burning shared
-        slots on a job whose scheduler no longer exists.  Queued tasks
-        are dropped for free (their gids unwound so the pump never waits
-        on them); running ones finish as stragglers the pump already
-        discards for inactive runs.
+        slots on a job whose scheduler no longer exists.  The drive
+        cancels its bets first, so the job's summary settles every one.
+        Queued tasks are dropped for free (their gids unwound so the
+        pump never waits on them); running ones finish as stragglers the
+        pump already discards for inactive runs.
         """
+        run.drive.cancel_speculations()
         run.backlog.clear()
         for gid in list(run.gids):
             if self._executor.cancel(gid) == "queued":

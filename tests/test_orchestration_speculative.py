@@ -25,7 +25,13 @@ import copy
 import pytest
 
 from repro.api import experiments
-from repro.orchestration import ResultCache
+from repro.orchestration import (
+    ResultCache,
+    SerialExecutor,
+    SweepInterrupted,
+    SweepRunner,
+    cancelled_outcome,
+)
 from repro.orchestration.search import (
     SearchConfig,
     SpeculativeScheduler,
@@ -172,16 +178,125 @@ class GrowingStream:
         )))
 
 
-def run_once(search, jobs, cache):
+def run_once(search, jobs, cache, **options):
     """One full search through the real driver, capturing the stream."""
     scheduler = build_scheduler(search)
     stream = GrowingStream(search, scheduler)
     result = run_search(
         search, jobs=jobs, cache=cache, execute=fake_execute,
         on_point=stream.on_point, on_schedule=stream.on_schedule,
-        scheduler=scheduler,
+        scheduler=scheduler, **options,
     )
     return result, stream
+
+
+def config_tag(config_dict: dict) -> str:
+    """A short name for a task's config: ``ib8`` or a pinned vector."""
+    quant = config_dict["quant"]
+    if quant.get("layer_bits"):
+        return "/".join(str(bits) for bits in _vector_of(config_dict).values())
+    return f"ib{quant['initial_bits']}"
+
+
+class RecordingSerial(SerialExecutor):
+    """The real serial executor, logging every call it answers."""
+
+    def __init__(self, execute, events):
+        super().__init__(execute)
+        self.events = events
+
+    def submit(self, task):
+        self.events.append(
+            ("submit", task["index"], config_tag(task["config"])))
+        super().submit(task)
+
+    def cancel(self, index):
+        disposition = super().cancel(index)
+        self.events.append(("cancel", index, disposition))
+        return disposition
+
+    def next_result(self):
+        outcome = super().next_result()
+        self.events.append(("result", outcome["index"], outcome["status"]))
+        return outcome
+
+
+class ScriptedPool:
+    """A deterministic stand-in for a ``jobs``-worker process pool.
+
+    Submitted tasks keep their order and the first ``jobs`` of them are
+    running.  ``next_result`` completes the oldest task, as a
+    ``cancelled`` marker when it was cancelled while running; ``cancel``
+    answers ``"running"`` for a running task, removes a waiting one
+    (``"queued"``), and otherwise answers ``"unknown"``.
+    """
+
+    def __init__(self, jobs, execute, events):
+        self.jobs = jobs
+        self.execute = execute
+        self.events = events
+        self._tasks = []
+        self._abandoned = set()
+
+    @property
+    def pending(self):
+        return len(self._tasks)
+
+    def submit(self, task):
+        self.events.append(
+            ("submit", task["index"], config_tag(task["config"])))
+        self._tasks.append(task)
+
+    def cancel(self, index):
+        disposition = "unknown"
+        for position, task in enumerate(self._tasks):
+            if task["index"] == index:
+                if position < self.jobs:
+                    self._abandoned.add(index)
+                    disposition = "running"
+                else:
+                    del self._tasks[position]
+                    disposition = "queued"
+                break
+        self.events.append(("cancel", index, disposition))
+        return disposition
+
+    def next_result(self):
+        task = self._tasks.pop(0)
+        outcome = self.execute(task)
+        if task["index"] in self._abandoned:
+            outcome = cancelled_outcome(task, outcome["duration"])
+        self.events.append(("result", outcome["index"], outcome["status"]))
+        return outcome
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """``run(search, jobs, cache, **options) -> (result, stream, events)``.
+
+    Runs :func:`run_once` with every executor call logged: the real
+    :class:`SerialExecutor` at ``jobs`` 1, a :class:`ScriptedPool`
+    otherwise.
+    """
+    def run(search, jobs, cache, **options):
+        events = []
+
+        def make_executor(runner):
+            if runner.jobs == 1:
+                return RecordingSerial(runner.execute, events)
+            return ScriptedPool(runner.jobs, runner.execute, events)
+
+        monkeypatch.setattr(SweepRunner, "_make_executor", make_executor)
+        result, stream = run_once(search, jobs, cache, **options)
+        return result, stream, events
+
+    return run
 
 
 def cache_snapshot(cache: ResultCache) -> dict:
@@ -257,6 +372,110 @@ class TestBitIdentity:
         assert candidate.stats["cached"] == reference.stats["cached"]
         assert candidate.stats["cache_hits"] == reference.stats["cache_hits"]
         assert candidate.stats["executed"] == 0
+
+
+BET_COUNTERS = ("speculated", "confirmed", "cancelled", "wasted_trials")
+
+
+def submitted_after_cancel(events) -> list:
+    """Task indices the driver submitted after it had cancelled them."""
+    cancelled, late = set(), []
+    for kind, index, _ in events:
+        if kind == "cancel":
+            cancelled.add(index)
+        elif kind == "submit" and index in cancelled:
+            late.append(index)
+    return late
+
+
+class TestBetPlacement:
+    """Where the bets go: the order and disposition of every executor
+    call, which is what sets a speculative search's wall time."""
+
+    # speculated/confirmed/cancelled/wasted_trials on a cold cache, at
+    # jobs 1 (the real serial executor) and jobs 4 (the scripted pool).
+    COLD = {
+        ("ad-bits", 1): ((3, 2, 1, 0), (3, 2, 1, 1)),
+        ("ad-bits", 2): ((3, 2, 1, 0), (3, 2, 1, 1)),
+        ("ad-bits", 3): ((4, 2, 2, 0), (4, 2, 2, 2)),
+        ("layer-bits", 1): ((5, 3, 2, 0), (5, 3, 2, 2)),
+        ("layer-bits", 2): ((7, 4, 3, 0), (7, 4, 3, 3)),
+        ("layer-bits", 3): ((8, 4, 4, 0), (8, 4, 4, 4)),
+    }
+
+    @pytest.mark.parametrize("strategy", sorted(SEARCHES))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_cold_counters(self, tmp_path, recorded, strategy, k):
+        for jobs, expected in zip((1, 4), self.COLD[strategy, k]):
+            result, _, events = recorded(
+                SEARCHES[strategy](speculation=k), jobs,
+                ResultCache(tmp_path / f"jobs{jobs}"))
+            assert tuple(result.stats[key] for key in BET_COUNTERS) \
+                == expected
+            assert submitted_after_cancel(events) == []
+
+    def test_ad_bits_event_list(self, tmp_path, recorded):
+        # 8 runs with a bet on the saturated step 7; 8's density puts
+        # the real trial at 4, so 7 is cancelled mid-run and 4 races
+        # bets on 2 (eqn. 3), 3 (saturated step) and 6 (bisection).  4
+        # is feasible and its density confirms 2; 2 fails and the
+        # bisection confirms 3, so the running bet on 6 is abandoned.
+        _, _, events = recorded(ad_search(speculation=3), 4,
+                                ResultCache(tmp_path / "cache"))
+        assert events == [
+            ("submit", 0, "ib8"), ("submit", -1, "ib7"),
+            ("result", 0, "ok"),
+            ("cancel", -1, "running"),
+            ("submit", 1, "ib4"), ("submit", -2, "ib2"),
+            ("submit", -3, "ib3"), ("submit", -4, "ib6"),
+            ("result", -1, "cancelled"), ("result", 1, "ok"),
+            ("cancel", -4, "running"),
+            ("result", -2, "ok"), ("result", -3, "ok"),
+        ]
+
+
+class TestWarmBets:
+    """A partly or fully cached search never trains a bet it already
+    cancelled, and a fully cached one trains nothing at all."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_partially_warm_search_submits_nothing_it_cancelled(
+            self, tmp_path, recorded, jobs, k):
+        # The scalar search caches exactly the layer search's seed
+        # trials, so the seed phase replays and the layer moves train.
+        cache = ResultCache(tmp_path / "cache")
+        run_once(ad_search(), jobs=1, cache=cache)
+        result, _, events = recorded(layer_search(speculation=k), jobs, cache)
+        assert submitted_after_cancel(events) == []
+        assert result.stats["cached"] == 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("strategy", sorted(SEARCHES))
+    def test_fully_warm_replay_submits_nothing(self, tmp_path, recorded,
+                                               jobs, strategy):
+        cache = ResultCache(tmp_path / "cache")
+        reference, _ = run_once(SEARCHES[strategy](), jobs=1, cache=cache)
+        result, _, events = recorded(
+            SEARCHES[strategy](speculation=3), jobs, cache)
+        assert [event for event in events if event[0] == "submit"] == []
+        assert result.stats["cached"] == reference.stats["total"]
+
+
+class TestStoppedDrivesSettleBets:
+    """A drive that stops early cancels its live bets first, so every
+    bet is still either confirmed or cancelled."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupted_search(self, tmp_path, recorded, jobs):
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(SweepInterrupted) as stopped:
+            recorded(layer_search(speculation=2), jobs, cache,
+                     interrupt=lambda: len(cache.keys()) >= 2)
+        stats = stopped.value.result.stats
+        assert stats["executed"] == 2
+        assert stats["speculated"] >= 1
+        assert stats["speculated"] == stats["confirmed"] + stats["cancelled"]
 
 
 class TestQuarantine:

@@ -19,11 +19,15 @@ from repro.service.queue import JobQueue
 
 SLOW_SEED = 100          # seeds >= this sleep, for preemption windows
 SLOW_SECONDS = 0.25
+STALL_SEED = 200         # seeds >= this sleep long enough to cancel in
+STALL_SECONDS = 2.0
 
 
 def fake_execute(task):
     seed = task["config"]["model"]["seed"]
-    if seed >= SLOW_SEED:
+    if seed >= STALL_SEED:
+        time.sleep(STALL_SECONDS)
+    elif seed >= SLOW_SEED:
         time.sleep(SLOW_SECONDS)
     return {
         "index": task["index"],
@@ -399,6 +403,30 @@ class TestSpeculativeSubmission:
         # Every bet settled one way or the other — none leaked.
         assert stats["speculated"] == \
             stats["confirmed"] + stats["cancelled"]
+
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cancelling_a_running_search_settles_its_bets(
+            self, tmp_path, jobs):
+        # The reference trial stalls while its bet waits (jobs 1) or
+        # runs beside it (jobs 2); the cancel lands mid-trial, and the
+        # persisted summary must still account for every bet.
+        harness = MasterHarness(tmp_path)
+        harness.start(jobs=jobs)
+        try:
+            with harness.client() as client:
+                job = client.submit(**search_spec(
+                    speculate=2, seed=STALL_SEED))["job"]
+                wait_for_state(client, job, ("running",))
+                client.cancel(job)
+                final = client.watch(job)
+        finally:
+            harness.stop()
+        assert final["state"] == "cancelled"
+        stats = JobQueue.load(harness.state_path).get(job).summary["stats"]
+        assert stats == final["summary"]["stats"]
+        assert stats["speculated"] == 1
+        assert stats["confirmed"] + stats["cancelled"] == 1
 
 
 class TestResolveSpecSpeculation:
