@@ -5,6 +5,15 @@ records a backward closure and its parent tensors; calling
 :meth:`Tensor.backward` topologically sorts the recorded graph and
 accumulates gradients into ``Tensor.grad``.
 
+Backward consumes the graph it walks.  As soon as a node's closure has
+routed its gradient to its parents, the node gives up that closure
+(with the im2col columns, masks and batchnorm residuals it holds) and
+its parent links, so each step's activations are freed during the walk
+rather than kept alive by the returned loss until the next step.  Only
+leaves and the root keep a gradient.  A second ``backward()`` that
+reaches a consumed node raises ``RuntimeError``; there is no switch to
+retain the graph.
+
 Only float64/float32 data participates in differentiation.  Gradients are
 stored as plain numpy arrays of the same shape as ``Tensor.data``.
 
@@ -66,6 +75,40 @@ def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _as_array(value) -> np.ndarray:
     return active_backend().asarray(value)
+
+
+def _consumed(grad):
+    """Closure of a node that an earlier :meth:`Tensor.backward` consumed."""
+    raise RuntimeError(
+        "backward() reached a node whose graph an earlier backward() already "
+        "consumed; build a new graph with a new forward pass"
+    )
+
+
+def _topological_order(root: "Tensor") -> list["Tensor"]:
+    """Every grad-requiring node reachable from ``root``, inputs first.
+
+    Iterative DFS post-order: deep graphs (VGG19 unrolled over many
+    epochs of ops) overflow Python's recursion limit otherwise.  The
+    visited set and stack die on return, so the walk that follows holds
+    only the graph it releases and the gradients in flight.
+    """
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in visited:
+                stack.append((parent, False))
+    return topo
 
 
 class Tensor:
@@ -163,6 +206,14 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode differentiation from this tensor.
 
+        The walk consumes the graph: every non-leaf node it visits, this
+        one included, drops its parent links and has its closure replaced
+        by one that raises, right after its gradient has reached its
+        parents.  Leaves accumulate into ``grad``; this tensor keeps the
+        gradient it was given; no interior node keeps one.  Calling
+        ``backward()`` again on this tensor, or on a new op built from any
+        consumed node, raises ``RuntimeError``.
+
         Parameters
         ----------
         grad:
@@ -182,49 +233,34 @@ class Tensor:
                     f"grad shape {grad.shape} does not match tensor shape {self.data.shape}"
                 )
 
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        # Iterative DFS post-order: deep graphs (VGG19 unrolled over many
-        # epochs of ops) overflow Python's recursion limit otherwise.
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
-                    stack.append((parent, False))
-
+        topo = _topological_order(self)
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
+        # Popping ``topo`` walks it in reverse, so every consumer of a node
+        # runs before the node does and the walk's own reference goes.
+        while topo:
+            node = topo.pop()
             node_grad = grads.pop(id(node), None)
-            if node_grad is None:
+            closure = node._backward
+            if closure is None:
+                if node_grad is not None:
+                    node.grad = (
+                        node_grad.copy() if node.grad is None else node.grad + node_grad
+                    )
                 continue
-            if node.grad is None:
-                node.grad = node_grad.copy() if node._backward is None else node_grad
-            else:
-                node.grad = node.grad + node_grad
-            if node._backward is None:
-                continue
-            parent_grads = node._backward(node_grad)
-            for parent, pgrad in zip(node._parents, parent_grads):
-                if pgrad is None or not parent.requires_grad:
-                    continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pgrad
-                else:
-                    grads[key] = pgrad
-        # Non-leaf intermediate gradients are kept only transiently; free
-        # them so long training loops do not accumulate memory.
-        for node in topo:
-            if node._backward is not None and node is not self:
-                node.grad = None
+            if node_grad is not None:
+                parent_grads = closure(node_grad)
+                for parent, pgrad in zip(node._parents, parent_grads):
+                    if pgrad is None or not parent.requires_grad:
+                        continue
+                    key = id(parent)
+                    if key in grads:
+                        grads[key] = grads[key] + pgrad
+                    else:
+                        grads[key] = pgrad
+                if node is self:
+                    node.grad = node_grad if node.grad is None else node.grad + node_grad
+            node._backward = _consumed
+            node._parents = ()
 
     # ------------------------------------------------------------------
     # Arithmetic

@@ -125,33 +125,39 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict) -> None:
+        """Install ``state``'s parameters and buffers.
+
+        Every entry must name a parameter or buffer of this module tree
+        (else ``KeyError``) and have its shape (else ``ValueError``); a
+        state that fails either check changes nothing.
+        """
         params = dict(self.named_parameters())
-        missing = []
-        for name, value in state.items():
-            if name in params:
-                if params[name].data.shape != value.shape:
-                    raise ValueError(
-                        f"shape mismatch for {name}: "
-                        f"{params[name].data.shape} vs {value.shape}"
-                    )
-                params[name].data = np.array(value, dtype=active_backend().dtype)
-            else:
-                missing.append(name)
-        # Buffers live on possibly nested modules; walk and assign.
+        # Buffers live on possibly nested modules.
         buffer_owners = {}
         for mod_name, module in self.named_modules():
             for buf_name in module._buffers:
                 full = f"{mod_name}.{buf_name}" if mod_name else buf_name
                 buffer_owners[full] = (module, buf_name)
-        for name in list(missing):
-            if name in buffer_owners:
+        unknown = [n for n in state if n not in params and n not in buffer_owners]
+        if unknown:
+            raise KeyError(f"unknown entries in state dict: {unknown}")
+        for name, value in state.items():
+            if name in params:
+                shape = params[name].data.shape
+            else:
                 module, buf_name = buffer_owners[name]
-                module._set_buffer(
-                    buf_name, np.array(state[name], dtype=active_backend().dtype)
+                shape = module._buffers[buf_name].shape
+            if shape != np.shape(value):
+                raise ValueError(
+                    f"shape mismatch for {name}: {shape} vs {np.shape(value)}"
                 )
-                missing.remove(name)
-        if missing:
-            raise KeyError(f"unknown entries in state dict: {missing}")
+        dtype = active_backend().dtype
+        for name, value in state.items():
+            if name in params:
+                params[name].data = np.array(value, dtype=dtype)
+            else:
+                module, buf_name = buffer_owners[name]
+                module._set_buffer(buf_name, np.array(value, dtype=dtype))
 
     # ------------------------------------------------------------------
     # Invocation

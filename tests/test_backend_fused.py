@@ -289,10 +289,10 @@ def _micro_vgg_iteration(backend_name, steps=1):
             for p in model.parameters():
                 p.grad = None
             loss = criterion(model(x), y)
+            nodes = _graph_size(loss)
             loss.backward()
             optimizer.step()
             losses.append(float(loss.data))
-            nodes = _graph_size(loss)
         grads = {name: p.grad.copy() for name, p in model.named_parameters()
                  if p.grad is not None}
         buffers = {}

@@ -115,6 +115,24 @@ class TestStateDict:
         with pytest.raises((ValueError, KeyError)):
             dst.load_state_dict(src.state_dict())
 
+    def test_buffer_shape_mismatch_raises(self):
+        bn = BatchNorm2d(4)
+        state = bn.state_dict()
+        state["running_mean"] = np.zeros(7)
+        with pytest.raises(ValueError, match="running_mean"):
+            bn.load_state_dict(state)
+        assert bn.running_mean.shape == (4,)
+
+    def test_rejected_state_changes_nothing(self, rng):
+        src = Linear(4, 5, rng=rng)
+        dst = Linear(4, 5, rng=rng)
+        before = dst.weight.data.copy()
+        state = src.state_dict()
+        state["bias"] = np.zeros(6)
+        with pytest.raises(ValueError, match="bias"):
+            dst.load_state_dict(state)
+        assert np.array_equal(dst.weight.data, before)
+
     def test_unknown_key_raises(self, rng):
         dst = Linear(4, 5, rng=rng)
         state = dst.state_dict()
