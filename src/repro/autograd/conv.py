@@ -57,19 +57,21 @@ def conv2d(
         out = backend.bias_add(out, bias.data, axis=1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    x_shape, w_shape = x.data.shape, weight.data.shape
+    needs_x, has_bias = x.requires_grad, bias is not None
 
     def backward(grad):
         # grad: (N, O, out_h, out_w)
         grad_mat = grad.transpose(1, 0, 2, 3).reshape(out_channels, -1)
-        grad_w = backend.matmul(grad_mat, cols.T).reshape(weight.data.shape)
-        if x.requires_grad:
+        grad_w = backend.matmul(grad_mat, cols.T).reshape(w_shape)
+        if needs_x:
             grad_cols = backend.matmul(w_mat.T, grad_mat)
-            grad_x = backend.col2im(grad_cols, x.data.shape, kernel, stride,
+            grad_x = backend.col2im(grad_cols, x_shape, kernel, stride,
                                     padding)
         else:
             # The first conv's input is data: skip its matmul + scatter.
             grad_x = None
-        if bias is None:
+        if not has_bias:
             return (grad_x, grad_w)
         grad_b = grad.sum(axis=(0, 2, 3))
         return (grad_x, grad_w, grad_b)

@@ -1,18 +1,29 @@
 """Tape-based reverse-mode autodiff ``Tensor``.
 
 The engine follows the classic design: every differentiable operation
-records a backward closure and its parent tensors; calling
+records a backward closure and its parents; calling
 :meth:`Tensor.backward` topologically sorts the recorded graph and
 accumulates gradients into ``Tensor.grad``.
+
+The graph is kept apart from the tensors.  An op's output ``Tensor``
+links to a small :class:`Node` holding only the op's backward closure,
+its name and its parents: the node of an interior parent, a leaf parent
+itself, and None for a parent that needs no gradient.  Each closure
+captures only the arrays, shapes and flags its backward reads (conv
+keeps its im2col columns and weight matrix but only its input's
+shape), so an op's output array lives exactly as long as the forward
+code, or a closure that reads it, holds it; the graph never does.
 
 Backward consumes the graph it walks.  As soon as a node's closure has
 routed its gradient to its parents, the node gives up that closure
 (with the im2col columns, masks and batchnorm residuals it holds) and
-its parent links, so each step's activations are freed during the walk
+its parent links, so each step's residuals are freed during the walk
 rather than kept alive by the returned loss until the next step.  Only
-leaves and the root keep a gradient.  A second ``backward()`` that
-reaches a consumed node raises ``RuntimeError``; there is no switch to
-retain the graph.
+leaves and the root keep a gradient; a leaf keeps the array its
+consumers handed it, without a copy, unless it must own one (see
+:meth:`Tensor.backward`).  A second ``backward()`` that reaches a
+consumed node raises ``RuntimeError``; there is no switch to retain
+the graph.
 
 Only float64/float32 data participates in differentiation.  Gradients are
 stored as plain numpy arrays of the same shape as ``Tensor.data``.
@@ -85,29 +96,51 @@ def _consumed(grad):
     )
 
 
-def _topological_order(root: "Tensor") -> list["Tensor"]:
-    """Every grad-requiring node reachable from ``root``, inputs first.
+def _owner(array: np.ndarray):
+    """The object owning ``array``'s memory: itself, or its view's base."""
+    return array if array.base is None else array.base
+
+
+class Node:
+    """One recorded op: its backward closure, its name and its parents.
+
+    ``parents`` lines up with the gradients ``backward`` returns: the
+    node of an interior parent, a leaf parent's ``Tensor``, or None for
+    a parent that needs no gradient.
+    """
+
+    __slots__ = ("backward", "parents", "op")
+
+    def __init__(self, backward, parents: tuple, op: str):
+        self.backward = backward
+        self.parents = parents
+        self.op = op
+
+
+def _topological_order(root) -> list:
+    """Every node and leaf reachable from ``root``, inputs first.
 
     Iterative DFS post-order: deep graphs (VGG19 unrolled over many
     epochs of ops) overflow Python's recursion limit otherwise.  The
     visited set and stack die on return, so the walk that follows holds
     only the graph it releases and the gradients in flight.
     """
-    topo: list[Tensor] = []
+    topo: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
-        node, processed = stack.pop()
+        item, processed = stack.pop()
         if processed:
-            topo.append(node)
+            topo.append(item)
             continue
-        if id(node) in visited:
+        if id(item) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
-                stack.append((parent, False))
+        visited.add(id(item))
+        stack.append((item, True))
+        if type(item) is Node:
+            for parent in item.parents:
+                if parent is not None and id(parent) not in visited:
+                    stack.append((parent, False))
     return topo
 
 
@@ -124,16 +157,14 @@ class Tensor:
         and :meth:`backward` fills :attr:`grad`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
     __array_priority__ = 100  # numpy defers binary ops to Tensor
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._backward = None
-        self._parents: tuple = ()
-        self._op = ""
+        self._node: Node | None = None  # None for a leaf
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -148,20 +179,23 @@ class Tensor:
 
     @staticmethod
     def from_op(data: np.ndarray, parents: tuple, backward, op: str = "") -> "Tensor":
-        """Create a graph node for ``data`` produced from ``parents``.
+        """Create the tensor ``data`` produced from ``parents``, and its node.
 
         ``backward`` is a closure receiving the upstream gradient and
         returning a tuple of gradients aligned with ``parents`` (entries
-        may be None for non-differentiable parents).  Graph recording is
-        skipped entirely inside :func:`no_grad` or when no parent requires
-        a gradient.
+        may be None for parents that need no gradient).  It should
+        capture only the arrays, shapes and flags it reads: the node
+        keeps no parent tensor but a leaf's, so a closure that captures
+        an input tensor is what keeps that input's array alive.  Graph
+        recording is skipped entirely inside :func:`no_grad` or when no
+        parent requires a gradient.
         """
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._backward = backward
-            out._parents = parents
-            out._op = op
+        out = Tensor(data)
+        if is_grad_enabled() and any(p.requires_grad for p in parents):
+            out.requires_grad = True
+            out._node = Node(backward, tuple(
+                (p._node or p) if p.requires_grad else None for p in parents
+            ), op)
         return out
 
     # ------------------------------------------------------------------
@@ -184,7 +218,8 @@ class Tensor:
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{grad_flag}, op={self._op or 'leaf'})"
+        op = self._node.op if self._node is not None else ""
+        return f"Tensor(shape={self.shape}{grad_flag}, op={op or 'leaf'})"
 
     def numpy(self) -> np.ndarray:
         """Return the underlying numpy array (no copy)."""
@@ -206,13 +241,21 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode differentiation from this tensor.
 
-        The walk consumes the graph: every non-leaf node it visits, this
-        one included, drops its parent links and has its closure replaced
+        The walk consumes the graph: every node it visits, this tensor's
+        included, drops its parent links and has its closure replaced
         by one that raises, right after its gradient has reached its
         parents.  Leaves accumulate into ``grad``; this tensor keeps the
-        gradient it was given; no interior node keeps one.  Calling
+        gradient it was given; no interior tensor keeps one.  Calling
         ``backward()`` again on this tensor, or on a new op built from any
         consumed node, raises ``RuntimeError``.
+
+        A leaf without a gradient takes the array its consumers handed
+        it as is.  It gets a C-contiguous copy instead when that array
+        is not C-contiguous (the compiled Adam loop takes only operands
+        laid out like the parameter), or when its memory is the
+        ``grad`` given here or another leaf's gradient from this walk,
+        so that no two gradients share a buffer.  A closure must never
+        write into the gradient it receives, which a leaf may hold.
 
         Parameters
         ----------
@@ -233,34 +276,43 @@ class Tensor:
                     f"grad shape {grad.shape} does not match tensor shape {self.data.shape}"
                 )
 
-        topo = _topological_order(self)
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        root = self if self._node is None else self._node
+        topo = _topological_order(root)
+        grads: dict[int, np.ndarray] = {id(root): grad}
+        # Owners of the buffers this tensor and the leaves hold so far.
+        held = {id(_owner(grad))}
         # Popping ``topo`` walks it in reverse, so every consumer of a node
         # runs before the node does and the walk's own reference goes.
         while topo:
-            node = topo.pop()
-            node_grad = grads.pop(id(node), None)
-            closure = node._backward
-            if closure is None:
-                if node_grad is not None:
-                    node.grad = (
-                        node_grad.copy() if node.grad is None else node.grad + node_grad
-                    )
+            item = topo.pop()
+            item_grad = grads.pop(id(item), None)
+            if type(item) is not Node:  # a leaf
+                if item_grad is None:
+                    continue
+                if item.grad is not None:
+                    item.grad = item.grad + item_grad
+                    continue
+                owner = id(_owner(item_grad))
+                if owner in held or not item_grad.flags.c_contiguous:
+                    item_grad = item_grad.copy()
+                else:
+                    held.add(owner)
+                item.grad = item_grad
                 continue
-            if node_grad is not None:
-                parent_grads = closure(node_grad)
-                for parent, pgrad in zip(node._parents, parent_grads):
-                    if pgrad is None or not parent.requires_grad:
+            if item_grad is not None:
+                parent_grads = item.backward(item_grad)
+                for parent, pgrad in zip(item.parents, parent_grads):
+                    if parent is None or pgrad is None:
                         continue
                     key = id(parent)
                     if key in grads:
                         grads[key] = grads[key] + pgrad
                     else:
                         grads[key] = pgrad
-                if node is self:
-                    node.grad = node_grad if node.grad is None else node.grad + node_grad
-            node._backward = _consumed
-            node._parents = ()
+                if item is root:
+                    self.grad = item_grad if self.grad is None else self.grad + item_grad
+            item.backward = _consumed
+            item.parents = ()
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -268,14 +320,18 @@ class Tensor:
     def _coerce(self, other) -> "Tensor":
         return other if isinstance(other, Tensor) else Tensor(other)
 
+    # A binary op computes a parent's gradient, and keeps what that
+    # gradient reads, only when the parent requires one.
     def __add__(self, other) -> "Tensor":
         other = self._coerce(other)
         out_data = self.data + other.data
+        a_shape = self.data.shape if self.requires_grad else None
+        b_shape = other.data.shape if other.requires_grad else None
 
         def backward(grad):
             return (
-                unbroadcast(grad, self.data.shape),
-                unbroadcast(grad, other.data.shape),
+                None if a_shape is None else unbroadcast(grad, a_shape),
+                None if b_shape is None else unbroadcast(grad, b_shape),
             )
 
         return Tensor.from_op(out_data, (self, other), backward, "add")
@@ -296,12 +352,17 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data * other.data
+        a, b = self.data, other.data
+        out_data = a * b
+        a_shape, b_shape = a.shape, b.shape
+        # Each operand is kept for the other's gradient only.
+        for_a = b if self.requires_grad else None
+        for_b = a if other.requires_grad else None
 
         def backward(grad):
             return (
-                unbroadcast(grad * other.data, self.data.shape),
-                unbroadcast(grad * self.data, other.data.shape),
+                None if for_a is None else unbroadcast(grad * for_a, a_shape),
+                None if for_b is None else unbroadcast(grad * for_b, b_shape),
             )
 
         return Tensor.from_op(out_data, (self, other), backward, "mul")
@@ -310,12 +371,16 @@ class Tensor:
 
     def __truediv__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data / other.data
+        b = other.data
+        out_data = self.data / b
+        a_shape, b_shape = self.data.shape, b.shape
+        needs_a = self.requires_grad
+        a = self.data if other.requires_grad else None
 
         def backward(grad):
             return (
-                unbroadcast(grad / other.data, self.data.shape),
-                unbroadcast(-grad * self.data / (other.data**2), other.data.shape),
+                unbroadcast(grad / b, a_shape) if needs_a else None,
+                None if a is None else unbroadcast(-grad * a / (b**2), b_shape),
             )
 
         return Tensor.from_op(out_data, (self, other), backward, "div")
@@ -326,29 +391,40 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
+        base = self.data
+        out_data = base**exponent
 
         def backward(grad):
-            return (grad * exponent * self.data ** (exponent - 1),)
+            return (grad * exponent * base ** (exponent - 1),)
 
         return Tensor.from_op(out_data, (self,), backward, "pow")
 
     def __matmul__(self, other) -> "Tensor":
         other = self._coerce(other)
         backend = active_backend()
-        out_data = backend.matmul(self.data, other.data)
+        a, b = self.data, other.data
+        out_data = backend.matmul(a, b)
+        a_shape, b_shape = a.shape, b.shape
+        plain = a.ndim == 2 and b.ndim == 2
+        for_a = b if self.requires_grad else None
+        for_b = a if other.requires_grad else None
 
         def backward(grad):
-            a, b = self.data, other.data
-            if a.ndim == 2 and b.ndim == 2:
-                return (backend.matmul(grad, b.T), backend.matmul(a.T, grad))
+            grad_a = grad_b = None
+            if plain:
+                if for_a is not None:
+                    grad_a = backend.matmul(grad, for_a.T)
+                if for_b is not None:
+                    grad_b = backend.matmul(for_b.T, grad)
+                return (grad_a, grad_b)
             # General batched case.
-            grad_a = backend.matmul(grad, np.swapaxes(b, -1, -2))
-            grad_b = backend.matmul(np.swapaxes(a, -1, -2), grad)
-            return (
-                unbroadcast(grad_a, a.shape),
-                unbroadcast(grad_b, b.shape),
-            )
+            if for_a is not None:
+                grad_a = unbroadcast(
+                    backend.matmul(grad, np.swapaxes(for_a, -1, -2)), a_shape)
+            if for_b is not None:
+                grad_b = unbroadcast(
+                    backend.matmul(np.swapaxes(for_b, -1, -2), grad), b_shape)
+            return (grad_a, grad_b)
 
         return Tensor.from_op(out_data, (self, other), backward, "matmul")
 
@@ -373,10 +449,11 @@ class Tensor:
         return Tensor.from_op(out_data, (self,), backward, "exp")
 
     def log(self) -> "Tensor":
-        out_data = np.log(self.data)
+        x = self.data
+        out_data = np.log(x)
 
         def backward(grad):
-            return (grad / self.data,)
+            return (grad / x,)
 
         return Tensor.from_op(out_data, (self,), backward, "log")
 
@@ -428,12 +505,13 @@ class Tensor:
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        shape = self.data.shape
 
         def backward(grad):
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            return (np.broadcast_to(g, self.data.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
 
         return Tensor.from_op(out_data, (self,), backward, "sum")
 
@@ -451,7 +529,8 @@ class Tensor:
         return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
+        x = self.data
+        out_data = x.max(axis=axis, keepdims=keepdims)
 
         def backward(grad):
             g = grad
@@ -459,7 +538,7 @@ class Tensor:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
                 expanded = np.expand_dims(out_data, axis=axis)
-            mask = self.data == expanded
+            mask = x == expanded
             # Split gradient equally among ties, matching numpy semantics
             # closely enough for pooling/softmax stability use.  The tie
             # counts are cast to the gradient dtype: int64 operands would

@@ -10,7 +10,7 @@ by calling ``np.*`` directly:
   :mod:`repro.backend._im2col` and the seed's argmax pooling as the
   fallback, which is also what the seed oracles check;
 * the hot loops — eqn.-1 fake quantization and the SGD/Adam parameter
-  updates — as the seed's numpy chains;
+  updates (Adam's in place) — as the seed's numpy chains;
 * the fused elementwise chains — relu, batchnorm (train/eval, with an
   optional trailing relu), softmax/log-softmax/cross-entropy, bias add,
   linear, mse — each exposed as a forward kernel returning an opaque
@@ -176,18 +176,18 @@ class ArrayBackend:
                     m: np.ndarray, v: np.ndarray, lr: float, beta1: float,
                     beta2: float, eps: float, weight_decay: float,
                     bias1: float, bias2: float) -> np.ndarray:
-        """One bias-corrected Adam step; returns the new param array.
+        """One bias-corrected Adam step, in place; returns ``param``.
 
-        ``m``/``v`` are the optimizer's moment buffers, mutated in place;
-        the C loop runs the chain below where the operands are dense
-        arrays of one dtype laid out alike.
+        ``param`` and the optimizer's moment buffers ``m``/``v`` are all
+        updated in place, so callers need not rebind ``param.data``;
+        ``param`` must be writable.  The C loop runs the chain below
+        where the operands are dense arrays of one dtype laid out alike.
         """
         kernel = self._kernels.get("adam_update")
-        if kernel is not None:
-            out = np.empty_like(param)
-            if kernel(param, grad, m, v, out, lr, beta1, beta2, eps,
-                      weight_decay, bias1, bias2):
-                return out
+        if kernel is not None and kernel(param, grad, m, v, param, lr, beta1,
+                                         beta2, eps, weight_decay, bias1,
+                                         bias2):
+            return param
         if weight_decay:
             grad = grad + weight_decay * param
         m *= beta1
@@ -196,7 +196,8 @@ class ArrayBackend:
         v += (1.0 - beta2) * grad * grad
         m_hat = m / bias1
         v_hat = v / bias2
-        return param - lr * m_hat / (np.sqrt(v_hat) + eps)
+        return np.subtract(param, lr * m_hat / (np.sqrt(v_hat) + eps),
+                           out=param)
 
     # ------------------------------------------------------------------
     # Fused elementwise chains

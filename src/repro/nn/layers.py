@@ -117,12 +117,11 @@ class Linear(Module):
                 x.data, weight.data, None if bias is None else bias.data
             )
             parents = (x, weight) if bias is None else (x, weight, bias)
+            x_data, w_data, has_bias = x.data, weight.data, bias is not None
 
             def backward(grad):
-                gx, gw, gb = backend.linear_bwd(
-                    grad, x.data, weight.data, bias is not None
-                )
-                return (gx, gw) if bias is None else (gx, gw, gb)
+                gx, gw, gb = backend.linear_bwd(grad, x_data, w_data, has_bias)
+                return (gx, gw, gb) if has_bias else (gx, gw)
 
             return Tensor.from_op(out, parents, backward, "linear")
         out = x @ weight.transpose()
@@ -193,8 +192,10 @@ class BatchNorm2d(Module):
                 self.running_var, self.eps, fuse_relu,
             )
 
+        gamma_data = gamma.data
+
         def backward(grad):
-            return backend.batchnorm_bwd(grad, gamma.data, residual, training)
+            return backend.batchnorm_bwd(grad, gamma_data, residual, training)
 
         op = "batchnorm2d_relu" if fuse_relu else "batchnorm2d"
         return Tensor.from_op(out, (x, gamma, beta), backward, op)

@@ -119,7 +119,7 @@ class Adam(Optimizer):
         for param, m, v in zip(self.parameters, self._m, self._v):
             if param.grad is None:
                 continue
-            param.data = backend.adam_update(
+            backend.adam_update(
                 param.data,
                 param.grad,
                 m,

@@ -11,7 +11,9 @@ index, so executors stay oblivious to sweeps, caches, and schedulers.
 Two backends:
 
 * :class:`SerialExecutor` — queues submissions and executes them
-  in-process, FIFO, when :meth:`next_result` is called.  ``jobs == 1``.
+  in-process, oldest first, when :meth:`next_result` is called; a task
+  marked ``"speculative": True`` runs only when no unmarked task
+  waits.  ``jobs == 1``.
 * :class:`ProcessExecutor` — a ``concurrent.futures`` process pool.
   Chosen over ``multiprocessing.Pool`` because it *detects dead
   workers*: a worker that exits abruptly (OOM kill, ``os._exit``,
@@ -121,13 +123,15 @@ def crash_outcome(task: dict, error: BaseException) -> dict:
 
 
 class SerialExecutor:
-    """In-process FIFO execution (``jobs == 1``).
+    """In-process execution, oldest first (``jobs == 1``).
 
     Submissions queue; each :meth:`next_result` call runs the oldest
-    queued task to completion.  Deferring execution to
-    :meth:`next_result` keeps the dispatch order identical to the
-    pre-split runner: the driver finishes every cache hit before the
-    first miss trains.
+    queued task to completion, passing over tasks marked
+    ``"speculative": True`` while an unmarked one waits: with one
+    worker, work a driver may still cancel should not delay work it
+    needs.  Deferring execution to :meth:`next_result` keeps the
+    dispatch order identical to the pre-split runner: the driver
+    finishes every cache hit before the first miss trains.
     """
 
     def __init__(self, execute, interrupt=None):
@@ -171,7 +175,9 @@ class SerialExecutor:
                 raise RuntimeError(
                     "no tasks pending in the serial executor"
                 )
-            task = self._queue.pop(0)
+            position = next((i for i, queued in enumerate(self._queue)
+                             if not queued.get("speculative")), 0)
+            task = self._queue.pop(position)
         try:
             return self.execute(task)
         except Exception as error:

@@ -604,8 +604,9 @@ class SchedulerDrive:
         """Keep exactly the scheduler's current bets live.
 
         Bets that dropped out are cancelled; new ones are placed, and
-        their task payloads returned.  A config that is already a real
-        point needs no bet.
+        their task payloads returned, marked ``"speculative": True`` so
+        that a serial executor runs real work first.  A config that is
+        already a real point needs no bet.
         """
         if self.speculation_stats is None:
             return []  # the scheduler does not speculate
@@ -629,7 +630,8 @@ class SchedulerDrive:
                 self._next_bet_task -= 1
                 self._log(f"speculate {config.name} ({key[:12]})")
                 tasks.append({"index": bet["task"],
-                              "config": config.to_dict()})
+                              "config": config.to_dict(),
+                              "speculative": True})
             self._bets[key] = bet
         return tasks
 

@@ -1,19 +1,28 @@
-"""Backward consumes its graph, so a step's activations die with its walk.
+"""A training step keeps nothing it will not read.
 
-``Tensor.backward`` releases each node's closure, parent links and
-gradient as soon as the node has run.  These tests hold that contract
-(a consumed node raises instead of passing for a leaf) and its point:
-while the next step's forward runs, the previous step's graph is gone,
-so an epoch's traced peak stays near one step's graph.
+The graph is kept apart from the tensors: a :class:`Node` holds its
+closure, its op name and its parents, and each closure captures only
+the arrays it reads, so a conv or batchnorm output dies as soon as the
+forward code drops its tensor.  ``Tensor.backward`` then releases each
+node's closure and parent links as soon as the node has run, and
+stores a leaf's gradient without a copy unless the leaf must own one.
+These tests hold that contract (a consumed node raises instead of
+passing for a leaf) and its point: while the next step's forward runs,
+the previous step's graph is gone, so an epoch's traced peak stays
+near one step's graph.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.api import build_context, experiments
 from repro.autograd import Tensor
+from repro.autograd.tensor import Node
+from repro.nn.layers import BatchNorm2d, Conv2d
 
 MODELS = pytest.mark.parametrize("arch", ["vgg11", "resnet18"])
 BACKENDS = pytest.mark.parametrize("backend", ["reference", "fast"])
@@ -35,15 +44,16 @@ def _step_loss(ctx):
 
 
 def _graph_nodes(root):
-    """Every tensor reachable from ``root`` through parent links."""
-    seen, stack, nodes = set(), [root], []
+    """Every node and leaf reachable from ``root``'s node through parent links."""
+    seen, stack, nodes = set(), [root._node], []
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
         nodes.append(node)
-        stack.extend(node._parents)
+        if isinstance(node, Node):
+            stack.extend(parent for parent in node.parents if parent is not None)
     return nodes
 
 
@@ -78,18 +88,99 @@ class TestConsumedGraph:
         ctx = _prepared_context(backend, arch)
         loss = _step_loss(ctx)
         nodes = _graph_nodes(loss)
-        interior = [node for node in nodes if node._backward is not None]
+        interior = [node for node in nodes if isinstance(node, Node)]
         assert len(interior) > 20
         loss.backward()
         for node in interior:
-            assert node._parents == ()
-            assert node.grad is None or node is loss
+            assert node.parents == ()
+            assert not hasattr(node, "grad")
             with pytest.raises(RuntimeError, match="consumed"):
-                node._backward(np.ones_like(node.data))
+                node.backward(np.ones(1))
         assert loss.grad is not None
         for name, param in ctx.model.named_parameters():
-            assert param._backward is None, name
+            assert param._node is None, name
             assert param.grad is not None, name
+
+
+def _captured(value):
+    """Every object a closure cell holds, looking inside tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _captured(item)
+    else:
+        yield value
+
+
+class TestGraphKeepsOnlyWhatBackwardReads:
+    @BACKENDS
+    @MODELS
+    def test_conv_and_batchnorm_outputs_die_with_the_forward(
+            self, monkeypatch, backend, arch):
+        ctx = _prepared_context(backend, arch)
+        outputs = {"conv": [], "batchnorm": []}
+
+        def spy(kind, forward):
+            def traced(self, *args, **kwargs):
+                out = forward(self, *args, **kwargs)
+                outputs[kind].append(weakref.ref(out.data))
+                return out
+
+            return traced
+
+        monkeypatch.setattr(Conv2d, "forward", spy("conv", Conv2d.forward))
+        monkeypatch.setattr(BatchNorm2d, "forward_fused",
+                            spy("batchnorm", BatchNorm2d.forward_fused))
+        loss = _step_loss(ctx)
+        gc.collect()
+        for kind, refs in outputs.items():
+            assert len(refs) > 5, kind
+            alive = sum(ref() is not None for ref in refs)
+            assert alive == 0, f"{alive} of {len(refs)} {kind} outputs kept"
+        assert loss._node.parents  # the graph is still alive
+
+    @BACKENDS
+    @MODELS
+    def test_no_closure_holds_an_interior_tensor(self, backend, arch):
+        ctx = _prepared_context(backend, arch)
+        loss = _step_loss(ctx)
+        interior = [node for node in _graph_nodes(loss) if isinstance(node, Node)]
+        assert len(interior) > 20
+        for node in interior:
+            for cell in node.backward.__closure__ or ():
+                for value in _captured(cell.cell_contents):
+                    assert not (isinstance(value, Tensor) and value._node), (
+                        f"the {node.op} closure holds an interior tensor"
+                    )
+
+
+class TestLeafGradients:
+    def test_leaves_handed_one_array_get_their_own(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        (a + b).sum().backward()
+        assert a.grad is not b.grad
+        assert not np.shares_memory(a.grad, b.grad)
+        assert np.array_equal(a.grad, b.grad)
+
+    def test_a_view_of_the_callers_grad_is_copied(self):
+        a = Tensor(np.ones(6), requires_grad=True)
+        grad = np.arange(6.0).reshape(2, 3)
+        a.reshape(2, 3).backward(grad)
+        assert not np.shares_memory(a.grad, grad)
+        assert np.array_equal(a.grad, np.arange(6.0))
+
+    @BACKENDS
+    @MODELS
+    def test_parameter_gradients_are_c_contiguous_and_unshared(
+            self, backend, arch):
+        ctx = _prepared_context(backend, arch)
+        _step_loss(ctx).backward()
+        grads = [param.grad for param in ctx.model.parameters()]
+        for grad in grads:
+            assert grad.flags.c_contiguous
+        for index, grad in enumerate(grads):
+            for other in grads[index + 1:]:
+                assert not np.shares_memory(grad, other)
 
 
 @BACKENDS

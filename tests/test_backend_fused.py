@@ -30,6 +30,7 @@ from repro.autograd import Tensor
 from repro.autograd import conv as conv_ops
 from repro.autograd import functional as F
 from repro.autograd.gradcheck import grad_check
+from repro.autograd.tensor import Node
 from repro.backend import active_backend, use_backend
 from repro.nn.layers import BatchNorm2d, Linear
 from repro.nn.loss import CrossEntropyLoss, MSELoss
@@ -321,15 +322,15 @@ def assert_vgg_run_matches_seed(steps):
 
 def _graph_size(tensor):
     """Number of recorded (backward-carrying) nodes reachable from ``tensor``."""
-    seen, stack, count = set(), [tensor], 0
+    seen, stack, count = set(), [tensor._node], 0
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node is None or id(node) in seen:
             continue
         seen.add(id(node))
-        if getattr(node, "_backward", None) is not None:
+        if isinstance(node, Node):
             count += 1
-        stack.extend(getattr(node, "_parents", ()) or ())
+            stack.extend(node.parents)
     return count
 
 

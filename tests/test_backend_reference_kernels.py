@@ -346,7 +346,7 @@ def check_adam(backend, operands, step, weight_decay, runs_c):
     assert_seed_array(got, want, f"{what}: param")
     assert_seed_array(m, seed_m, f"{what}: m")
     assert_seed_array(v, seed_v, f"{what}: v")
-    assert got is not param and not np.shares_memory(got, param)
+    assert got is param
     expected = int(runs_c and "adam_update" in backend._kernels)
     assert calls["adam_update"] == expected, (
         f"C Adam ran {calls['adam_update']} times, expected {expected}")

@@ -21,6 +21,7 @@ must never leak: the known-cancelled bets.
 """
 
 import copy
+import sys
 
 import pytest
 
@@ -460,6 +461,34 @@ class TestWarmBets:
             SEARCHES[strategy](speculation=3), jobs, cache)
         assert [event for event in events if event[0] == "submit"] == []
         assert result.stats["cached"] == reference.stats["total"]
+
+
+class TestSerialRunsRealTrialsFirst:
+    """At jobs 1 a bet that survives a round waits behind the next real
+    trial instead of training ahead of it."""
+
+    def test_surviving_bet_never_trains(self, tmp_path, recorded,
+                                        monkeypatch):
+        # Near-equal conv1/conv2 weights, so each accepted move re-ranks
+        # the layers, and a lower feasibility bar, so conv1=3 and then
+        # conv2=3 are both accepted.  The stale-ranking bet 4/2/4/4,
+        # placed while conv1=3 runs, survives the next round as the
+        # rejection chain's bet while the real move goes to conv2=3.
+        # The budget's last trial is 4/2/3/4, so the bet is never
+        # adopted: trained first, it would be wasted.
+        monkeypatch.setitem(WEIGHTS, "conv1", 10.0)
+        monkeypatch.setitem(WEIGHTS, "conv2", 9.0)
+        monkeypatch.setattr(sys.modules[__name__], "FEASIBLE_MEAN_BITS", 3.5)
+        cache = ResultCache(tmp_path / "cache")
+        run_once(ad_search(), jobs=1, cache=cache)
+        result, _, events = recorded(
+            layer_search(speculation=3, seed_trials=2, max_trials=5), 1,
+            cache)
+        trainings = [index for kind, index, _ in events if kind == "result"]
+        assert trainings == [2, 3, 4]
+        assert result.stats["executed"] == 3
+        assert result.stats["cached"] == 2
+        assert result.stats["wasted_trials"] == 0
 
 
 class TestStoppedDrivesSettleBets:
