@@ -19,11 +19,9 @@ routed its gradient to its parents, the node gives up that closure
 (with the im2col columns, masks and batchnorm residuals it holds) and
 its parent links, so each step's residuals are freed during the walk
 rather than kept alive by the returned loss until the next step.  Only
-leaves and the root keep a gradient; a leaf keeps the array its
-consumers handed it, without a copy, unless it must own one (see
-:meth:`Tensor.backward`).  A second ``backward()`` that reaches a
-consumed node raises ``RuntimeError``; there is no switch to retain
-the graph.
+leaves and the root keep a gradient.  A second ``backward()`` that
+reaches a consumed node raises ``RuntimeError``; there is no switch to
+retain the graph.
 
 Only float64/float32 data participates in differentiation.  Gradients are
 stored as plain numpy arrays of the same shape as ``Tensor.data``.
@@ -94,11 +92,6 @@ def _consumed(grad):
         "backward() reached a node whose graph an earlier backward() already "
         "consumed; build a new graph with a new forward pass"
     )
-
-
-def _owner(array: np.ndarray):
-    """The object owning ``array``'s memory: itself, or its view's base."""
-    return array if array.base is None else array.base
 
 
 class Node:
@@ -249,14 +242,6 @@ class Tensor:
         ``backward()`` again on this tensor, or on a new op built from any
         consumed node, raises ``RuntimeError``.
 
-        A leaf without a gradient takes the array its consumers handed
-        it as is.  It gets a C-contiguous copy instead when that array
-        is not C-contiguous (the compiled Adam loop takes only operands
-        laid out like the parameter), or when its memory is the
-        ``grad`` given here or another leaf's gradient from this walk,
-        so that no two gradients share a buffer.  A closure must never
-        write into the gradient it receives, which a leaf may hold.
-
         Parameters
         ----------
         grad:
@@ -279,25 +264,16 @@ class Tensor:
         root = self if self._node is None else self._node
         topo = _topological_order(root)
         grads: dict[int, np.ndarray] = {id(root): grad}
-        # Owners of the buffers this tensor and the leaves hold so far.
-        held = {id(_owner(grad))}
         # Popping ``topo`` walks it in reverse, so every consumer of a node
         # runs before the node does and the walk's own reference goes.
         while topo:
             item = topo.pop()
             item_grad = grads.pop(id(item), None)
             if type(item) is not Node:  # a leaf
-                if item_grad is None:
-                    continue
-                if item.grad is not None:
-                    item.grad = item.grad + item_grad
-                    continue
-                owner = id(_owner(item_grad))
-                if owner in held or not item_grad.flags.c_contiguous:
-                    item_grad = item_grad.copy()
-                else:
-                    held.add(owner)
-                item.grad = item_grad
+                if item_grad is not None:
+                    item.grad = (
+                        item_grad.copy() if item.grad is None else item.grad + item_grad
+                    )
                 continue
             if item_grad is not None:
                 parent_grads = item.backward(item_grad)

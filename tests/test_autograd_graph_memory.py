@@ -4,12 +4,11 @@ The graph is kept apart from the tensors: a :class:`Node` holds its
 closure, its op name and its parents, and each closure captures only
 the arrays it reads, so a conv or batchnorm output dies as soon as the
 forward code drops its tensor.  ``Tensor.backward`` then releases each
-node's closure and parent links as soon as the node has run, and
-stores a leaf's gradient without a copy unless the leaf must own one.
-These tests hold that contract (a consumed node raises instead of
-passing for a leaf) and its point: while the next step's forward runs,
-the previous step's graph is gone, so an epoch's traced peak stays
-near one step's graph.
+node's closure and parent links as soon as the node has run, and each
+leaf owns its gradient.  These tests hold that contract (a consumed
+node raises instead of passing for a leaf) and its point: while the
+next step's forward runs, the previous step's graph is gone, so an
+epoch's traced peak stays near one step's graph.
 """
 
 import gc
@@ -84,18 +83,31 @@ class TestConsumedGraph:
 
     @BACKENDS
     @MODELS
-    def test_only_leaves_and_root_keep_state(self, backend, arch):
+    def test_only_leaves_and_root_keep_state(self, monkeypatch, backend, arch):
         ctx = _prepared_context(backend, arch)
+        outputs = []
+        from_op = Tensor.from_op
+
+        def recording(*args, **kwargs):
+            out = from_op(*args, **kwargs)
+            if out._node is not None:
+                outputs.append(out)
+            return out
+
+        monkeypatch.setattr(Tensor, "from_op", staticmethod(recording))
         loss = _step_loss(ctx)
+        monkeypatch.undo()
         nodes = _graph_nodes(loss)
         interior = [node for node in nodes if isinstance(node, Node)]
         assert len(interior) > 20
+        assert len(outputs) >= len(interior)
         loss.backward()
         for node in interior:
             assert node.parents == ()
-            assert not hasattr(node, "grad")
             with pytest.raises(RuntimeError, match="consumed"):
                 node.backward(np.ones(1))
+        for out in outputs:
+            assert out.grad is None or out is loss, out
         assert loss.grad is not None
         for name, param in ctx.model.named_parameters():
             assert param._node is None, name
