@@ -3,7 +3,10 @@
 The contract: every kernel this backend runs — all of them inherited
 from :class:`~repro.backend.base.ArrayBackend`, the conv lowering
 included — returns the same bytes *and* the same strides as the engine
-did before the backend seam existed.  Floating-point results are
+did before the backend seam existed, at a fixed BLAS thread count: the
+BLAS splits a GEMM's sums differently for another count, so a run's
+final parameters can differ in their last bits between thread counts
+(its report and cache key do not move).  Floating-point results are
 deterministic given identical operands in identical order, and layout
 counts: a GEMM over a transposed operand, or a numpy sum over a
 differently ordered array, may round its last bit differently.  A

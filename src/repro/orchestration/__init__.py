@@ -63,7 +63,6 @@ from repro.orchestration.executor import (
     ProcessExecutor,
     SerialExecutor,
     TaskInterrupted,
-    cancelled_outcome,
     crash_outcome,
     timeout_outcome,
 )
@@ -142,7 +141,6 @@ __all__ = [
     "axis_labels",
     "bit_vector_of",
     "build_scheduler",
-    "cancelled_outcome",
     "crash_outcome",
     "execute_point",
     "expand",

@@ -3,17 +3,16 @@
 An executor accepts point tasks (the ``{"index", "config"}`` payloads of
 :func:`~repro.orchestration.runner.execute_point`) one at a time via
 :meth:`submit` and hands back one outcome dict per task via
-:meth:`next_result`, in whatever order tasks finish.  The driver loop in
-:class:`~repro.orchestration.runner.SweepRunner` feeds scheduler
-proposals in as capacity frees up and routes outcomes back by task
-index, so executors stay oblivious to sweeps, caches, and schedulers.
+:meth:`next_result`, in whatever order tasks finish.  Tasks wait in the
+driver's :class:`~repro.orchestration.runner.SchedulerDrive`, which
+orders them; the drivers submit only into free slots (at most ``jobs``
+tasks, counting :attr:`pending`), so an executor holds only work that is
+running and stays oblivious to sweeps, caches, schedulers and bets.
 
-Two backends:
+Two backends, chosen by :func:`make_executor`:
 
-* :class:`SerialExecutor` — queues submissions and executes them
-  in-process, oldest first, when :meth:`next_result` is called; a task
-  marked ``"speculative": True`` runs only when no unmarked task
-  waits.  ``jobs == 1``.
+* :class:`SerialExecutor` — executes each submission in-process when
+  :meth:`next_result` is called.  ``jobs == 1``.
 * :class:`ProcessExecutor` — a ``concurrent.futures`` process pool.
   Chosen over ``multiprocessing.Pool`` because it *detects dead
   workers*: a worker that exits abruptly (OOM kill, ``os._exit``,
@@ -47,13 +46,11 @@ the ``repro master`` service above all — responsive:
   unblocks the driver within a poll interval instead of after the
   current task.
 
-Both backends support :meth:`cancel` (speculative-search losers, jobs
-discarded by the service): a still-queued task is dropped for free and
-will never consume a worker slot; a task already running is *abandoned*
-— it keeps its worker until it finishes, but its eventual outcome is
-replaced by a structured ``{"status": "cancelled"}`` marker (payload
-discarded), so drivers still see exactly one outcome per submitted,
-un-dropped task and their accounting stays exact.
+Both backends support :meth:`cancel` (a speculative bet the driver
+abandons): a task no worker has started yet is dropped (``"queued"``,
+no outcome will arrive); a running one answers ``"running"`` and keeps
+its worker until it finishes, and its outcome still arrives — the
+driver drops it unread.
 """
 
 from __future__ import annotations
@@ -89,23 +86,6 @@ def timeout_outcome(task: dict, seconds: float, elapsed: float) -> dict:
     }
 
 
-def cancelled_outcome(task: dict, duration: float = 0.0) -> dict:
-    """The structured marker returned for an abandoned (cancelled) task.
-
-    Whatever the worker computed (or crashed with) is discarded — a
-    cancelled speculation's payload must never become observable — but
-    the outcome itself still flows back so the driver's one-outcome-
-    per-task accounting holds.
-    """
-    return {
-        "index": task.get("index"),
-        "status": "cancelled",
-        "error": None,
-        "traceback": None,
-        "duration": duration,
-    }
-
-
 def crash_outcome(task: dict, error: BaseException) -> dict:
     """A structured ``failed`` outcome for a task whose executor crashed.
 
@@ -122,15 +102,25 @@ def crash_outcome(task: dict, error: BaseException) -> dict:
     }
 
 
+def make_executor(jobs: int, execute, task_timeout: float | None = None,
+                  interrupt=None):
+    """The executor for ``jobs`` worker slots.
+
+    A :class:`SerialExecutor` at one job (``task_timeout`` does not
+    apply in-process), a :class:`ProcessExecutor` otherwise.
+    """
+    if jobs == 1:
+        return SerialExecutor(execute, interrupt=interrupt)
+    return ProcessExecutor(jobs, execute, task_timeout=task_timeout,
+                           interrupt=interrupt)
+
+
 class SerialExecutor:
     """In-process execution, oldest first (``jobs == 1``).
 
-    Submissions queue; each :meth:`next_result` call runs the oldest
-    queued task to completion, passing over tasks marked
-    ``"speculative": True`` while an unmarked one waits: with one
-    worker, work a driver may still cancel should not delay work it
-    needs.  Deferring execution to :meth:`next_result` keeps the
-    dispatch order identical to the pre-split runner: the driver
+    Submissions wait until a :meth:`next_result` call runs the oldest
+    one to completion.  Deferring execution to :meth:`next_result` keeps
+    the dispatch order identical to the pre-split runner: the driver
     finishes every cache hit before the first miss trains.
     """
 
@@ -138,31 +128,36 @@ class SerialExecutor:
         self.execute = execute
         self.interrupt = interrupt
         self._queue: list[dict] = []
-        # cancel() may race next_result() across threads (the asyncio
-        # master drives a serial executor from a worker thread).
+        self._running: dict | None = None  # the task next_result runs
+        # submit()/cancel()/pending may race next_result() across
+        # threads (the asyncio master runs it in a worker thread).
         self._lock = threading.Lock()
 
     @property
     def pending(self) -> int:
-        return len(self._queue)
+        """Tasks submitted whose outcome has not been returned yet."""
+        with self._lock:
+            return len(self._queue) + (self._running is not None)
 
     def submit(self, task: dict) -> None:
         with self._lock:
             self._queue.append(task)
 
     def cancel(self, index) -> str:
-        """Drop the queued task with ``index``; see module docstring.
+        """Cancel the task with ``index``; see the module docstring.
 
-        Serial execution has no running-in-the-background state: a task
-        is either still queued (``"queued"`` — dropped for free, no
-        outcome will ever arrive) or already executed and returned
-        (``"unknown"``).
+        ``"queued"`` — not started, dropped, no outcome will arrive;
+        ``"running"`` — :meth:`next_result` is executing it;
+        ``"unknown"`` — already returned (or never submitted here).
         """
         with self._lock:
             for position, task in enumerate(self._queue):
                 if task.get("index") == index:
                     del self._queue[position]
                     return "queued"
+            if self._running is not None \
+                    and self._running.get("index") == index:
+                return "running"
         return "unknown"
 
     def next_result(self) -> dict:
@@ -175,13 +170,13 @@ class SerialExecutor:
                 raise RuntimeError(
                     "no tasks pending in the serial executor"
                 )
-            position = next((i for i, queued in enumerate(self._queue)
-                             if not queued.get("speculative")), 0)
-            task = self._queue.pop(position)
+            task = self._running = self._queue.pop(0)
         try:
             return self.execute(task)
         except Exception as error:
             return crash_outcome(task, error)
+        finally:
+            self._running = None
 
     def __enter__(self):
         return self
@@ -198,6 +193,12 @@ class ProcessExecutor:
     whenever it breaks, so one dying worker fails only the tasks that
     were in flight with it — later submissions run in a fresh pool.
     ``execute`` must be picklable (a module-level function).
+
+    Submit at most ``jobs`` tasks at a time, as the drivers do:
+    ``ProcessPoolExecutor`` marks a future *running* once it enters the
+    worker call queue, which prefetches beyond the workers, so a task
+    submitted into a full pool would start its timeout clock while it
+    still waits for a worker.
     """
 
     def __init__(self, jobs: int, execute, task_timeout: float | None = None,
@@ -211,18 +212,17 @@ class ProcessExecutor:
         self.task_timeout = task_timeout
         self.interrupt = interrupt
         self._pool = None
-        self._backlog: list[dict] = []  # submitted, not yet in the pool
         self._futures: dict = {}  # future -> task
         self._running_since: dict = {}  # future -> first observed running
-        self._abandoned: set = set()  # cancelled task indices still in flight
         # submit()/cancel() may be called from another thread (the
         # asyncio master) while next_result() blocks in a worker thread;
-        # the lock keeps backlog/future bookkeeping consistent.
+        # the lock keeps pool/future bookkeeping consistent.
         self._lock = threading.Lock()
 
     @property
     def pending(self) -> int:
-        return len(self._futures) + len(self._backlog)
+        """Tasks submitted whose outcome has not been returned yet."""
+        return len(self._futures)
 
     def _ensure_pool(self):
         if self._pool is None:
@@ -245,72 +245,43 @@ class ProcessExecutor:
         pool.shutdown(wait=False, cancel_futures=True)
 
     def submit(self, task: dict) -> None:
-        self._backlog.append(task)
-        self._fill()
+        with self._lock:
+            try:
+                future = self._ensure_pool().submit(self.execute, task)
+            except Exception:
+                # The pool broke between our liveness check and the
+                # submit (a worker died while idle); retry on a fresh
+                # pool.
+                self._discard_pool()
+                future = self._ensure_pool().submit(self.execute, task)
+            self._futures[future] = task
 
     def cancel(self, index) -> str:
         """Cancel the task with ``index``; see the module docstring.
 
-        Dispositions: ``"queued"`` — the task was purged from the
-        backlog (or snatched from the pool before a worker picked it
-        up) and no outcome will ever arrive; ``"running"`` — the task
-        is abandoned, its worker finishes but the outcome arrives as a
-        ``cancelled`` marker with the payload discarded; ``"unknown"``
-        — the task already returned (or was never submitted here).
-
-        Purging the backlog here is load-bearing, not an optimization:
-        without it, tasks of a discarded scheduler (a cancelled service
-        job, a losing speculation) would still be fed to workers by
-        ``_fill`` and burn slots computing results nobody can receive.
+        Dispositions: ``"queued"`` — snatched from the pool before a
+        worker picked it up, and no outcome will ever arrive;
+        ``"running"`` — its worker finishes it and its outcome arrives
+        as usual; ``"unknown"`` — the task already returned (or was
+        never submitted here).
         """
         with self._lock:
-            for position, task in enumerate(self._backlog):
-                if task.get("index") == index:
-                    del self._backlog[position]
-                    return "queued"
             for future, task in list(self._futures.items()):
                 if task.get("index") != index:
                     continue
                 if future.cancel():
-                    # Still in the pool's call queue: dropped before any
-                    # worker started it, as free as a backlog purge.
                     self._futures.pop(future, None)
                     self._running_since.pop(future, None)
                     return "queued"
-                self._abandoned.add(index)
                 return "running"
         return "unknown"
-
-    def _fill(self) -> None:
-        """Feed backlog into the pool, at most ``jobs`` futures deep.
-
-        ``ProcessPoolExecutor`` marks a future *running* once it enters
-        the worker call queue — which prefetches beyond the workers — so
-        an unthrottled submit would start a queued task's timeout clock
-        while it still waits for a slot.  Capping in-pool futures at the
-        worker count makes "observed running" mean "actually running";
-        it also keeps backlog tasks off a pool that later breaks.
-        """
-        with self._lock:
-            while self._backlog and len(self._futures) < self.jobs:
-                task = self._backlog[0]
-                try:
-                    future = self._ensure_pool().submit(self.execute, task)
-                except Exception:
-                    # The pool broke between our liveness check and the
-                    # submit (a worker died while idle); retry on a fresh
-                    # pool.
-                    self._discard_pool()
-                    future = self._ensure_pool().submit(self.execute, task)
-                self._backlog.pop(0)
-                self._futures[future] = task
 
     def _overdue(self, now: float):
         """``(future, elapsed)`` of the longest-overdue running task, or None.
 
         The clock starts when a task is first *observed* running (not
-        when it was submitted), so tasks queued behind a full pool never
-        accrue waiting time against their budget.
+        when it was submitted), so a task the pool has not started yet
+        never accrues waiting time against its budget.
         """
         if self.task_timeout is None:
             return None
@@ -345,25 +316,16 @@ class ProcessExecutor:
             slices.append(INTERRUPT_POLL_SECONDS)
         return min(slices) if slices else None
 
-    def _resolve(self, task: dict, outcome: dict) -> dict:
-        """Replace an abandoned task's outcome with a cancelled marker."""
-        index = task.get("index")
-        if index in self._abandoned:
-            self._abandoned.discard(index)
-            return cancelled_outcome(task, outcome.get("duration", 0.0))
-        return outcome
-
     def next_result(self) -> dict:
         from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                         CancelledError, wait)
 
-        if not self._futures and not self._backlog:
+        if not self._futures:
             raise RuntimeError("no tasks pending in the process executor")
         while True:
             if self.interrupt is not None and self.interrupt():
                 raise TaskInterrupted
-            self._fill()
-            if not self._futures and not self._backlog:
+            if not self._futures:
                 # A concurrent cancel() snatched the last pending task
                 # while we waited.  Poll until new work is submitted (a
                 # long-lived driver will feed more) or interrupt fires.
@@ -381,9 +343,7 @@ class ProcessExecutor:
                 # so later submissions start fresh.  Other tasks in
                 # flight resolve as structured failures on later calls.
                 self._discard_pool(kill=True)
-                return self._resolve(
-                    task, timeout_outcome(task, self.task_timeout, elapsed)
-                )
+                return timeout_outcome(task, self.task_timeout, elapsed)
             done, _ = wait(tuple(self._futures),
                            timeout=self._wait_timeout(now),
                            return_when=FIRST_COMPLETED)
@@ -393,28 +353,25 @@ class ProcessExecutor:
                 if task is None:
                     continue  # cancel() already collected this future
                 try:
-                    outcome = future.result()
+                    return future.result()
                 except (BrokenExecutor, CancelledError) as error:
                     # A worker died mid-task.  Every future in flight
                     # with the broken pool will resolve the same way on
                     # later calls, each yielding its own structured
                     # failure; new submissions get a fresh pool.
                     self._discard_pool()
-                    return self._resolve(task, crash_outcome(task, error))
+                    return crash_outcome(task, error)
                 except Exception as error:
-                    return self._resolve(task, crash_outcome(task, error))
-                return self._resolve(task, outcome)
+                    return crash_outcome(task, error)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
         # Leaving with tasks still in flight (an interrupted sweep, a
-        # timed-out straggler) means nobody will ever collect them:
-        # kill their workers rather than leave orphans behind.
+        # timed-out straggler, an abandoned bet) means nobody will ever
+        # collect them: kill their workers rather than leave orphans.
         self._discard_pool(kill=bool(self._futures))
-        self._backlog.clear()
         self._futures.clear()
         self._running_since.clear()
-        self._abandoned.clear()
         return False

@@ -7,9 +7,10 @@ static pre-expanded grid, or an adaptive search where finished points
 propose new ones) and an executor backend
 (:class:`~repro.orchestration.executor.SerialExecutor` /
 :class:`~repro.orchestration.executor.ProcessExecutor`) runs them.  The
-driver feeds proposals to the executor as they arrive, skips points
-whose configs already have cache entries, and aggregates every point's
-rows into one :class:`~repro.core.report.SweepReport`.
+driver queues proposals and feeds them to the executor as worker slots
+free up, skips points whose configs already have cache entries, and
+aggregates every point's rows into one
+:class:`~repro.core.report.SweepReport`.
 
 Points with identical configs (same cache key) execute **once**: the
 single result fans out to every matching point, so a no-op override or
@@ -44,11 +45,7 @@ from dataclasses import dataclass, field
 
 from repro.api.config import ExperimentConfig
 from repro.core.report import SweepEntry, SweepReport
-from repro.orchestration.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    TaskInterrupted,
-)
+from repro.orchestration.executor import TaskInterrupted, make_executor
 from repro.orchestration.scheduler import Done, Scheduler, StaticScheduler
 from repro.orchestration.sweep import SweepConfig, SweepPoint, expand
 
@@ -439,15 +436,19 @@ class SchedulerDrive:
     """The scheduler-round state machine of a sweep, minus the waiting.
 
     One drive owns everything :meth:`SweepRunner.run_scheduler` used to
-    track inline — the growing point list, cache-key groups, in-flight
-    task routing, cache lookups/stores, and streaming callbacks — but
-    never blocks: :meth:`round` consults the scheduler and returns the
-    executor task payloads to submit, and :meth:`deliver` routes one
-    executor outcome back in.  This split lets the synchronous runner
-    loop and the asyncio ``repro master`` (which multiplexes many
-    drives over one shared executor) share identical semantics.
+    track inline — the growing point list, cache-key groups, the queue
+    of issued tasks, in-flight task routing, cache lookups/stores, and
+    streaming callbacks — but never blocks: :meth:`round` consults the
+    scheduler and queues the executor tasks it issues, :meth:`take`
+    hands out as many as the caller has free executor slots, and
+    :meth:`deliver` routes one executor outcome back in.  This split
+    lets the synchronous runner loop and the asyncio ``repro master``
+    (which multiplexes many drives over one shared executor) share
+    identical semantics.
 
-    The drive also owns a speculating scheduler's bets (see
+    The drive is the only place an issued task waits, so it alone
+    decides the order tasks run in: work something waits on goes
+    before bets.  It also owns a speculating scheduler's bets (see
     :mod:`repro.orchestration.scheduler`), keyed by cache key like
     every point, dedup group and cached outcome.
     """
@@ -464,7 +465,7 @@ class SchedulerDrive:
         self.on_point = on_point
         self.on_schedule = on_schedule
         # ``on_cancel(task_id) -> disposition`` revokes a bet's task
-        # the caller already submitted; the returned disposition
+        # the caller took and submitted; the returned disposition
         # ("queued" / "running" / "unknown", the executor cancel()
         # contract) tells the drive whether an outcome will still
         # arrive.  None (no way to revoke) is treated as "unknown".
@@ -476,6 +477,8 @@ class SchedulerDrive:
         self._groups: dict[str, list[int]] = {}  # cache key -> positions
         self._outcomes: dict[str, dict] = {}     # cache key -> outcome
         self._by_task: dict[int, str] = {}       # leader position -> key
+        self._queue: list[dict] = []  # issued tasks not yet taken
+        self._running: set = set()    # taken task ids, outcome due
         self.cache_stats = (
             {"hits": 0, "misses": 0} if cache is not None else None
         )
@@ -485,8 +488,8 @@ class SchedulerDrive:
              "cancelled": 0, "wasted_trials": 0}
             if hasattr(scheduler, "bets") else None
         )
-        # Live bets by cache key: each holds its executor task id while
-        # it runs, then its quarantined outcome.  Bet tasks use a
+        # Live bets by cache key: each holds its task id while it waits
+        # or runs, then its quarantined outcome.  Bet tasks use a
         # private negative id space so they can never collide with the
         # leader positions real tasks are keyed by.
         self._bets: dict[str, dict] = {}
@@ -495,32 +498,35 @@ class SchedulerDrive:
 
     @property
     def in_flight(self) -> int:
-        """Tasks submitted (or returned by :meth:`round`) and unresolved.
+        """Real tasks issued and unresolved, waiting or running.
 
         Real work only: a bet is not a commitment until a proposal
         adopts it, so bets never hold the driver loop open.
         """
         return len(self._by_task)
 
+    @property
+    def running(self) -> int:
+        """Tasks handed out by :meth:`take` whose outcomes are due."""
+        return len(self._running)
+
     # ------------------------------------------------------------------
-    def round(self) -> list[dict]:
+    def round(self) -> None:
         """Consult the scheduler until it waits or finishes.
 
-        Returns the executor task payloads for every newly-proposed
-        point that missed the cache, then for every new bet; the caller
-        must submit each one and eventually :meth:`deliver` its outcome.
-        Cache hits, re-proposals and adopted bets that already finished
-        complete inside the call (their results stream via ``on_point``
-        and feed the scheduler's next consultation, so a batch
-        completed wholly from cache immediately yields the next).
-        Raises when the scheduler waits while nothing is in flight — a
-        deadlock no event could ever unblock.
+        Queues an executor task for every newly-proposed point that
+        missed the cache, then for every new bet; :meth:`take` hands
+        them out.  Cache hits, re-proposals and adopted bets that
+        already finished complete inside the call (their results stream
+        via ``on_point`` and feed the scheduler's next consultation, so
+        a batch completed wholly from cache immediately yields the
+        next).  Raises when the scheduler waits while nothing is in
+        flight — a deadlock no event could ever unblock.
 
         Bets change only once per round: when the scheduler waits, the
         drive keeps exactly its current ``bets()`` live.  At ``DONE``
         every live bet is cancelled.
         """
-        tasks: list[dict] = []
         while not self.done:
             batch = self.scheduler.next_points(tuple(self._completed))
             if isinstance(batch, Done):
@@ -534,12 +540,27 @@ class SchedulerDrive:
                         "proposed no new points while none are in flight "
                         "— the sweep would wait forever"
                     )
-                tasks.extend(self._refresh_bets())
+                self._refresh_bets()
                 break
-            tasks.extend(self._schedule(list(batch)))
-        return tasks
+            self._schedule(list(batch))
 
-    def _schedule(self, batch: list[SweepPoint]) -> list[dict]:
+    def take(self, slots: int) -> list[dict]:
+        """Hand out up to ``slots`` queued tasks for the caller to submit.
+
+        Tasks something waits on (a real point's, an adopted bet's) go
+        first, live bets after them, each group oldest first.  The
+        caller must :meth:`deliver` every taken task's outcome.
+        """
+        taken = sorted(
+            self._queue, key=lambda task: task["index"] not in self._by_task
+        )[:max(slots, 0)]
+        ids = {task["index"] for task in taken}
+        self._queue = [task for task in self._queue
+                       if task["index"] not in ids]
+        self._running |= ids
+        return taken
+
+    def _schedule(self, batch: list[SweepPoint]) -> None:
         start = len(self.points)
         for point in batch:
             if not isinstance(point, SweepPoint):
@@ -561,7 +582,6 @@ class SchedulerDrive:
                 self._finish(position, self._outcomes[key])
             # else: the config is in flight (or awaits its cache check
             # below); the group fan-out will cover this point.
-        tasks: list[dict] = []
         for key in new_keys:
             leader = self._groups[key][0]
             config = self.points[leader].config
@@ -587,8 +607,8 @@ class SchedulerDrive:
                 self._by_task[bet["task"]] = key
             else:
                 self._by_task[leader] = key
-                tasks.append({"index": leader, "config": config.to_dict()})
-        return tasks
+                self._queue.append({"index": leader,
+                                    "config": config.to_dict()})
 
     def _cached(self, config: ExperimentConfig) -> dict | None:
         """The cached outcome of ``config``, or None on a miss."""
@@ -600,16 +620,15 @@ class SchedulerDrive:
     # ------------------------------------------------------------------
     # Speculation: quarantined execution of the scheduler's bets.
     # ------------------------------------------------------------------
-    def _refresh_bets(self) -> list[dict]:
+    def _refresh_bets(self) -> None:
         """Keep exactly the scheduler's current bets live.
 
-        Bets that dropped out are cancelled; new ones are placed, and
-        their task payloads returned, marked ``"speculative": True`` so
-        that a serial executor runs real work first.  A config that is
-        already a real point needs no bet.
+        Bets that dropped out are cancelled; new ones are placed, their
+        tasks queued behind any real work.  A config that is already a
+        real point needs no bet.
         """
         if self.speculation_stats is None:
-            return []  # the scheduler does not speculate
+            return  # the scheduler does not speculate
         wanted: dict[str, ExperimentConfig] = {}
         for config in self.scheduler.bets():
             key = config.cache_key()
@@ -617,7 +636,6 @@ class SchedulerDrive:
                 wanted.setdefault(key, config)
         for key in [key for key in self._bets if key not in wanted]:
             self._cancel_bet(key)
-        tasks: list[dict] = []
         for key, config in wanted.items():
             if key in self._bets:
                 continue
@@ -629,31 +647,36 @@ class SchedulerDrive:
                 bet["task"] = self._next_bet_task
                 self._next_bet_task -= 1
                 self._log(f"speculate {config.name} ({key[:12]})")
-                tasks.append({"index": bet["task"],
-                              "config": config.to_dict(),
-                              "speculative": True})
+                self._queue.append({"index": bet["task"],
+                                    "config": config.to_dict()})
             self._bets[key] = bet
-        return tasks
 
     def _cancel_bet(self, key: str) -> None:
         """Abandon one bet; nothing it computed becomes visible."""
         bet = self._bets.pop(key)
+        task = bet["task"]
         self.speculation_stats["cancelled"] += 1
-        if bet["task"] is None:
+        if task is None:
             # Finished: a cache hit cost nothing, an executed run
             # occupied a worker for nothing.
             if bet["outcome"]["status"] != "cached":
                 self.speculation_stats["wasted_trials"] += 1
             return
+        if task not in self._running:
+            # Still queued here: dropped before it cost anything.
+            self._queue = [queued for queued in self._queue
+                           if queued["index"] != task]
+            return
         disposition = (
-            self.on_cancel(bet["task"]) if self.on_cancel is not None
+            self.on_cancel(task) if self.on_cancel is not None
             else "unknown"
         )
         if disposition == "queued":
-            return  # dropped before it cost anything; no outcome due
+            self._running.discard(task)  # no worker started it
+            return
         # Running (or already in transit): one outcome will still
         # arrive for this task id — drop it silently on delivery.
-        self._dropped.add(bet["task"])
+        self._dropped.add(task)
         self.speculation_stats["wasted_trials"] += 1
 
     def cancel_speculations(self) -> int:
@@ -661,7 +684,7 @@ class SchedulerDrive:
 
         The drive does this itself at ``DONE``.  Whoever stops a drive
         early (service preemption, a cancelled or failed job, an
-        interrupted run) calls it too, so queued bets free their slots,
+        interrupted run) calls it too, so queued bets leave the queue,
         running ones are abandoned, and every bet ends confirmed or
         cancelled.  A resumed drive places fresh bets in its next round.
         """
@@ -685,21 +708,20 @@ class SchedulerDrive:
                 f"{outcome!r} instead of a result dict"
             )
         index = outcome.get("index")
+        if index not in self._running:
+            raise RuntimeError(
+                "sweep executor returned a result for an unknown "
+                f"or already-completed task index {index!r}"
+            )
+        self._running.discard(index)
         if index in self._dropped:
             self._dropped.discard(index)
             return
         for bet in self._bets.values():
-            if bet["task"] is not None and bet["task"] == index:
+            if bet["task"] == index:
                 bet["task"], bet["outcome"] = None, outcome
                 return
-        key = self._by_task.pop(index, None)
-        if key is None:
-            raise RuntimeError(
-                "sweep executor returned a result for an unknown "
-                f"or already-completed task index "
-                f"{outcome.get('index')!r}"
-            )
-        self._settle(key, outcome)
+        self._settle(self._by_task.pop(index), outcome)
 
     def _settle(self, key: str, outcome: dict) -> None:
         """Cache an executed outcome (when ok) and finish its group."""
@@ -826,11 +848,9 @@ class SweepRunner:
             self.progress(message)
 
     def _make_executor(self):
-        if self.jobs == 1:
-            return SerialExecutor(self.execute, interrupt=self.interrupt)
-        return ProcessExecutor(self.jobs, self.execute,
-                               task_timeout=self.task_timeout,
-                               interrupt=self.interrupt)
+        return make_executor(self.jobs, self.execute,
+                             task_timeout=self.task_timeout,
+                             interrupt=self.interrupt)
 
     # ------------------------------------------------------------------
     def run(self, sweep, points=None) -> SweepResult:
@@ -870,7 +890,9 @@ class SweepRunner:
 
         All bookkeeping lives in a :class:`SchedulerDrive`; this method
         adds only the blocking executor loop around it (the asyncio
-        service master drives the same class without blocking).
+        service master drives the same class without blocking), which
+        submits into free slots only: the executor never holds more
+        than ``jobs`` tasks.
         """
         with self._make_executor() as executor:
             drive = SchedulerDrive(
@@ -887,11 +909,12 @@ class SweepRunner:
             while True:
                 if self.interrupt is not None and self.interrupt():
                     raise interrupted()
-                for task in drive.round():
+                drive.round()
+                for task in drive.take(self.jobs - executor.pending):
                     executor.submit(task)
                 if drive.done and not drive.in_flight:
                     break
-                if getattr(executor, "pending", None) == 0:
+                if executor.pending == 0:
                     # The executor swallowed submissions: tasks are
                     # unaccounted for and no event can ever deliver them.
                     lost = [

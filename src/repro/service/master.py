@@ -12,15 +12,20 @@ Execution model (the PR-4 seam, made long-lived):
 * Each job wraps one
   :class:`~repro.orchestration.runner.SchedulerDrive` — the exact
   state machine ``SweepRunner.run_scheduler`` uses, shared so service
-  and CLI semantics can never diverge.  Schedulers are pull-based, so
-  the master owns the capacity loop: it feeds a job's proposed tasks
-  into the shared executor a slot at a time and routes outcomes back
-  by a master-global task id.
+  and CLI semantics can never diverge.  The drive queues and orders
+  the job's tasks; the master owns the capacity loop, submitting into
+  the shared executor only as many as it has free slots, so the
+  executor holds only running work.  A task id is ``(job id, local
+  index)``, and every outcome lands on one queue read by the driving
+  job.
 * Exactly one job drives at a time (artiq-style): when a
   strictly-higher-priority job arrives, the running job stops
-  submitting, lets its in-flight slots drain, and is ``paused`` — its
-  drive (scheduler state included) stays in memory — while the
-  newcomer runs; it resumes where it left off afterwards.
+  submitting, lets its running tasks drain, and is ``paused`` — its
+  drive (scheduler state and task queue included) stays in memory —
+  while the newcomer runs; it resumes where it left off afterwards.
+* A cancelled or failed job's running tasks finish as stragglers: they
+  keep their slots, their outcomes are dropped unread, and each one's
+  return wakes the driving job to refill the freed slot.
 * Every point completion streams to subscribed ``repro watch`` clients
   as an event; a client death mid-watch only drops the subscription,
   never the job.
@@ -37,11 +42,7 @@ import traceback
 from pathlib import Path
 
 from repro.orchestration.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.orchestration.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    TaskInterrupted,
-)
+from repro.orchestration.executor import TaskInterrupted, make_executor
 from repro.orchestration.runner import (
     SchedulerDrive,
     execute_point,
@@ -159,24 +160,6 @@ def resolve_spec(spec: dict) -> tuple:
     return kind, name or f"inline-{kind}", config
 
 
-class _JobRun:
-    """A live job: its drive, backlog, and outcome mailbox."""
-
-    def __init__(self, job, drive: SchedulerDrive, scheduler):
-        self.job = job
-        self.drive = drive
-        self.scheduler = scheduler
-        self.backlog: list[dict] = []   # proposed tasks awaiting a slot
-        self.results: asyncio.Queue = asyncio.Queue()
-        self.outstanding = 0            # tasks submitted, outcome pending
-        self.active = True
-        self.error: str | None = None
-        # Reverse task-id maps for cancellation: the drive cancels by
-        # *local* index, the executor by master-global id.
-        self.gids: set = set()          # this job's in-flight gids
-        self.gid_by_local: dict = {}    # local index -> gid
-
-
 class Master:
     """The experiment-service daemon; ``serve()`` runs until shutdown."""
 
@@ -195,9 +178,8 @@ class Master:
         self.log = log or (lambda message: None)
         self._stopping = False
         self._executor = None
-        self._gid = 0                     # master-global task ids
-        self._inflight: dict = {}         # gid -> (_JobRun, local index)
-        self._runs: dict[int, _JobRun] = {}
+        self._outcomes: asyncio.Queue = asyncio.Queue()  # for the driver
+        self._runs: dict[int, SchedulerDrive] = {}  # live jobs' drives
         self._history: dict[int, list[dict]] = {}   # job id -> events
         self._subscribers: dict[int, set] = {}      # job id -> writers
         self._wake = asyncio.Event()
@@ -207,16 +189,6 @@ class Master:
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
-    def _make_executor(self):
-        # The interrupt flag unblocks the pump thread at shutdown even
-        # while a result wait is in progress.
-        if self.jobs == 1:
-            return SerialExecutor(self.execute,
-                                  interrupt=lambda: self._stopping)
-        return ProcessExecutor(self.jobs, self.execute,
-                               task_timeout=self.task_timeout,
-                               interrupt=lambda: self._stopping)
-
     def request_shutdown(self) -> None:
         """Stop serving (signal handlers and the ``shutdown`` method)."""
         self._stopping = True
@@ -232,7 +204,11 @@ class Master:
         """
         if self.socket_path.exists():
             self.socket_path.unlink()
-        with self._make_executor() as executor:
+        # The interrupt flag unblocks the pump thread at shutdown even
+        # while a result wait is in progress.
+        with make_executor(self.jobs, self.execute,
+                           task_timeout=self.task_timeout,
+                           interrupt=lambda: self._stopping) as executor:
             self._executor = executor
             server = await asyncio.start_unix_server(
                 self._on_client, path=str(self.socket_path),
@@ -258,23 +234,13 @@ class Master:
                 self.log("master stopped")
 
     # ------------------------------------------------------------------
-    # Task plumbing: global ids over the shared executor.
+    # Task plumbing: the shared executor's outcomes.
     # ------------------------------------------------------------------
-    def _submit_task(self, run: _JobRun, task: dict) -> None:
-        gid = self._gid
-        self._gid += 1
-        self._inflight[gid] = (run, task["index"])
-        run.gids.add(gid)
-        run.gid_by_local[task["index"]] = gid
-        run.outstanding += 1
-        self._executor.submit({"index": gid, "config": task["config"]})
-        self._have_work.set()
-
     async def _pump(self) -> None:
-        """Route executor outcomes back to their jobs' mailboxes."""
+        """Hand every executor outcome to the driving job's queue."""
         while True:
             await self._have_work.wait()
-            if not self._inflight:
+            if not self._executor.pending:
                 self._have_work.clear()
                 continue
             try:
@@ -283,25 +249,9 @@ class Master:
                 return  # shutdown
             except RuntimeError:
                 # A cancel() on the event loop emptied the executor
-                # between the inflight check and the blocking wait;
-                # nothing to collect until something is submitted.
-                if not self._inflight:
-                    self._have_work.clear()
-                await asyncio.sleep(0.05)
+                # between the pending check and the blocking wait.
                 continue
-            gid = outcome.get("index")
-            entry = self._inflight.pop(gid, None)
-            if not self._inflight:
-                self._have_work.clear()
-            if entry is None:
-                continue  # outcome of a cancelled job's straggler
-            run, local = entry
-            run.gids.discard(gid)
-            run.gid_by_local.pop(local, None)
-            run.outstanding -= 1
-            outcome["index"] = local
-            if run.active:
-                run.results.put_nowait(outcome)
+            self._outcomes.put_nowait(outcome)
 
     # ------------------------------------------------------------------
     # The capacity loop: one driving job at a time, pause between rounds.
@@ -313,35 +263,30 @@ class Master:
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            run = self._runs.get(job.id)
-            if run is None:
+            drive = self._runs.get(job.id)
+            if drive is None:
                 try:
-                    run = self._make_run(job)
+                    drive = self._runs[job.id] = self._make_drive(job)
                 except Exception as error:
                     self._finalize(job, None, jobqueue.FAILED,
                                    error=f"{type(error).__name__}: {error}")
                     continue
-                self._runs[job.id] = run
             resumed = job.state == jobqueue.PAUSED
             self.queue.mark(job, jobqueue.RUNNING)
             self._emit_state(job, resumed=resumed)
-            verdict = await self._drive(run)
-            if verdict == "paused":
+            state, error = await self._drive(job, drive)
+            if state == jobqueue.PAUSED:
                 self.queue.mark(job, jobqueue.PAUSED)
                 self._emit_state(job)
                 continue
-            self._runs.pop(job.id, None)
-            run.active = False
-            if verdict == "done":
-                self._finalize(job, run, jobqueue.DONE)
-            elif verdict == "cancelled":
-                self._discard_run_tasks(run)
-                self._finalize(job, run, jobqueue.CANCELLED)
-            else:
-                self._discard_run_tasks(run)
-                self._finalize(job, run, jobqueue.FAILED, error=run.error)
+            del self._runs[job.id]
+            # A stopped drive cancels its bets first, so the job's
+            # summary settles every one; its running tasks finish as
+            # stragglers whose outcomes no drive reads.
+            drive.cancel_speculations()
+            self._finalize(job, drive, state, error=error)
 
-    def _make_run(self, job) -> _JobRun:
+    def _make_drive(self, job) -> SchedulerDrive:
         kind, _, payload = resolve_spec(job.spec)
         scheduler, name = build_scheduler_for(kind, payload)
 
@@ -362,113 +307,65 @@ class Master:
                     ],
                 }))
 
-        holder: list = []
-
-        def on_cancel(local_index):
-            # Revoke one of this job's submitted speculative tasks.
-            # Backlogged tasks (proposed, no slot yet) are free; for
-            # submitted ones the executor's disposition decides, and a
-            # "queued" drop must also unwind the master's bookkeeping
-            # (no outcome will ever arrive for the gid).
-            run = holder[0]
-            for position, task in enumerate(run.backlog):
-                if task["index"] == local_index:
-                    del run.backlog[position]
-                    return "queued"
-            gid = run.gid_by_local.get(local_index)
-            if gid is None:
-                return "unknown"
-            disposition = self._executor.cancel(gid)
-            if disposition == "queued":
-                self._inflight.pop(gid, None)
-                run.gids.discard(gid)
-                run.gid_by_local.pop(local_index, None)
-                run.outstanding -= 1
-            return disposition
-
-        drive = SchedulerDrive(
+        return SchedulerDrive(
             scheduler, name=name, cache=self.cache,
             log=lambda message: self.log(f"job {job.id}: {message}"),
             on_point=on_point, on_schedule=on_schedule,
-            on_cancel=on_cancel,
+            on_cancel=lambda index: self._executor.cancel((job.id, index)),
         )
-        run = _JobRun(job, drive, scheduler)
-        holder.append(run)
-        return run
 
-    async def _drive(self, run: _JobRun) -> str:
-        """Drive one job until done/failed/cancelled — or ``paused``.
+    async def _drive(self, job, drive: SchedulerDrive) -> tuple:
+        """Drive one job; returns ``(state, error)`` once it stops.
 
-        The pause points sit *between scheduler rounds*: a preempting
-        submission stops further task submission, lets the in-flight
-        slots drain, and hands the loop back with the drive (and any
-        backlog) intact for resumption.
+        ``state`` is ``done``, ``failed`` (with the error text),
+        ``cancelled`` — or ``paused``.  The pause points sit *between
+        scheduler rounds*: a preempting submission stops further task
+        submission, lets the job's running tasks drain, and hands the
+        loop back with the drive (and its queued tasks) intact for
+        resumption.
         """
-        drive, job = run.drive, run.job
         while True:
             if job.cancel_requested:
-                return "cancelled"
+                return jobqueue.CANCELLED, None
             preempt = self._stopping or self.queue.should_preempt(job)
             if preempt:
-                # Speculative in-flights are bets, not committed work: a
-                # pausing job must not hold executor slots (or backlog
-                # entries) with them while a higher-priority job waits.
+                # Bets are not committed work: a pausing job must not
+                # hold executor slots with them while a higher-priority
+                # job waits.
                 drive.cancel_speculations()
             else:
-                if not drive.done:
-                    try:
-                        run.backlog.extend(drive.round())
-                    except RuntimeError as error:
-                        run.error = str(error)
-                        return "failed"
-                while run.backlog and run.outstanding < self.jobs:
-                    self._submit_task(run, run.backlog.pop(0))
-            if drive.done and drive.in_flight == 0:
-                return "done"
-            if preempt and run.outstanding == 0:
-                return "paused"
-            if run.outstanding == 0:
-                run.error = (
-                    f"scheduler {type(run.scheduler).__name__} has "
-                    "unsubmittable work while no tasks are in flight"
-                )
-                return "failed"
-            outcome = await run.results.get()
+                try:
+                    drive.round()
+                except RuntimeError as error:
+                    return jobqueue.FAILED, str(error)
+                # Stragglers of discarded jobs hold slots too.
+                for task in drive.take(self.jobs - self._executor.pending):
+                    self._executor.submit({"index": (job.id, task["index"]),
+                                           "config": task["config"]})
+                    self._have_work.set()
+            if drive.done and not drive.in_flight:
+                return jobqueue.DONE, None
+            if preempt and not drive.running:
+                return jobqueue.PAUSED, None
+            outcome = await self._outcomes.get()
+            owner, index = outcome["index"]
+            if owner != job.id:
+                continue  # a straggler returned: its slot is free
+            outcome["index"] = index
             try:
                 drive.deliver(outcome)
             except RuntimeError as error:
-                run.error = str(error)
-                return "failed"
+                return jobqueue.FAILED, str(error)
 
-    def _discard_run_tasks(self, run: _JobRun) -> None:
-        """Purge a discarded job's tasks from the shared executor.
-
-        A cancelled (or crashed) job can leave proposed tasks in its
-        backlog and submitted ones in the executor's; without this purge
-        the executor would keep feeding them to workers — burning shared
-        slots on a job whose scheduler no longer exists.  The drive
-        cancels its bets first, so the job's summary settles every one.
-        Queued tasks are dropped for free (their gids unwound so the
-        pump never waits on them); running ones finish as stragglers the
-        pump already discards for inactive runs.
-        """
-        run.drive.cancel_speculations()
-        run.backlog.clear()
-        for gid in list(run.gids):
-            if self._executor.cancel(gid) == "queued":
-                if self._inflight.pop(gid, None) is not None:
-                    run.outstanding -= 1
-                run.gids.discard(gid)
-
-    def _summarize(self, run: _JobRun | None) -> dict:
-        if run is None:
+    def _summarize(self, drive: SchedulerDrive | None) -> dict:
+        if drive is None:
             return {}
-        result = run.drive.partial_result()
+        result = drive.partial_result()
         summary = {
             "stats": result.stats,
-            "scheduled": len(run.drive.points),
+            "scheduled": len(drive.points),
         }
-        scheduler = run.scheduler
+        scheduler = drive.scheduler
         if hasattr(scheduler, "best"):
             from repro.orchestration.search import bit_vector_of, point_summary
 
@@ -480,10 +377,10 @@ class Master:
             }
         return summary
 
-    def _finalize(self, job, run: _JobRun | None, state: str,
+    def _finalize(self, job, drive: SchedulerDrive | None, state: str,
                   error: str | None = None) -> None:
         self.queue.mark(job, state, error=error,
-                        summary=self._summarize(run))
+                        summary=self._summarize(drive))
         self.log(f"job {job.id} ({job.name}): {state}"
                  + (f" — {error}" if error else ""))
         self._emit(job.id, protocol.event(
@@ -540,7 +437,8 @@ class Master:
             for subscribers in self._subscribers.values():
                 subscribers.discard(writer)
             writer.close()
-            with contextlib.suppress(Exception):
+            # At shutdown the loop's teardown cancels this wait.
+            with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
 
     def _handle_line(self, line: bytes, writer) -> dict | None:

@@ -256,55 +256,81 @@ class TestCancel:
         # Already executed and returned: nothing left to cancel.
         assert executor.cancel(0) == "unknown"
 
-    def test_process_cancel_queued_never_consumes_a_slot(self):
-        # Two naps fill both workers; the third task sits in the
-        # backlog.  Cancelling it is free — it must never be fed to a
-        # worker, and exactly two outcomes arrive.
-        with ProcessExecutor(2, fast_or_hang) as executor:
-            for index in range(2):
-                executor.submit(_task(index, NAP_SEED_FLOOR + index))
-            executor.submit(_task(2, 0))
-            assert executor.cancel(2) == "queued"
-            assert executor.pending == 2
-            collected = {executor.next_result()["index"],
-                         executor.next_result()["index"]}
-            assert collected == {0, 1}
-            assert executor.pending == 0
+    def test_process_cancel_queued_never_consumes_a_slot(self, monkeypatch):
+        # Executors hold only running tasks; the rest wait in the
+        # SchedulerDrive.  The instant point and the first bet (a 1s
+        # nap) fill both workers while the second bet waits; the
+        # point's outcome ends the search and cancels both bets.  The
+        # waiting one is dropped with no executor call and never
+        # reaches a worker; the running one answers "running".
+        calls = []
 
-    def test_process_cancel_running_discards_the_outcome(self):
+        class Recording(ProcessExecutor):
+            def submit(self, task):
+                calls.append(("submit", task["index"]))
+                super().submit(task)
+
+            def cancel(self, index):
+                disposition = super().cancel(index)
+                calls.append(("cancel", index, disposition))
+                return disposition
+
+        class OnePointTwoBets(Scheduler):
+            def __init__(self):
+                self.proposed = False
+
+            def next_points(self, completed):
+                if completed:
+                    return DONE
+                if self.proposed:
+                    return []
+                self.proposed = True
+                return [SweepPoint(label="point", config=micro_config(0))]
+
+            def bets(self):
+                return [micro_config(NAP_SEED_FLOOR),
+                        micro_config(NAP_SEED_FLOOR + 1)]
+
+        monkeypatch.setattr(
+            SweepRunner, "_make_executor",
+            lambda runner: Recording(runner.jobs, runner.execute))
+        result = SweepRunner(jobs=2, execute=fast_or_hang).run_scheduler(
+            OnePointTwoBets(), name="bets")
+        assert calls == [("submit", 0), ("submit", -1),
+                         ("cancel", -1, "running")]
+        assert [p.status for p in result.points] == ["ok"]
+        stats = result.stats
+        assert (stats["speculated"], stats["cancelled"],
+                stats["wasted_trials"]) == (2, 2, 1)
+
+    def test_process_cancel_running_still_returns_the_outcome(self):
         import time
 
         with ProcessExecutor(2, fast_or_hang) as executor:
             executor.submit(_task(0, NAP_SEED_FLOOR))
             time.sleep(0.5)  # let a worker pick the task up
             assert executor.cancel(0) == "running"
+            # The worker's own outcome arrives, exactly once; the
+            # driver that cancelled drops it unread.
             outcome = executor.next_result()
-            # The worker's result is discarded: a structured cancelled
-            # marker arrives instead, payload-free, so the abandoned
-            # bet can never reach a cache or an --out file.
             assert outcome["index"] == 0
-            assert outcome["status"] == "cancelled"
-            assert "payload" not in outcome
-            assert outcome["error"] is None
+            assert outcome["status"] == "ok"
+            assert executor.pending == 0
 
-    def test_process_cancel_racing_completion_first_writer_wins(self):
+    def test_process_cancel_racing_completion_returns_one_outcome(self):
         import time
 
         # The task *finishes* before the cancel lands: the cancel still
         # reports "running" (the outcome is already computed, so it was
-        # not free) and the computed payload is still replaced by the
-        # cancelled marker — exactly one outcome per task either way.
+        # not free) — exactly one outcome per task either way.
         with ProcessExecutor(2, fast_or_hang) as executor:
             executor.submit(_task(0, 0))
             executor.submit(_task(1, 1))
             time.sleep(1.0)  # both instant tasks have long finished
             assert executor.cancel(1) == "running"
             outcomes = [executor.next_result(), executor.next_result()]
-            by_index = {o["index"]: o for o in outcomes}
-            assert set(by_index) == {0, 1}
-            assert by_index[0]["status"] == "ok"
-            assert by_index[1]["status"] == "cancelled"
-            assert "payload" not in by_index[1]
+            assert sorted(o["index"] for o in outcomes) == [0, 1]
+            assert [o["status"] for o in outcomes] == ["ok", "ok"]
             assert executor.pending == 0
 
     def test_process_cancel_after_collection_is_unknown(self):
@@ -316,6 +342,45 @@ class TestCancel:
     def test_process_cancel_unknown_index(self):
         with ProcessExecutor(2, fast_or_hang) as executor:
             assert executor.cancel(99) == "unknown"
+
+
+class TestPending:
+    def test_serial_pending_counts_the_running_task(self):
+        # The master reads `pending` on its event loop while a worker
+        # thread runs next_result: the task being executed must count,
+        # or the master would submit a second task beside it.
+        import sys
+        import threading
+
+        started, finish = threading.Event(), threading.Event()
+
+        def execute(task):
+            started.set()
+            finish.wait(10)
+            return {"index": task["index"], "status": "ok",
+                    "duration": 0.0}
+
+        executor = SerialExecutor(execute)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for index in range(50):
+                started.clear()
+                finish.clear()
+                executor.submit({"index": index, "config": {}})
+                worker = threading.Thread(target=executor.next_result)
+                worker.start()
+                seen = [executor.pending]
+                while not started.is_set():
+                    seen.append(executor.pending)
+                seen.append(executor.pending)
+                finish.set()
+                worker.join(10)
+                assert not worker.is_alive()
+                assert min(seen) == 1
+                assert executor.pending == 0
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestInterrupt:

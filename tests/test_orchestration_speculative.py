@@ -31,7 +31,6 @@ from repro.orchestration import (
     SerialExecutor,
     SweepInterrupted,
     SweepRunner,
-    cancelled_outcome,
 )
 from repro.orchestration.search import (
     SearchConfig,
@@ -225,11 +224,10 @@ class RecordingSerial(SerialExecutor):
 class ScriptedPool:
     """A deterministic stand-in for a ``jobs``-worker process pool.
 
-    Submitted tasks keep their order and the first ``jobs`` of them are
-    running.  ``next_result`` completes the oldest task, as a
-    ``cancelled`` marker when it was cancelled while running; ``cancel``
-    answers ``"running"`` for a running task, removes a waiting one
-    (``"queued"``), and otherwise answers ``"unknown"``.
+    Every task it holds is running, and the driver must never submit
+    more than ``jobs`` of them.  ``next_result`` completes the oldest
+    task with the worker's own outcome; ``cancel`` answers
+    ``"running"`` for a held task and ``"unknown"`` otherwise.
     """
 
     def __init__(self, jobs, execute, events):
@@ -237,7 +235,6 @@ class ScriptedPool:
         self.execute = execute
         self.events = events
         self._tasks = []
-        self._abandoned = set()
 
     @property
     def pending(self):
@@ -246,27 +243,17 @@ class ScriptedPool:
     def submit(self, task):
         self.events.append(
             ("submit", task["index"], config_tag(task["config"])))
+        assert len(self._tasks) < self.jobs, "a task waits in the executor"
         self._tasks.append(task)
 
     def cancel(self, index):
-        disposition = "unknown"
-        for position, task in enumerate(self._tasks):
-            if task["index"] == index:
-                if position < self.jobs:
-                    self._abandoned.add(index)
-                    disposition = "running"
-                else:
-                    del self._tasks[position]
-                    disposition = "queued"
-                break
+        held = any(task["index"] == index for task in self._tasks)
+        disposition = "running" if held else "unknown"
         self.events.append(("cancel", index, disposition))
         return disposition
 
     def next_result(self):
-        task = self._tasks.pop(0)
-        outcome = self.execute(task)
-        if task["index"] in self._abandoned:
-            outcome = cancelled_outcome(task, outcome["duration"])
+        outcome = self.execute(self._tasks.pop(0))
         self.events.append(("result", outcome["index"], outcome["status"]))
         return outcome
 
@@ -415,12 +402,28 @@ class TestBetPlacement:
                 == expected
             assert submitted_after_cancel(events) == []
 
+    @pytest.mark.parametrize("strategy", sorted(SEARCHES))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_serial_submits_only_confirmed_bets(self, tmp_path, recorded,
+                                                strategy, k):
+        # At jobs 1 the one slot always goes to work the search waits
+        # on, so a bet is submitted only after a proposal adopted it,
+        # and no bet is ever cancelled in the executor.
+        result, _, events = recorded(SEARCHES[strategy](speculation=k), 1,
+                                     ResultCache(tmp_path / "cache"))
+        bets = [index for kind, index, _ in events
+                if kind == "submit" and index < 0]
+        assert [event for event in events if event[0] == "cancel"] == []
+        assert len(bets) == result.stats["confirmed"]
+
     def test_ad_bits_event_list(self, tmp_path, recorded):
         # 8 runs with a bet on the saturated step 7; 8's density puts
         # the real trial at 4, so 7 is cancelled mid-run and 4 races
-        # bets on 2 (eqn. 3), 3 (saturated step) and 6 (bisection).  4
-        # is feasible and its density confirms 2; 2 fails and the
-        # bisection confirms 3, so the running bet on 6 is abandoned.
+        # bets on 2 (eqn. 3), 3 (saturated step) and 6 (bisection).
+        # The abandoned 7 still holds a worker, so 6 waits in the drive
+        # until 7's outcome (dropped unread) frees it.  4 is feasible
+        # and its density confirms 2; 2 fails and the bisection
+        # confirms 3, so the running bet on 6 is abandoned.
         _, _, events = recorded(ad_search(speculation=3), 4,
                                 ResultCache(tmp_path / "cache"))
         assert events == [
@@ -428,8 +431,10 @@ class TestBetPlacement:
             ("result", 0, "ok"),
             ("cancel", -1, "running"),
             ("submit", 1, "ib4"), ("submit", -2, "ib2"),
-            ("submit", -3, "ib3"), ("submit", -4, "ib6"),
-            ("result", -1, "cancelled"), ("result", 1, "ok"),
+            ("submit", -3, "ib3"),
+            ("result", -1, "ok"),
+            ("submit", -4, "ib6"),
+            ("result", 1, "ok"),
             ("cancel", -4, "running"),
             ("result", -2, "ok"), ("result", -3, "ok"),
         ]

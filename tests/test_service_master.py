@@ -4,14 +4,17 @@ with a fast injected ``execute`` so whole queue lifecycles run in
 milliseconds."""
 
 import asyncio
+import logging
+import os
 import socket as socket_module
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.api import experiments
-from repro.orchestration import SweepConfig
+from repro.orchestration import ResultCache, SweepConfig
 from repro.service import protocol
 from repro.service.client import MasterClient, MasterError
 from repro.service.master import Master, detect_config_kind
@@ -21,11 +24,19 @@ SLOW_SEED = 100          # seeds >= this sleep, for preemption windows
 SLOW_SECONDS = 0.25
 STALL_SEED = 200         # seeds >= this sleep long enough to cancel in
 STALL_SECONDS = 2.0
+GATE_SEED = 300          # seeds >= this run until the test releases them
 
 
 def fake_execute(task):
     seed = task["config"]["model"]["seed"]
-    if seed >= STALL_SEED:
+    if seed >= GATE_SEED:
+        # Gate files live in $REPRO_TEST_GATES, which pool workers
+        # inherit: started-<seed> on entry, then wait for release-<seed>.
+        gates = Path(os.environ["REPRO_TEST_GATES"])
+        (gates / f"started-{seed}").touch()
+        while not (gates / f"release-{seed}").exists():
+            time.sleep(0.01)
+    elif seed >= STALL_SEED:
         time.sleep(STALL_SECONDS)
     elif seed >= SLOW_SEED:
         time.sleep(SLOW_SECONDS)
@@ -63,11 +74,12 @@ def wait_until_listening(socket_path, timeout=10):
 
 
 class MasterHarness:
-    def __init__(self, tmp_path):
+    def __init__(self, tmp_path, execute=fake_execute):
         self.tmp_path = tmp_path
         self.socket_path = tmp_path / "master.sock"
         self.state_path = tmp_path / "state.json"
         self.cache_dir = tmp_path / "cache"
+        self.execute = execute
         self.thread = None
         self.master = None
 
@@ -75,7 +87,7 @@ class MasterHarness:
         self.master = Master(
             socket_path=self.socket_path, jobs=jobs,
             cache_dir=self.cache_dir, state_path=self.state_path,
-            execute=fake_execute,
+            execute=self.execute,
         )
         self.thread = threading.Thread(
             target=lambda: asyncio.run(self.master.serve()), daemon=True
@@ -224,6 +236,53 @@ class TestPriorityAndPreemption:
         assert a["finished_at"] <= b["finished_at"]
 
 
+class TestStragglers:
+    def test_next_job_gets_a_stragglers_slot_when_it_returns(
+            self, tmp_path, monkeypatch):
+        # At --jobs 2 a cancelled job's gated trial runs on as a
+        # straggler.  The next job starts in the other slot and gets
+        # the straggler's the moment it returns, while its own first
+        # trial still runs.
+        gates = tmp_path / "gates"
+        gates.mkdir()
+        monkeypatch.setenv("REPRO_TEST_GATES", str(gates))
+
+        def wait_started(seed):
+            deadline = time.time() + 15
+            while not (gates / f"started-{seed}").exists():
+                assert time.time() < deadline, f"seed {seed} never started"
+                time.sleep(0.01)
+
+        def release(seed):
+            (gates / f"release-{seed}").touch()
+
+        harness = MasterHarness(tmp_path)
+        harness.start(jobs=2)
+        try:
+            with harness.client() as client:
+                first = client.submit(**sweep_spec(
+                    "first", seeds=(GATE_SEED, GATE_SEED + 1)))["job"]
+                wait_started(GATE_SEED)
+                wait_started(GATE_SEED + 1)
+                client.cancel(first)
+                release(GATE_SEED + 1)  # its outcome shows the cancel
+                assert client.watch(first)["state"] == "cancelled"
+                second = client.submit(**sweep_spec(
+                    "second", seeds=(GATE_SEED + 2, GATE_SEED + 3)))["job"]
+                wait_started(GATE_SEED + 2)
+                release(GATE_SEED)
+                wait_started(GATE_SEED + 3)
+                release(GATE_SEED + 2)
+                release(GATE_SEED + 3)
+                final = client.watch(second)
+        finally:
+            for seed in range(GATE_SEED, GATE_SEED + 4):
+                release(seed)
+            harness.stop()
+        assert final["state"] == "done"
+        assert final["summary"]["stats"]["executed"] == 2
+
+
 class TestClientRobustness:
     def test_killing_a_watcher_does_not_kill_the_job(self, harness):
         with harness.client() as client:
@@ -288,6 +347,21 @@ class TestClientRobustness:
             with pytest.raises(MasterError) as err:
                 client.call("frobnicate")
             assert err.value.code == protocol.E_UNKNOWN_METHOD
+
+
+class TestShutdown:
+    def test_stop_with_a_client_connected_logs_no_asyncio_error(
+            self, tmp_path, caplog):
+        harness = MasterHarness(tmp_path)
+        harness.start()
+        idle = harness.client()  # still connected when the master stops
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                harness.stop()
+        finally:
+            idle.close()
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"] == []
 
 
 class TestRestart:
@@ -427,6 +501,34 @@ class TestSpeculativeSubmission:
         assert stats == final["summary"]["stats"]
         assert stats["speculated"] == 1
         assert stats["confirmed"] + stats["cancelled"] == 1
+
+    def test_serial_master_trains_no_bet_ahead_of_a_real_trial(
+            self, tmp_path, monkeypatch):
+        # TestSerialRunsRealTrialsFirst's landscape, with its seed
+        # trials cached, through a master at --jobs 1: the bet that
+        # survives a round waits behind the next real trial, so no bet
+        # trains and none is wasted.
+        import test_orchestration_speculative as landscape
+
+        monkeypatch.setitem(landscape.WEIGHTS, "conv1", 10.0)
+        monkeypatch.setitem(landscape.WEIGHTS, "conv2", 9.0)
+        monkeypatch.setattr(landscape, "FEASIBLE_MEAN_BITS", 3.5)
+        harness = MasterHarness(tmp_path, execute=landscape.fake_execute)
+        landscape.run_once(landscape.ad_search(), jobs=1,
+                           cache=ResultCache(harness.cache_dir))
+        search = landscape.layer_search(seed_trials=2, max_trials=5)
+        harness.start()
+        try:
+            with harness.client() as client:
+                final = client.watch(client.submit(
+                    config=search.to_dict(), kind="search",
+                    speculate=3)["job"])
+        finally:
+            harness.stop()
+        assert final["state"] == "done"
+        stats = final["summary"]["stats"]
+        assert (stats["executed"], stats["cached"]) == (3, 2)
+        assert stats["wasted_trials"] == 0
 
 
 class TestResolveSpecSpeculation:
