@@ -5,7 +5,7 @@ search base at bench width 0.5 / 32x32 inputs, one iteration) on two
 configurations from the same seeds:
 
 * ``fused fast`` — the float32 backend as shipped: fused elementwise
-  chains (relu / batchnorm / softmax / losses / maxpool) on the
+  chains (relu / batchnorm / linear / cross-entropy / maxpool) on the
   compiled C kernels where they load, their numpy fallbacks elsewhere;
 * ``reference`` — the float64 reference engine.
 

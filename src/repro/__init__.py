@@ -15,7 +15,7 @@ From-scratch reproduction of Vasquez, Venkatesha et al., DATE 2021
 `energy`       analytical energy model (Table I)
 `pim`          functional PIM accelerator + Table IV energy model
 `data`         synthetic CIFAR/TinyImageNet stand-ins, loaders
-`utils`        seeding, checkpoints, JSON/table helpers
+`utils`        checkpoints, JSON/table helpers
 `cli`          the ``repro`` / ``python -m repro`` console entry point
 =============  =========================================================
 

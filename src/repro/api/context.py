@@ -134,13 +134,7 @@ class ExperimentContext:
                 self.config.cache_key() if self.config is not None else None
             ),
             "plan": [
-                {
-                    "name": spec.name,
-                    "bits": spec.bits,
-                    "quantize_weights": spec.quantize_weights,
-                    "quantize_activations": spec.quantize_activations,
-                    "frozen": spec.frozen,
-                }
+                {"name": spec.name, "bits": spec.bits, "frozen": spec.frozen}
                 for spec in self.quantizer.plan
             ],
             "report": report_to_dict(self.report),
@@ -186,15 +180,11 @@ class ExperimentContext:
                     f"(key {metadata['config_key'][:12]}... vs "
                     f"{self.config.cache_key()[:12]}...)"
                 )
+        # Older checkpoints' plan entries also carry unread
+        # quantize_weights/quantize_activations flags; they are ignored.
         plan = QuantizationPlan(
             [
-                LayerQuantSpec(
-                    spec["name"],
-                    spec["bits"],
-                    quantize_weights=spec["quantize_weights"],
-                    quantize_activations=spec["quantize_activations"],
-                    frozen=spec["frozen"],
-                )
+                LayerQuantSpec(spec["name"], spec["bits"], frozen=spec["frozen"])
                 for spec in metadata["plan"]
             ]
         )

@@ -111,36 +111,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     return Tensor.from_op(out, (x,), backward, "max_pool2d")
 
 
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Average pooling over square windows."""
-    stride = stride or kernel
-    n, c, h, w = x.data.shape
-    if stride == kernel and h % kernel == 0 and w % kernel == 0:
-        out_h, out_w = h // kernel, w // kernel
-        reshaped = x.data.reshape(n, c, out_h, kernel, out_w, kernel)
-        out = reshaped.mean(axis=(3, 5))
-
-        def backward(grad):
-            g = grad[:, :, :, None, :, None] / (kernel * kernel)
-            g = np.broadcast_to(g, (n, c, out_h, kernel, out_w, kernel))
-            return (g.reshape(n, c, h, w),)
-
-        return Tensor.from_op(out, (x,), backward, "avg_pool2d")
-
-    cols, out_h, out_w = im2col(x.data.reshape(n * c, 1, h, w), kernel, stride, 0)
-    windows = cols.reshape(kernel * kernel, n * c, out_h * out_w)
-    out = windows.mean(axis=0).reshape(n, c, out_h, out_w)
-
-    def backward(grad):
-        grad_flat = grad.reshape(1, n * c, out_h * out_w) / (kernel * kernel)
-        cols_grad = np.broadcast_to(grad_flat, (kernel * kernel, n * c, out_h * out_w))
-        cols_grad = cols_grad.reshape(kernel * kernel, -1)
-        g = col2im(cols_grad, (n * c, 1, h, w), kernel, stride, 0)
-        return (g.reshape(n, c, h, w),)
-
-    return Tensor.from_op(out, (x,), backward, "avg_pool2d")
-
-
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Global average pooling collapsing the spatial dimensions to 1x1."""
     n, c, h, w = x.data.shape

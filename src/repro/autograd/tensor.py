@@ -221,10 +221,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Return a new leaf tensor sharing this tensor's data."""
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -314,18 +310,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Tensor":
-        def backward(grad):
-            return (-grad,)
-
-        return Tensor.from_op(-self.data, (self,), backward, "neg")
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
         a, b = self.data, other.data
@@ -344,36 +328,6 @@ class Tensor:
         return Tensor.from_op(out_data, (self, other), backward, "mul")
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        b = other.data
-        out_data = self.data / b
-        a_shape, b_shape = self.data.shape, b.shape
-        needs_a = self.requires_grad
-        a = self.data if other.requires_grad else None
-
-        def backward(grad):
-            return (
-                unbroadcast(grad / b, a_shape) if needs_a else None,
-                None if a is None else unbroadcast(-grad * a / (b**2), b_shape),
-            )
-
-        return Tensor.from_op(out_data, (self, other), backward, "div")
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return self._coerce(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        base = self.data
-        out_data = base**exponent
-
-        def backward(grad):
-            return (grad * exponent * base ** (exponent - 1),)
-
-        return Tensor.from_op(out_data, (self,), backward, "pow")
 
     def __matmul__(self, other) -> "Tensor":
         other = self._coerce(other)
@@ -416,66 +370,6 @@ class Tensor:
 
         return Tensor.from_op(out_data, (self,), backward, "relu")
 
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad):
-            return (grad * out_data,)
-
-        return Tensor.from_op(out_data, (self,), backward, "exp")
-
-    def log(self) -> "Tensor":
-        x = self.data
-        out_data = np.log(x)
-
-        def backward(grad):
-            return (grad / x,)
-
-        return Tensor.from_op(out_data, (self,), backward, "log")
-
-    def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-
-        def backward(grad):
-            return (grad * 0.5 / out_data,)
-
-        return Tensor.from_op(out_data, (self,), backward, "sqrt")
-
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        out_data = np.abs(self.data)
-
-        def backward(grad):
-            return (grad * sign,)
-
-        return Tensor.from_op(out_data, (self,), backward, "abs")
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad):
-            return (grad * (1.0 - out_data**2),)
-
-        return Tensor.from_op(out_data, (self,), backward, "tanh")
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad):
-            return (grad * out_data * (1.0 - out_data),)
-
-        return Tensor.from_op(out_data, (self,), backward, "sigmoid")
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        """Clamp values; gradient is passed through inside the interval."""
-        out_data = np.clip(self.data, low, high)
-        mask = (self.data >= low) & (self.data <= high)
-
-        def backward(grad):
-            return (grad * mask,)
-
-        return Tensor.from_op(out_data, (self,), backward, "clip")
-
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
@@ -490,39 +384,6 @@ class Tensor:
             return (np.broadcast_to(g, shape).copy(),)
 
         return Tensor.from_op(out_data, (self,), backward, "sum")
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        elif isinstance(axis, tuple):
-            count = int(np.prod([self.data.shape[a] for a in axis]))
-        else:
-            count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        centered = self - self.mean(axis=axis, keepdims=True)
-        return (centered * centered).mean(axis=axis, keepdims=keepdims)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        x = self.data
-        out_data = x.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad):
-            g = grad
-            expanded = out_data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-                expanded = np.expand_dims(out_data, axis=axis)
-            mask = x == expanded
-            # Split gradient equally among ties, matching numpy semantics
-            # closely enough for pooling/softmax stability use.  The tie
-            # counts are cast to the gradient dtype: int64 operands would
-            # otherwise promote a float32 gradient to float64.
-            counts = mask.sum(axis=axis, keepdims=True).astype(g.dtype)
-            return (mask * g / counts,)
-
-        return Tensor.from_op(out_data, (self,), backward, "max")
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -555,48 +416,3 @@ class Tensor:
         """Flatten trailing dimensions starting at ``start_dim``."""
         lead = self.data.shape[:start_dim]
         return self.reshape(lead + (-1,))
-
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two (spatial) dimensions symmetrically."""
-        if padding == 0:
-            return self
-        pad_width = [(0, 0)] * (self.data.ndim - 2) + [
-            (padding, padding),
-            (padding, padding),
-        ]
-        out_data = np.pad(self.data, pad_width)
-        slices = tuple(
-            slice(None) if p == (0, 0) else slice(p[0], -p[1]) for p in pad_width
-        )
-
-        def backward(grad):
-            return (grad[slices],)
-
-        return Tensor.from_op(out_data, (self,), backward, "pad2d")
-
-    def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
-        shape = self.data.shape
-
-        def backward(grad):
-            full = np.zeros(shape, dtype=grad.dtype)
-            np.add.at(full, index, grad)
-            return (full,)
-
-        return Tensor.from_op(out_data, (self,), backward, "getitem")
-
-    @staticmethod
-    def concatenate(tensors: list["Tensor"], axis: int = 0) -> "Tensor":
-        out_data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(grad):
-            pieces = []
-            for i in range(len(sizes)):
-                slicer = [slice(None)] * grad.ndim
-                slicer[axis] = slice(offsets[i], offsets[i + 1])
-                pieces.append(grad[tuple(slicer)])
-            return tuple(pieces)
-
-        return Tensor.from_op(out_data, tuple(tensors), backward, "concat")

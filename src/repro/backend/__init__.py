@@ -16,8 +16,9 @@ right backend when they rebuild a config.
 The default is ``reference`` — the seed's float64 semantics.
 
 There is one graph per op: the autograd/nn layers always collapse
-elementwise chains (relu/batchnorm/softmax/cross-entropy/linear/mse/
-pooling) into single nodes through the active backend's fused kernels.
+the chains the models run (relu, batchnorm with or without relu, bias
+add, linear, cross-entropy, max pooling) into single nodes through the
+active backend's fused kernels.
 The reference backend composes those kernels from the seed's float64
 primitives in the seed's order, so its results stay bit-identical to
 the historical per-primitive graphs (``tests/test_backend_fused.py``

@@ -11,11 +11,12 @@ by calling ``np.*`` directly:
   fallback, which is also what the seed oracles check;
 * the hot loops — eqn.-1 fake quantization and the SGD/Adam parameter
   updates (Adam's in place) — as the seed's numpy chains;
-* the fused elementwise chains — relu, batchnorm (train/eval, with an
-  optional trailing relu), softmax/log-softmax/cross-entropy, bias add,
-  linear, mse — each exposed as a forward kernel returning an opaque
-  *residual* plus a matching backward kernel, so the autograd layer can
-  record one graph node per chain instead of one per primitive.
+* the fused chains the models run — relu, batchnorm (train/eval, with
+  or without a trailing relu), bias add, linear, cross-entropy and max
+  pooling — each exposed as a forward kernel returning an opaque
+  *residual* plus a matching backward kernel (bias add is
+  forward-only), so the autograd layer can record one graph node per
+  chain instead of one per primitive.
 
 Every kernel lives here, and a backend declares only its name and
 dtype: the implementations compose the seed engine's op sequence, in
@@ -73,12 +74,6 @@ class ArrayBackend:
 
     def ones(self, shape) -> np.ndarray:
         return np.ones(shape, dtype=self.dtype)
-
-    def full(self, shape, fill_value) -> np.ndarray:
-        return np.full(shape, fill_value, dtype=self.dtype)
-
-    def zeros_like(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(x)
 
     def rng_array(self, value) -> np.ndarray:
         """Cast an rng-produced float64 array to the backend dtype.
@@ -318,31 +313,6 @@ class ArrayBackend:
         grad_x = scale * (grad - mean_dy - x_hat * mean_dy_xhat)
         return grad_x, grad_gamma, grad_beta
 
-    def softmax_fwd(self, x: np.ndarray, axis: int) -> np.ndarray:
-        """Numerically stable softmax; the output is its own residual."""
-        shifted = x - x.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=axis, keepdims=True)
-
-    def softmax_bwd(self, grad: np.ndarray, out: np.ndarray,
-                    axis: int) -> np.ndarray:
-        dot = (grad * out).sum(axis=axis, keepdims=True)
-        return out * (grad - dot)
-
-    def log_softmax_fwd(self, x: np.ndarray, axis: int) -> np.ndarray:
-        """Stable log-softmax; backward recomputes exp(out), saving nothing."""
-        shifted = x - x.max(axis=axis, keepdims=True)
-        log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        return shifted - log_sum
-
-    def log_softmax_bwd(self, grad: np.ndarray, out: np.ndarray,
-                        axis: int) -> np.ndarray:
-        # exp(out) here is bit-identical to the forward's softmax — one
-        # transcendental recompute instead of an (N, K) array pinned in
-        # the closure for the graph's lifetime.
-        soft = np.exp(out)
-        return grad - soft * grad.sum(axis=axis, keepdims=True)
-
     def cross_entropy_fwd(self, logits: np.ndarray, targets: np.ndarray):
         """Mean CE over integer targets; residual is the log-probs matrix."""
         n = logits.shape[0]
@@ -360,11 +330,6 @@ class ArrayBackend:
         g = np.exp(log_probs)
         g[np.arange(n), targets] -= 1.0
         return g * (grad / n)
-
-    def dropout_mask(self, draw: np.ndarray, p: float) -> np.ndarray:
-        """Inverted-dropout mask from a float64 uniform ``draw``."""
-        keep = (draw >= p).astype(self.dtype)
-        return keep / (1.0 - p)
 
     def linear_fwd(self, x: np.ndarray, weight: np.ndarray,
                    bias: np.ndarray | None) -> np.ndarray:
@@ -444,23 +409,6 @@ class ArrayBackend:
         grad_windows = np.zeros_like(proto)
         np.put_along_axis(grad_windows, argmax[..., None], grad[..., None], axis=-1)
         return _pool_image(grad_windows, kernel)
-
-    def mse_fwd(self, prediction: np.ndarray, target: np.ndarray):
-        """Mean squared error; returns (loss, residual)."""
-        diff = prediction + (-target)
-        sq = diff * diff
-        total = sq.sum(axis=None, keepdims=False)
-        inv_count = self.asarray(1.0 / diff.size)
-        return total * inv_count, (diff, inv_count)
-
-    def mse_bwd(self, grad: np.ndarray, residual):
-        """Returns the prediction gradient; the target gradient is its negation."""
-        diff, inv_count = residual
-        gsq = np.broadcast_to(grad * inv_count, diff.shape).copy()
-        # The per-primitive graph multiplied (diff * diff) twice and
-        # summed the two identical parent gradients; t + t matches it.
-        t = gsq * diff
-        return t + t
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r} dtype={self.dtype}>"

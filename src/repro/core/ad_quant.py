@@ -186,15 +186,7 @@ class ADQuantizer:
                 raise ValueError(
                     f"AD out of range for {spec.name}: {density}"
                 ) from None
-            new_specs.append(
-                LayerQuantSpec(
-                    spec.name,
-                    bits,
-                    quantize_weights=spec.quantize_weights,
-                    quantize_activations=spec.quantize_activations,
-                    frozen=spec.frozen,
-                )
-            )
+            new_specs.append(LayerQuantSpec(spec.name, bits))
         return QuantizationPlan(new_specs)
 
     # ------------------------------------------------------------------

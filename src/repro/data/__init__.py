@@ -16,12 +16,6 @@ from repro.data.synthetic import (
     SyntheticTinyImageNet,
     make_classification_images,
 )
-from repro.data.transforms import (
-    Compose,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
-)
 
 __all__ = [
     "Dataset",
@@ -31,8 +25,4 @@ __all__ = [
     "SyntheticCIFAR10",
     "SyntheticCIFAR100",
     "SyntheticTinyImageNet",
-    "Compose",
-    "Normalize",
-    "RandomCrop",
-    "RandomHorizontalFlip",
 ]

@@ -24,11 +24,9 @@ class ArrayDataset(Dataset):
         Array of shape (N, C, H, W), float.
     labels:
         Array of shape (N,), integer class indices.
-    transform:
-        Optional callable applied per-sample at access time.
     """
 
-    def __init__(self, images: np.ndarray, labels: np.ndarray, transform=None):
+    def __init__(self, images: np.ndarray, labels: np.ndarray):
         images = np.asarray(images, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         if images.ndim != 4:
@@ -37,16 +35,12 @@ class ArrayDataset(Dataset):
             raise ValueError("labels must be 1-D and aligned with images")
         self.images = images
         self.labels = labels
-        self.transform = transform
 
     def __len__(self) -> int:
         return self.images.shape[0]
 
     def __getitem__(self, index: int):
-        image = self.images[index]
-        if self.transform is not None:
-            image = self.transform(image)
-        return image, self.labels[index]
+        return self.images[index], self.labels[index]
 
     @property
     def num_classes(self) -> int:
@@ -66,7 +60,6 @@ class DataLoader:
         batch_size: int,
         shuffle: bool = False,
         rng: np.random.Generator | None = None,
-        drop_last: bool = False,
     ):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -74,13 +67,9 @@ class DataLoader:
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.rng = rng or np.random.default_rng()
-        self.drop_last = drop_last
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self):
         n = len(self.dataset)
@@ -89,8 +78,6 @@ class DataLoader:
             self.rng.shuffle(order)
         for start in range(0, n, self.batch_size):
             idx = order[start : start + self.batch_size]
-            if self.drop_last and len(idx) < self.batch_size:
-                return
             samples = [self.dataset[i] for i in idx]
             images = np.stack([s[0] for s in samples])
             labels = np.array([s[1] for s in samples], dtype=np.int64)

@@ -104,7 +104,6 @@ def _make_split(
     test_per_class: int,
     noise: float,
     seed: int,
-    transform=None,
 ) -> tuple[ArrayDataset, ArrayDataset]:
     """Build train/test ArrayDatasets sharing class templates.
 
@@ -129,7 +128,7 @@ def _make_split(
         else:
             test_idx.append(i)
         per_class_seen[int(lab)] = seen + 1
-    train = ArrayDataset(images[train_idx], labels[train_idx], transform=transform)
+    train = ArrayDataset(images[train_idx], labels[train_idx])
     test = ArrayDataset(images[test_idx], labels[test_idx])
     return train, test
 
@@ -140,10 +139,9 @@ def SyntheticCIFAR10(
     image_size: int = 32,
     noise: float = 0.6,
     seed: int = 0,
-    transform=None,
 ) -> tuple[ArrayDataset, ArrayDataset]:
     """CIFAR-10 stand-in: 10 classes, 3x32x32 (resolution configurable)."""
-    return _make_split(10, image_size, train_per_class, test_per_class, noise, seed, transform)
+    return _make_split(10, image_size, train_per_class, test_per_class, noise, seed)
 
 
 def SyntheticCIFAR100(
@@ -152,10 +150,9 @@ def SyntheticCIFAR100(
     image_size: int = 32,
     noise: float = 0.6,
     seed: int = 1,
-    transform=None,
 ) -> tuple[ArrayDataset, ArrayDataset]:
     """CIFAR-100 stand-in: 100 classes, 3x32x32."""
-    return _make_split(100, image_size, train_per_class, test_per_class, noise, seed, transform)
+    return _make_split(100, image_size, train_per_class, test_per_class, noise, seed)
 
 
 def SyntheticTinyImageNet(
@@ -164,7 +161,6 @@ def SyntheticTinyImageNet(
     image_size: int = 64,
     noise: float = 0.6,
     seed: int = 2,
-    transform=None,
 ) -> tuple[ArrayDataset, ArrayDataset]:
     """TinyImageNet stand-in: 200 classes, 3x64x64 (resolution configurable)."""
-    return _make_split(200, image_size, train_per_class, test_per_class, noise, seed, transform)
+    return _make_split(200, image_size, train_per_class, test_per_class, noise, seed)

@@ -1,48 +1,35 @@
 """Neural-network library built on :mod:`repro.autograd`.
 
-Provides the module system (parameter registration, train/eval modes,
-state dicts), the layers required by VGG19/ResNet18, weight
-initialization schemes, losses, and optimizers (SGD with momentum, Adam —
-the paper trains with Adam under standard settings).
+Provides what the VGG19/ResNet18 models train with: the module system
+(parameter registration, train/eval modes, state dicts), conv, linear,
+batchnorm, max and global-average pooling, Kaiming-normal
+initialization, the cross-entropy loss, and the optimizers (Adam — the
+paper trains with Adam under standard settings — and SGD with momentum).
 """
 
-from repro.nn.module import Module, Parameter, Sequential, ModuleList
+from repro.nn.module import Module, Parameter, ModuleList
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
-    Flatten,
     GlobalAvgPool2d,
-    Identity,
     Linear,
     MaxPool2d,
-    ReLU,
 )
-from repro.nn.loss import CrossEntropyLoss, MSELoss
-from repro.nn.optim import SGD, Adam, CosineAnnealingLR, StepLR
+from repro.nn.loss import CrossEntropyLoss
+from repro.nn.optim import SGD, Adam
 from repro.nn import init
 
 __all__ = [
     "Module",
     "Parameter",
-    "Sequential",
     "ModuleList",
     "Conv2d",
     "Linear",
     "BatchNorm2d",
-    "ReLU",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
-    "Flatten",
-    "Dropout",
-    "Identity",
     "CrossEntropyLoss",
-    "MSELoss",
     "SGD",
     "Adam",
-    "StepLR",
-    "CosineAnnealingLR",
     "init",
 ]

@@ -1,4 +1,4 @@
-"""Weight initialization schemes (Kaiming/He, Xavier/Glorot, constants).
+"""Weight initialization: Kaiming/He normal, and constants.
 
 All initializers take an explicit ``rng`` so experiments are reproducible
 end to end; the paper initializes models "with random weights" and we fix
@@ -34,27 +34,6 @@ def kaiming_normal(shape: tuple, rng: np.random.Generator, gain: float = np.sqrt
     fan_in, _ = _fan_in_fan_out(shape)
     std = gain / np.sqrt(fan_in)
     return active_backend().rng_array(rng.normal(0.0, std, size=shape))
-
-
-def kaiming_uniform(shape: tuple, rng: np.random.Generator, gain: float = np.sqrt(2.0)) -> np.ndarray:
-    """He-uniform initialization."""
-    fan_in, _ = _fan_in_fan_out(shape)
-    bound = gain * np.sqrt(3.0 / fan_in)
-    return active_backend().rng_array(rng.uniform(-bound, bound, size=shape))
-
-
-def xavier_normal(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot-normal initialization."""
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return active_backend().rng_array(rng.normal(0.0, std, size=shape))
-
-
-def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot-uniform initialization."""
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return active_backend().rng_array(rng.uniform(-bound, bound, size=shape))
 
 
 def zeros(shape: tuple) -> np.ndarray:

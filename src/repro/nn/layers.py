@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.autograd import conv as conv_ops
-from repro.autograd import functional as F
 from repro.backend import active_backend
 from repro.nn import init
 from repro.nn.module import Module, Parameter
@@ -109,25 +108,25 @@ class Linear(Module):
         return self.weight
 
     def forward(self, x: Tensor) -> Tensor:
-        weight = self.effective_weight()
-        if x.data.ndim == 2:
-            backend = active_backend()
-            bias = self.bias
-            out = backend.linear_fwd(
-                x.data, weight.data, None if bias is None else bias.data
+        if x.data.ndim != 2:
+            raise ValueError(
+                f"Linear expects (N, {self.in_features}) input, "
+                f"got shape {x.data.shape}"
             )
-            parents = (x, weight) if bias is None else (x, weight, bias)
-            x_data, w_data, has_bias = x.data, weight.data, bias is not None
+        weight = self.effective_weight()
+        backend = active_backend()
+        bias = self.bias
+        out = backend.linear_fwd(
+            x.data, weight.data, None if bias is None else bias.data
+        )
+        parents = (x, weight) if bias is None else (x, weight, bias)
+        x_data, w_data, has_bias = x.data, weight.data, bias is not None
 
-            def backward(grad):
-                gx, gw, gb = backend.linear_bwd(grad, x_data, w_data, has_bias)
-                return (gx, gw, gb) if has_bias else (gx, gw)
+        def backward(grad):
+            gx, gw, gb = backend.linear_bwd(grad, x_data, w_data, has_bias)
+            return (gx, gw, gb) if has_bias else (gx, gw)
 
-            return Tensor.from_op(out, parents, backward, "linear")
-        out = x @ weight.transpose()
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return Tensor.from_op(out, parents, backward, "linear")
 
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features})"
@@ -204,16 +203,6 @@ class BatchNorm2d(Module):
         return f"BatchNorm2d({self.num_features})"
 
 
-class ReLU(Module):
-    """Rectified linear unit — the source of activation sparsity (AD)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-    def __repr__(self) -> str:
-        return "ReLU()"
-
-
 class MaxPool2d(Module):
     def __init__(self, kernel_size: int, stride: int | None = None):
         super().__init__()
@@ -227,57 +216,9 @@ class MaxPool2d(Module):
         return f"MaxPool2d(k={self.kernel_size}, s={self.stride})"
 
 
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv_ops.avg_pool2d(x, self.kernel_size, self.stride)
-
-    def __repr__(self) -> str:
-        return f"AvgPool2d(k={self.kernel_size}, s={self.stride})"
-
-
 class GlobalAvgPool2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return conv_ops.global_avg_pool2d(x)
 
     def __repr__(self) -> str:
         return "GlobalAvgPool2d()"
-
-
-class Flatten(Module):
-    def __init__(self, start_dim: int = 1):
-        super().__init__()
-        self.start_dim = start_dim
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.flatten_from(self.start_dim)
-
-    def __repr__(self) -> str:
-        return f"Flatten(start_dim={self.start_dim})"
-
-
-class Dropout(Module):
-    def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self.rng = rng or np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.rng, training=self.training)
-
-    def __repr__(self) -> str:
-        return f"Dropout(p={self.p})"
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-    def __repr__(self) -> str:
-        return "Identity()"

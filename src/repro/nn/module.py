@@ -94,9 +94,6 @@ class Module:
         for mod_name, module in self._modules.items():
             yield from module.named_modules(prefix + mod_name + ".")
 
-    def children(self) -> Iterator["Module"]:
-        yield from self._modules.values()
-
     # ------------------------------------------------------------------
     # Modes
     # ------------------------------------------------------------------
@@ -177,37 +174,6 @@ class Module:
         if not child_lines:
             return f"{header}()"
         return header + "(\n" + "\n".join(child_lines) + "\n)"
-
-    def count_parameters(self) -> int:
-        """Total number of trainable scalar parameters."""
-        return sum(p.data.size for p in self.parameters())
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        for idx, module in enumerate(modules):
-            setattr(self, str(idx), module)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self._modules.values():
-            x = module(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self._modules)
-
-    def __iter__(self):
-        return iter(self._modules.values())
-
-    def __getitem__(self, index: int) -> Module:
-        return list(self._modules.values())[index]
-
-    def append(self, module: Module) -> "Sequential":
-        setattr(self, str(len(self._modules)), module)
-        return self
 
 
 class ModuleList(Module):

@@ -1,4 +1,4 @@
-"""Optimizers and learning-rate schedules.
+"""Optimizers.
 
 The paper trains with "Adam optimizer under standard settings"; SGD with
 momentum is provided as well for baselines and tests.
@@ -144,50 +144,3 @@ class Adam(Optimizer):
     def load_state(self, arrays, meta) -> None:
         self._load_slots({"m": self._m, "v": self._v}, arrays)
         self._step_count = int(meta.get("step_count", 0))
-
-
-class LRScheduler:
-    """Base learning-rate schedule stepping once per epoch."""
-
-    def __init__(self, optimizer: Optimizer):
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def get_lr(self) -> float:
-        raise NotImplementedError
-
-    def step(self) -> None:
-        self.epoch += 1
-        self.optimizer.lr = self.get_lr()
-
-
-class StepLR(LRScheduler):
-    """Multiply the LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma ** (self.epoch // self.step_size)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base LR to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError("t_max must be positive")
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def get_lr(self) -> float:
-        progress = min(self.epoch, self.t_max) / self.t_max
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (
-            1 + np.cos(np.pi * progress)
-        )

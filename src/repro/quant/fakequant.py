@@ -9,8 +9,6 @@ which for dynamic min-max quantization is the whole input).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.autograd import Tensor
 from repro.backend import active_backend
 from repro.quant.quantizer import UniformQuantizer
@@ -67,13 +65,6 @@ class FakeQuantize:
         if not self.enabled:
             return x
         return STEQuantFunction(x, self._quantizer)
-
-    def fake_quant_array(self, x: np.ndarray) -> np.ndarray:
-        """Numpy-level fake quantization (no autograd), for analysis."""
-        backend = active_backend()
-        if not self.enabled:
-            return backend.asarray(x)
-        return backend.fake_quant(x, self._quantizer)
 
     def __repr__(self) -> str:
         state = f"{self.bits}b" if self.enabled else "disabled"

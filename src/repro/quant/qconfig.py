@@ -51,8 +51,6 @@ class LayerQuantSpec:
     bits:
         Current algorithmic bit-width ``k_l`` (may exceed 16 when the
         run starts from a 32-bit model, per Table II(c)).
-    quantize_weights / quantize_activations:
-        The paper quantizes both for every layer it touches.
     frozen:
         True for the first and last layers, which are excluded from
         quantization "to avoid a drastic drop in accuracy" (§IV).
@@ -60,8 +58,6 @@ class LayerQuantSpec:
 
     name: str
     bits: int
-    quantize_weights: bool = True
-    quantize_activations: bool = True
     frozen: bool = False
 
     def __post_init__(self):
@@ -125,16 +121,7 @@ class QuantizationPlan:
 
     def copy(self) -> "QuantizationPlan":
         return QuantizationPlan(
-            [
-                LayerQuantSpec(
-                    name=s.name,
-                    bits=s.bits,
-                    quantize_weights=s.quantize_weights,
-                    quantize_activations=s.quantize_activations,
-                    frozen=s.frozen,
-                )
-                for s in self.specs
-            ]
+            [LayerQuantSpec(s.name, s.bits, frozen=s.frozen) for s in self.specs]
         )
 
     def __repr__(self) -> str:

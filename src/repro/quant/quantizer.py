@@ -110,11 +110,6 @@ class UniformQuantizer:
         return dequantize(quantize(x, self.bits, lo, hi, dtype), self.bits,
                           lo, hi, dtype)
 
-    def quantization_error(self, x: np.ndarray) -> float:
-        """RMS error introduced by fake quantization of ``x``."""
-        diff = self.fake_quant(x) - np.asarray(x, dtype=np.float64)
-        return float(np.sqrt(np.mean(diff**2)))
-
     def __repr__(self) -> str:
         mode = "dynamic" if self.dynamic else "static"
         return f"UniformQuantizer(bits={self.bits}, {mode})"

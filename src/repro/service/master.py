@@ -537,7 +537,8 @@ class Master:
         # interleave into the replay.
         for message in history:
             writer.write(protocol.encode(message))
-        if job.finished:
+        if job.finished and not any(
+                message.get("event") == "done" for message in history):
             # A job finished before this master's lifetime (restored
             # from the state file) has no history; synthesize the
             # terminal event so the watch always ends.
@@ -555,8 +556,12 @@ class Master:
                 protocol.E_INVALID_STATE, str(error)
             ) from None
         if outcome == jobqueue.CANCELLED:
-            self._emit(job.id, protocol.event(
-                "done", job=job.id, data=job.describe()))
+            # A paused job's drive is finalized here, as a stopped one
+            # is in the loop: nothing would ever resume it.
+            drive = self._runs.pop(job.id, None)
+            if drive is not None:
+                drive.cancel_speculations()
+            self._finalize(job, drive, jobqueue.CANCELLED)
         self.log(f"job {job.id} ({job.name}): cancel {outcome}")
         self._wake.set()
         return {"job": job.id, "cancel": outcome, "state": job.state}

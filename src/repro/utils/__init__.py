@@ -1,6 +1,5 @@
-"""Shared utilities: seeding, checkpoints, table rendering, configs."""
+"""Shared utilities: checkpoints, JSON payloads, table rendering."""
 
-from repro.utils.seeding import seed_everything, spawn_rngs
 from repro.utils.serialization import (
     load_checkpoint,
     load_json,
@@ -10,8 +9,6 @@ from repro.utils.serialization import (
 from repro.utils.tables import format_table
 
 __all__ = [
-    "seed_everything",
-    "spawn_rngs",
     "save_checkpoint",
     "load_checkpoint",
     "save_json",

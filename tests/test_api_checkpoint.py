@@ -13,7 +13,7 @@ from repro.api import (
     experiments,
 )
 from repro.orchestration import CheckpointCallback, CheckpointStage
-from repro.utils.serialization import load_checkpoint
+from repro.utils.serialization import load_checkpoint, save_checkpoint
 
 
 def micro_config(**overrides):
@@ -171,6 +171,34 @@ class TestIterationLevelResume:
                 [QuantizeStage()],
                 callbacks=[CheckpointCallback(path), KillAfterRow(1)],
             ).run(build_context(config))
+
+        resumed = Pipeline([QuantizeStage()]).resume(build_context(config), path)
+        assert row_key(resumed) == row_key(reference)
+
+    @pytest.mark.parametrize("plan_flags", [True, False],
+                             ids=["with-plan-flags", "without-plan-flags"])
+    def test_resume_reads_only_name_bits_frozen_of_the_plan(
+        self, tmp_path, plan_flags
+    ):
+        # Older checkpoints carry quantize_weights/quantize_activations
+        # in every plan entry, newer ones do not; either resumes to the
+        # uninterrupted run's rows.
+        config = micro_config()
+        path = tmp_path / "ck.npz"
+        reference = Pipeline([QuantizeStage()]).run(build_context(config))
+        with pytest.raises(Boom):
+            Pipeline(
+                [QuantizeStage()],
+                callbacks=[CheckpointCallback(path), KillAfterRow(1)],
+            ).run(build_context(config))
+
+        arrays, metadata = load_checkpoint(path)
+        for spec in metadata["plan"]:
+            spec.pop("quantize_weights", None)
+            spec.pop("quantize_activations", None)
+            if plan_flags:
+                spec.update(quantize_weights=True, quantize_activations=True)
+        save_checkpoint(path, arrays, metadata)
 
         resumed = Pipeline([QuantizeStage()]).resume(build_context(config), path)
         assert row_key(resumed) == row_key(reference)

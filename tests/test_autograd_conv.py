@@ -5,7 +5,6 @@ import pytest
 
 from repro.autograd import Tensor, grad_check
 from repro.autograd.conv import (
-    avg_pool2d,
     col2im,
     conv2d,
     conv_output_size,
@@ -141,22 +140,6 @@ class TestMaxPool:
     def test_grad_check_slow_path(self, rng):
         x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
         assert grad_check(lambda x_: max_pool2d(x_, 3, stride=2), [x], atol=1e-5)
-
-
-class TestAvgPool:
-    def test_values(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = avg_pool2d(Tensor(x), 2)
-        assert np.allclose(out.data, [[[[2.5, 4.5], [10.5, 12.5]]]])
-
-    def test_grad_uniform(self):
-        x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
-        avg_pool2d(x, 2).sum().backward()
-        assert np.allclose(x.grad, np.full((1, 1, 4, 4), 0.25))
-
-    def test_strided_grad_check(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
-        assert grad_check(lambda x_: avg_pool2d(x_, 3, stride=3), [x], atol=1e-5)
 
 
 class TestGlobalAvgPool:

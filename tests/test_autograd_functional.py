@@ -1,43 +1,10 @@
-"""Softmax / log-softmax / cross-entropy / dropout tests."""
+"""Cross-entropy tests."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor, grad_check
-from repro.autograd.functional import cross_entropy, dropout, log_softmax, softmax
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self, rng):
-        x = Tensor(rng.normal(size=(4, 7)))
-        out = softmax(x)
-        assert np.allclose(out.data.sum(axis=1), 1.0)
-
-    def test_shift_invariance(self, rng):
-        x = rng.normal(size=(3, 5))
-        a = softmax(Tensor(x)).data
-        b = softmax(Tensor(x + 100.0)).data
-        assert np.allclose(a, b)
-
-    def test_extreme_logits_stable(self):
-        x = Tensor(np.array([[1000.0, 0.0, -1000.0]]))
-        out = softmax(x).data
-        assert np.isfinite(out).all()
-        assert np.allclose(out.sum(), 1.0)
-
-    def test_gradient(self, rng):
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        assert grad_check(lambda x_: softmax(x_), [x], atol=1e-6)
-
-
-class TestLogSoftmax:
-    def test_matches_log_of_softmax(self, rng):
-        x = Tensor(rng.normal(size=(4, 6)))
-        assert np.allclose(log_softmax(x).data, np.log(softmax(x).data))
-
-    def test_gradient(self, rng):
-        x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-        assert grad_check(lambda x_: log_softmax(x_), [x], atol=1e-6)
+from repro.autograd.functional import cross_entropy
 
 
 class TestCrossEntropy:
@@ -64,8 +31,8 @@ class TestCrossEntropy:
         logits = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         targets = np.array([0, 1, 3])
         cross_entropy(logits, targets).backward()
-        soft = softmax(Tensor(logits.data)).data
-        expected = soft.copy()
+        exp = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+        expected = exp / exp.sum(axis=1, keepdims=True)
         expected[np.arange(3), targets] -= 1
         assert np.allclose(logits.grad, expected / 3)
 
@@ -81,32 +48,3 @@ class TestCrossEntropy:
     def test_2d_targets_rejected(self):
         with pytest.raises(ValueError):
             cross_entropy(Tensor(np.zeros((2, 3))), np.zeros((2, 1), dtype=int))
-
-
-class TestDropout:
-    def test_eval_mode_identity(self, rng):
-        x = Tensor(rng.normal(size=(5, 5)))
-        out = dropout(x, 0.5, rng, training=False)
-        assert out is x
-
-    def test_zero_probability_identity(self, rng):
-        x = Tensor(rng.normal(size=(5, 5)))
-        assert dropout(x, 0.0, rng, training=True) is x
-
-    def test_invalid_probability(self, rng):
-        with pytest.raises(ValueError):
-            dropout(Tensor(np.ones(3)), 1.0, rng)
-
-    def test_scaling_preserves_expectation(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((200, 200)))
-        out = dropout(x, 0.3, rng, training=True)
-        assert abs(out.data.mean() - 1.0) < 0.02
-
-    def test_gradient_masked_like_forward(self):
-        rng = np.random.default_rng(7)
-        x = Tensor(np.ones((10, 10)), requires_grad=True)
-        out = dropout(x, 0.5, rng, training=True)
-        out.sum().backward()
-        # Gradient nonzero exactly where output nonzero.
-        assert np.array_equal(x.grad != 0, out.data != 0)

@@ -29,12 +29,6 @@ class TestConstruction:
     def test_item_scalar(self):
         assert Tensor(3.5).item() == 3.5
 
-    def test_detach_shares_data_drops_graph(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = (a * 2).detach()
-        assert not b.requires_grad
-        assert np.allclose(b.data, [2.0, 4.0])
-
 
 class TestArithmetic:
     def test_add_values_and_grads(self):
@@ -59,43 +53,6 @@ class TestArithmetic:
         (a * b).backward(np.array([1.0]))
         assert np.allclose(a.grad, [5.0])
         assert np.allclose(b.grad, [2.0])
-
-    def test_sub_and_neg(self):
-        a = Tensor([3.0], requires_grad=True)
-        b = Tensor([1.0], requires_grad=True)
-        (a - b).backward(np.array([1.0]))
-        assert np.allclose(a.grad, [1.0])
-        assert np.allclose(b.grad, [-1.0])
-
-    def test_rsub(self):
-        a = Tensor([1.0], requires_grad=True)
-        out = 5.0 - a
-        out.backward(np.array([1.0]))
-        assert np.allclose(out.data, [4.0])
-        assert np.allclose(a.grad, [-1.0])
-
-    def test_div_grads(self):
-        a = Tensor([6.0], requires_grad=True)
-        b = Tensor([2.0], requires_grad=True)
-        (a / b).backward(np.array([1.0]))
-        assert np.allclose(a.grad, [0.5])
-        assert np.allclose(b.grad, [-1.5])
-
-    def test_rtruediv(self):
-        a = Tensor([4.0], requires_grad=True)
-        out = 8.0 / a
-        out.backward(np.array([1.0]))
-        assert np.allclose(out.data, [2.0])
-        assert np.allclose(a.grad, [-0.5])
-
-    def test_pow_grad(self):
-        a = Tensor([3.0], requires_grad=True)
-        (a**2).backward(np.array([1.0]))
-        assert np.allclose(a.grad, [6.0])
-
-    def test_pow_rejects_tensor_exponent(self):
-        with pytest.raises(TypeError):
-            Tensor([1.0]) ** Tensor([2.0])
 
     def test_matmul_2d(self):
         a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
@@ -233,33 +190,6 @@ class TestElementwise:
         assert np.allclose(out.data, [0.0, 0.0, 2.0])
         assert np.allclose(a.grad, [0.0, 0.0, 1.0])
 
-    def test_exp_log_roundtrip(self):
-        a = Tensor([0.5, 1.5])
-        assert np.allclose(a.exp().log().data, a.data)
-
-    def test_sqrt(self):
-        a = Tensor([4.0], requires_grad=True)
-        out = a.sqrt()
-        out.backward(np.array([1.0]))
-        assert np.allclose(out.data, [2.0])
-        assert np.allclose(a.grad, [0.25])
-
-    def test_abs_grad_sign(self):
-        a = Tensor([-2.0, 3.0], requires_grad=True)
-        a.abs().backward(np.ones(2))
-        assert np.allclose(a.grad, [-1.0, 1.0])
-
-    def test_tanh_sigmoid_ranges(self):
-        a = Tensor(np.linspace(-5, 5, 11))
-        assert np.all(np.abs(a.tanh().data) <= 1.0)
-        sig = a.sigmoid().data
-        assert np.all((sig > 0) & (sig < 1))
-
-    def test_clip_gradient_mask(self):
-        a = Tensor([-2.0, 0.5, 2.0], requires_grad=True)
-        a.clip(-1.0, 1.0).backward(np.ones(3))
-        assert np.allclose(a.grad, [0.0, 1.0, 0.0])
-
 
 class TestReductions:
     def test_sum_all(self):
@@ -273,40 +203,6 @@ class TestReductions:
         assert out.shape == (2, 1)
         out.backward(np.ones((2, 1)))
         assert np.allclose(a.grad, np.ones((2, 3)))
-
-    def test_mean_grad_scaling(self):
-        a = Tensor(np.ones(4), requires_grad=True)
-        a.mean().backward()
-        assert np.allclose(a.grad, np.full(4, 0.25))
-
-    def test_mean_axis_tuple(self):
-        a = Tensor(np.ones((2, 3, 4)), requires_grad=True)
-        out = a.mean(axis=(0, 2))
-        assert out.shape == (3,)
-        out.sum().backward()
-        assert np.allclose(a.grad, np.full((2, 3, 4), 1.0 / 8.0))
-
-    def test_var_matches_numpy(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(5, 7))
-        assert np.allclose(Tensor(x).var().data, x.var())
-
-    def test_max_grad_goes_to_argmax(self):
-        a = Tensor([1.0, 5.0, 3.0], requires_grad=True)
-        a.max().backward()
-        assert np.allclose(a.grad, [0.0, 1.0, 0.0])
-
-    def test_max_ties_split_gradient(self):
-        a = Tensor([2.0, 2.0], requires_grad=True)
-        a.max().backward()
-        assert np.allclose(a.grad, [0.5, 0.5])
-
-    def test_max_axis(self):
-        a = Tensor(np.array([[1.0, 4.0], [3.0, 2.0]]), requires_grad=True)
-        out = a.max(axis=1)
-        assert np.allclose(out.data, [4.0, 3.0])
-        out.sum().backward()
-        assert np.allclose(a.grad, [[0.0, 1.0], [1.0, 0.0]])
 
 
 class TestShapeOps:
@@ -331,28 +227,3 @@ class TestShapeOps:
     def test_flatten_from(self):
         a = Tensor(np.zeros((2, 3, 4)))
         assert a.flatten_from(1).shape == (2, 12)
-
-    def test_pad2d_and_grad(self):
-        a = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
-        out = a.pad2d(1)
-        assert out.shape == (1, 1, 4, 4)
-        out.sum().backward()
-        assert np.allclose(a.grad, np.ones((1, 1, 2, 2)))
-
-    def test_pad2d_zero_is_identity(self):
-        a = Tensor(np.ones((1, 1, 2, 2)))
-        assert a.pad2d(0) is a
-
-    def test_getitem_grad_scatter(self):
-        a = Tensor(np.arange(5.0), requires_grad=True)
-        a[1:3].sum().backward()
-        assert np.allclose(a.grad, [0.0, 1.0, 1.0, 0.0, 0.0])
-
-    def test_concatenate_values_and_grads(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.zeros((3, 2)), requires_grad=True)
-        out = Tensor.concatenate([a, b], axis=0)
-        assert out.shape == (5, 2)
-        out.sum().backward()
-        assert a.grad.shape == (2, 2)
-        assert b.grad.shape == (3, 2)

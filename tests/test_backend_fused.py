@@ -12,8 +12,9 @@ Three guarantees, one file:
    within float32 round-off, forward and backward, contiguous or not
    (hypothesis-driven differential tests);
 3. fused chains save only their minimal backward residual — the
-   log-softmax closure no longer pins the softmax matrix for the
-   graph's lifetime — and the per-iteration graph gets smaller.
+   cross-entropy closure keeps the log-probabilities, not the softmax
+   matrix, for the graph's lifetime — and the per-iteration graph gets
+   smaller.
 """
 
 import collections
@@ -33,7 +34,7 @@ from repro.autograd.gradcheck import grad_check
 from repro.autograd.tensor import Node
 from repro.backend import active_backend, use_backend
 from repro.nn.layers import BatchNorm2d, Linear
-from repro.nn.loss import CrossEntropyLoss, MSELoss
+from repro.nn.loss import CrossEntropyLoss
 from repro.nn.optim import SGD
 
 RTOL = 1e-3
@@ -58,30 +59,6 @@ def _seed_relu(self):
     return Tensor.from_op(out_data, (self,), backward, "relu")
 
 
-def _seed_softmax(x, axis=-1):
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out = exp / exp.sum(axis=axis, keepdims=True)
-
-    def backward(grad):
-        dot = (grad * out).sum(axis=axis, keepdims=True)
-        return (out * (grad - dot),)
-
-    return Tensor.from_op(out, (x,), backward, "softmax")
-
-
-def _seed_log_softmax(x, axis=-1):
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - log_sum
-    soft = np.exp(out)
-
-    def backward(grad):
-        return (grad - soft * grad.sum(axis=axis, keepdims=True),)
-
-    return Tensor.from_op(out, (x,), backward, "log_softmax")
-
-
 def _seed_cross_entropy(logits, targets):
     targets = np.asarray(targets)
     n = logits.data.shape[0]
@@ -97,19 +74,6 @@ def _seed_cross_entropy(logits, targets):
         return (g * (grad / n),)
 
     return Tensor.from_op(np.asarray(loss), (logits,), backward, "cross_entropy")
-
-
-def _seed_dropout(x, p, rng, training=True):
-    if not training or p <= 0.0:
-        return x
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
-    mask = keep / (1.0 - p)
-    out = x.data * mask
-
-    def backward(grad):
-        return (grad * mask,)
-
-    return Tensor.from_op(out, (x,), backward, "dropout")
 
 
 _LIBRARY_MAX_POOL = conv_ops.max_pool2d
@@ -185,22 +149,12 @@ def _seed_batchnorm_forward(self, x, fuse_relu=False):
     return out.relu() if fuse_relu else out
 
 
-def _seed_mse_forward(self, prediction, target):
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target
-    return (diff * diff).mean()
-
-
 SEED_OPS = (
     (Tensor, "relu", _seed_relu),
-    (F, "softmax", _seed_softmax),
-    (F, "log_softmax", _seed_log_softmax),
     (F, "cross_entropy", _seed_cross_entropy),
-    (F, "dropout", _seed_dropout),
     (conv_ops, "max_pool2d", _seed_max_pool2d),
     (Linear, "forward", _seed_linear_forward),
     (BatchNorm2d, "forward_fused", _seed_batchnorm_forward),
-    (MSELoss, "forward", _seed_mse_forward),
 )
 
 
@@ -345,27 +299,11 @@ class TestReferenceBitIdentity:
 
     @given(ARRAYS)
     @settings(max_examples=15, deadline=None)
-    def test_softmax_log_softmax_exact(self, rng):
-        x = rng.normal(size=(6, 5)) * 3.0
-        assert_fused_matches_seed_exactly(lambda a: F.softmax(a), [x])
-        assert_fused_matches_seed_exactly(lambda a: F.log_softmax(a), [x])
-
-    @given(ARRAYS)
-    @settings(max_examples=15, deadline=None)
     def test_cross_entropy_exact(self, rng):
         logits = rng.normal(size=(8, 5)) * 2.0
         targets = rng.integers(0, 5, size=8)
         assert_fused_matches_seed_exactly(
             lambda a: F.cross_entropy(a, targets), [logits]
-        )
-
-    @given(ARRAYS)
-    @settings(max_examples=10, deadline=None)
-    def test_dropout_exact(self, rng):
-        x = rng.normal(size=(7, 7))
-        seed = int(rng.integers(0, 2**32))
-        assert_fused_matches_seed_exactly(
-            lambda a: F.dropout(a, 0.3, np.random.default_rng(seed)), [x]
         )
 
     @given(ARRAYS, st.sampled_from([(8, 2), (6, 3), (2, 2)]))
@@ -379,15 +317,6 @@ class TestReferenceBitIdentity:
         x = rng.normal(size=(2, 3, size, size))
         assert_fused_matches_seed_exactly(
             lambda a: conv_ops.max_pool2d(a, kernel), [x]
-        )
-
-    @given(ARRAYS)
-    @settings(max_examples=15, deadline=None)
-    def test_mse_exact(self, rng):
-        pred = rng.normal(size=(4, 6))
-        target = rng.normal(size=(4, 6))
-        assert_fused_matches_seed_exactly(
-            lambda a: MSELoss()(a, target), [pred]
         )
 
     @given(ARRAYS)
@@ -453,12 +382,6 @@ class TestFusedDifferential:
 
     @given(ARRAYS)
     @settings(max_examples=15, deadline=None)
-    def test_log_softmax(self, rng):
-        x = rng.normal(size=(8, 5)) * 3.0
-        assert_fast_matches_reference(lambda a: F.log_softmax(a), [x])
-
-    @given(ARRAYS)
-    @settings(max_examples=15, deadline=None)
     def test_cross_entropy(self, rng):
         logits = rng.normal(size=(8, 5)) * 3.0
         targets = rng.integers(0, 5, size=8)
@@ -514,13 +437,6 @@ class TestFusedDifferential:
 
     @given(ARRAYS)
     @settings(max_examples=15, deadline=None)
-    def test_mse(self, rng):
-        pred = rng.normal(size=(4, 6))
-        target = rng.normal(size=(4, 6))
-        assert_fast_matches_reference(lambda a: MSELoss()(a, target), [pred])
-
-    @given(ARRAYS)
-    @settings(max_examples=15, deadline=None)
     def test_bias_add(self, rng):
         x = rng.normal(size=(2, 5, 3, 3))
         bias = rng.normal(size=5)
@@ -539,11 +455,10 @@ class TestNonContiguousInputs:
 
     @given(ARRAYS)
     @settings(max_examples=10, deadline=None)
-    def test_relu_and_log_softmax_on_views(self, rng):
+    def test_relu_on_view(self, rng):
         base = rng.normal(size=(7, 6))
         view = base.T  # non-contiguous float64 view
         assert_fast_matches_reference(lambda a: a.relu(), [view])
-        assert_fast_matches_reference(lambda a: F.log_softmax(a), [view])
 
     @given(ARRAYS)
     @settings(max_examples=10, deadline=None)
@@ -602,12 +517,12 @@ class TestBatchNormTrainEvalParity:
 
 
 class TestResidualRelease:
-    """The documented leak fix: log-softmax no longer pins its softmax.
+    """The documented leak fix: cross-entropy does not pin its softmax.
 
-    The seed closure kept ``soft = np.exp(out)`` alive for the whole
-    graph lifetime; the fused kernel recomputes ``exp`` in backward, so
-    every forward ``exp`` temporary must be collectable while the graph
-    is still alive.
+    The seed closure kept ``soft = np.exp(log_probs)`` alive for the
+    whole graph lifetime; the fused kernel recomputes ``exp`` in
+    backward, so every forward ``exp`` temporary must be collectable
+    while the graph is still alive.
     """
 
     def test_fused_releases_forward_exp_temporaries(self):
@@ -622,15 +537,16 @@ class TestResidualRelease:
 
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(64, 10)), requires_grad=True)
+        targets = rng.integers(0, 10, size=64)
         np.exp = spying_exp
         try:
-            out = F.log_softmax(x)
+            out = F.cross_entropy(x, targets)
         finally:
             np.exp = real_exp
         gc.collect()
         assert refs, "np.exp was never called in forward"
         assert not any(r() is not None for r in refs), (
-            "fused log_softmax retained a forward exp array"
+            "fused cross_entropy retained a forward exp array"
         )
         assert out is not None  # graph kept alive through the assertion
 

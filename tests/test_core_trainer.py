@@ -50,9 +50,8 @@ class TestTrainEpoch:
     def test_empty_loader_raises(self, micro_vgg, tiny_dataset):
         trainer = make_trainer(micro_vgg)
         empty = DataLoader(
-            ArrayDataset(np.zeros((2, 3, 8, 8)), np.zeros(2, dtype=int)),
+            ArrayDataset(np.zeros((0, 3, 8, 8)), np.zeros(0, dtype=int)),
             batch_size=5,
-            drop_last=True,
         )
         with pytest.raises(RuntimeError):
             trainer.train_epoch(empty)

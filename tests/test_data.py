@@ -1,15 +1,11 @@
-"""Datasets, loaders, synthetic generators and transforms."""
+"""Datasets, loaders and synthetic generators."""
 
 import numpy as np
 import pytest
 
 from repro.data import (
     ArrayDataset,
-    Compose,
     DataLoader,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
     SyntheticCIFAR10,
     SyntheticCIFAR100,
     SyntheticTinyImageNet,
@@ -31,13 +27,6 @@ class TestArrayDataset:
         with pytest.raises(ValueError):
             ArrayDataset(rng.normal(size=(5, 3, 4, 4)), np.arange(4))
 
-    def test_transform_applied(self, rng):
-        data = ArrayDataset(
-            np.ones((3, 1, 2, 2)), np.zeros(3, dtype=int), transform=lambda x: x * 2
-        )
-        image, _ = data[0]
-        assert np.allclose(image, 2.0)
-
     def test_num_classes(self):
         data = ArrayDataset(np.zeros((4, 1, 2, 2)), np.array([0, 1, 2, 2]))
         assert data.num_classes == 3
@@ -49,13 +38,8 @@ class TestDataLoader:
         total = sum(len(labels) for _, labels in loader)
         assert total == len(tiny_dataset)
 
-    def test_len_with_and_without_drop_last(self, tiny_dataset):
+    def test_len_counts_the_partial_batch(self, tiny_dataset):
         assert len(DataLoader(tiny_dataset, batch_size=5)) == 4
-        assert len(DataLoader(tiny_dataset, batch_size=5, drop_last=True)) == 3
-
-    def test_drop_last_only_full_batches(self, tiny_dataset):
-        loader = DataLoader(tiny_dataset, batch_size=5, drop_last=True)
-        assert all(len(labels) == 5 for _, labels in loader)
 
     def test_shuffle_deterministic_with_seed(self, tiny_dataset):
         first = [
@@ -155,46 +139,3 @@ class TestNamedDatasets:
         train_set = {train.images[i].tobytes() for i in range(len(train))}
         test_set = {test.images[i].tobytes() for i in range(len(test))}
         assert not train_set & test_set
-
-
-class TestTransforms:
-    def test_normalize(self):
-        t = Normalize(mean=[1.0], std=[2.0])
-        out = t(np.full((1, 2, 2), 3.0))
-        assert np.allclose(out, 1.0)
-
-    def test_normalize_invalid_std(self):
-        with pytest.raises(ValueError):
-            Normalize([0.0], [0.0])
-
-    def test_flip_probability_one(self):
-        t = RandomHorizontalFlip(p=1.0, rng=np.random.default_rng(0))
-        image = np.arange(4.0).reshape(1, 2, 2)
-        assert np.allclose(t(image), image[:, :, ::-1])
-
-    def test_flip_probability_zero(self):
-        t = RandomHorizontalFlip(p=0.0, rng=np.random.default_rng(0))
-        image = np.arange(4.0).reshape(1, 2, 2)
-        assert np.allclose(t(image), image)
-
-    def test_flip_invalid_p(self):
-        with pytest.raises(ValueError):
-            RandomHorizontalFlip(p=2.0)
-
-    def test_crop_preserves_shape(self, rng):
-        t = RandomCrop(padding=2, rng=rng)
-        image = rng.normal(size=(3, 8, 8))
-        assert t(image).shape == (3, 8, 8)
-
-    def test_crop_zero_padding_identity(self, rng):
-        t = RandomCrop(padding=0)
-        image = rng.normal(size=(3, 8, 8))
-        assert np.array_equal(t(image), image)
-
-    def test_crop_negative_padding(self):
-        with pytest.raises(ValueError):
-            RandomCrop(padding=-1)
-
-    def test_compose_order(self):
-        t = Compose([lambda x: x + 1, lambda x: x * 2])
-        assert np.allclose(t(np.zeros(2)), 2.0)

@@ -4,18 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, grad_check
-from repro.nn import (
-    AvgPool2d,
-    BatchNorm2d,
-    Conv2d,
-    Dropout,
-    Flatten,
-    GlobalAvgPool2d,
-    Identity,
-    Linear,
-    MaxPool2d,
-    ReLU,
-)
+from repro.nn import BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, MaxPool2d
 from repro.quant import FakeQuantize
 
 
@@ -75,6 +64,11 @@ class TestLinearLayer:
         with pytest.raises(ValueError):
             Linear(4, 0, rng=rng)
 
+    def test_non_2d_input_rejected(self, rng):
+        # The classifiers flatten to (N, C) before the linear layer.
+        with pytest.raises(ValueError, match="expects"):
+            Linear(4, 3, rng=rng)(Tensor(rng.normal(size=(2, 5, 4))))
+
 
 class TestBatchNorm2d:
     def test_normalizes_batch(self, rng):
@@ -131,40 +125,10 @@ class TestBatchNorm2d:
 
 
 class TestSimpleLayers:
-    def test_relu(self):
-        out = ReLU()(Tensor(np.array([-1.0, 2.0])))
-        assert np.allclose(out.data, [0.0, 2.0])
-
     def test_maxpool_layer(self, rng):
         out = MaxPool2d(2)(Tensor(rng.normal(size=(1, 2, 8, 8))))
-        assert out.shape == (1, 2, 4, 4)
-
-    def test_avgpool_layer(self, rng):
-        out = AvgPool2d(2)(Tensor(rng.normal(size=(1, 2, 8, 8))))
         assert out.shape == (1, 2, 4, 4)
 
     def test_global_avg_pool(self, rng):
         out = GlobalAvgPool2d()(Tensor(rng.normal(size=(2, 5, 7, 7))))
         assert out.shape == (2, 5, 1, 1)
-
-    def test_flatten(self, rng):
-        out = Flatten()(Tensor(rng.normal(size=(2, 3, 4, 4))))
-        assert out.shape == (2, 48)
-
-    def test_identity(self, rng):
-        x = Tensor(rng.normal(size=(3,)))
-        assert Identity()(x) is x
-
-    def test_dropout_train_vs_eval(self, rng):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        x = Tensor(np.ones((20, 20)))
-        layer.train()
-        out_train = layer(x)
-        assert (out_train.data == 0).any()
-        layer.eval()
-        out_eval = layer(x)
-        assert np.allclose(out_eval.data, 1.0)
-
-    def test_dropout_invalid_p(self):
-        with pytest.raises(ValueError):
-            Dropout(1.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.nn import BatchNorm2d, Conv2d, Linear, Module, Parameter, Sequential
+from repro.nn import BatchNorm2d, Conv2d, Linear, Module, Parameter
 from repro.nn.module import ModuleList
 
 
@@ -66,13 +66,6 @@ class TestTraversal:
     def test_modules_yields_all(self):
         nested = Nested()
         assert len(list(nested.modules())) == 3
-
-    def test_children_direct_only(self):
-        nested = Nested()
-        assert len(list(nested.children())) == 2
-
-    def test_count_parameters(self):
-        assert Nested().count_parameters() == 6
 
 
 class TestModes:
@@ -145,28 +138,6 @@ class TestStateDict:
         state = layer.state_dict()
         state["weight"][:] = 0
         assert not np.allclose(layer.weight.data, 0)
-
-
-class TestSequential:
-    def test_applies_in_order(self):
-        seq = Sequential(Leaf(), Leaf())
-        out = seq(Tensor(np.zeros(3)))
-        assert np.allclose(out.data, [2.0, 2.0, 2.0])
-
-    def test_len_iter_getitem(self):
-        seq = Sequential(Leaf(), Leaf(), Leaf())
-        assert len(seq) == 3
-        assert len(list(seq)) == 3
-        assert isinstance(seq[1], Leaf)
-
-    def test_append(self):
-        seq = Sequential(Leaf())
-        seq.append(Leaf())
-        assert len(seq) == 2
-
-    def test_parameters_visible(self):
-        seq = Sequential(Leaf(), Leaf())
-        assert seq.count_parameters() == 6
 
 
 class TestModuleList:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, CosineAnnealingLR, StepLR
+from repro.nn import SGD, Adam
 from repro.nn.module import Parameter
 
 
@@ -96,40 +96,3 @@ class TestAdam:
             opt.step()
         # Adam normalizes per-dimension: both coordinates move similarly.
         assert abs(p.data[0] - p.data[1]) < abs(p.data[0]) * 0.2
-
-
-class TestSchedulers:
-    def test_step_lr_decays(self):
-        p = make_param([1.0])
-        opt = SGD([p], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = []
-        for _ in range(5):
-            sched.step()
-            lrs.append(opt.lr)
-        assert np.allclose(lrs, [1.0, 0.1, 0.1, 0.01, 0.01])
-
-    def test_step_lr_invalid_step(self):
-        with pytest.raises(ValueError):
-            StepLR(SGD([make_param([1.0])], lr=1.0), step_size=0)
-
-    def test_cosine_endpoints(self):
-        opt = SGD([make_param([1.0])], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=10)
-        for _ in range(10):
-            sched.step()
-        assert np.isclose(opt.lr, 0.0, atol=1e-12)
-
-    def test_cosine_midpoint_half(self):
-        opt = SGD([make_param([1.0])], lr=2.0)
-        sched = CosineAnnealingLR(opt, t_max=10)
-        for _ in range(5):
-            sched.step()
-        assert np.isclose(opt.lr, 1.0)
-
-    def test_cosine_clamps_past_tmax(self):
-        opt = SGD([make_param([1.0])], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=3, eta_min=0.1)
-        for _ in range(10):
-            sched.step()
-        assert np.isclose(opt.lr, 0.1)

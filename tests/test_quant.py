@@ -163,11 +163,6 @@ class TestSTE:
         with pytest.raises(ValueError):
             fq.bits = 0
 
-    def test_fake_quant_array_matches_tensor_path(self, rng):
-        fq = FakeQuantize(5)
-        x = rng.normal(size=17)
-        assert np.allclose(fq.fake_quant_array(x), fq(Tensor(x)).data)
-
 
 class TestSnapping:
     @pytest.mark.parametrize(

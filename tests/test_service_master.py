@@ -227,6 +227,53 @@ class TestPriorityAndPreemption:
         assert bulk_final["summary"]["stats"]["total"] == 6
         assert urgent_final["finished_at"] < bulk_final["finished_at"]
 
+    def test_cancelling_a_paused_job_finalizes_it(
+            self, tmp_path, monkeypatch):
+        # The bulk sweep finishes two points, is preempted by an urgent
+        # job held at its gate, and is cancelled while paused: its
+        # summary counts the two points, its drive is gone, and its
+        # watchers see one `done`.
+        gates = tmp_path / "gates"
+        gates.mkdir()
+        monkeypatch.setenv("REPRO_TEST_GATES", str(gates))
+
+        def wait_started(seed):
+            deadline = time.time() + 15
+            while not (gates / f"started-{seed}").exists():
+                assert time.time() < deadline, f"seed {seed} never started"
+                time.sleep(0.01)
+
+        harness = MasterHarness(tmp_path)
+        master = harness.start(jobs=1)
+        try:
+            with harness.client() as client:
+                bulk = client.submit(**sweep_spec(
+                    "bulk", seeds=(1, GATE_SEED, 2, 3)))["job"]
+                wait_started(GATE_SEED)
+                urgent = client.submit(
+                    **sweep_spec("urgent", seeds=(GATE_SEED + 1,)),
+                    priority=10)["job"]
+                (gates / f"release-{GATE_SEED}").touch()
+                wait_started(GATE_SEED + 1)
+                assert wait_for_state(client, bulk, ("paused",))
+                assert client.cancel(bulk)["state"] == "cancelled"
+                (gates / f"release-{GATE_SEED + 1}").touch()
+                assert client.watch(urgent)["state"] == "done"
+                events = []
+                final = client.watch(bulk, on_event=events.append)
+            assert bulk not in master._runs
+            emitted = [m["event"] for m in master._history[bulk]]
+        finally:
+            for seed in (GATE_SEED, GATE_SEED + 1):
+                (gates / f"release-{seed}").touch()
+            harness.stop()
+        assert final["state"] == "cancelled"
+        assert emitted.count("done") == 1
+        assert [e["event"] for e in events] == emitted
+        stats = JobQueue.load(harness.state_path).get(bulk).summary["stats"]
+        assert stats == final["summary"]["stats"]
+        assert (stats["total"], stats["executed"]) == (2, 2)
+
     def test_fifo_within_equal_priority(self, harness):
         with harness.client() as client:
             first = client.submit(**sweep_spec("a", seeds=(SLOW_SEED,)))["job"]

@@ -1,4 +1,4 @@
-"""Utilities: seeding, serialization, tables."""
+"""Utilities: serialization, tables."""
 
 import errno
 import os
@@ -12,32 +12,8 @@ from repro.utils import (
     load_checkpoint,
     save_checkpoint,
     save_json,
-    seed_everything,
-    spawn_rngs,
 )
 from repro.utils.serialization import atomic_write
-
-
-class TestSeeding:
-    def test_seed_everything_returns_generator(self):
-        rng = seed_everything(7)
-        assert isinstance(rng, np.random.Generator)
-
-    def test_deterministic(self):
-        a = seed_everything(5).normal(size=3)
-        b = seed_everything(5).normal(size=3)
-        assert np.array_equal(a, b)
-
-    def test_spawn_rngs_independent(self):
-        rngs = spawn_rngs(3, 4)
-        assert len(rngs) == 4
-        draws = [r.normal() for r in rngs]
-        assert len(set(draws)) == 4
-
-    def test_spawn_deterministic(self):
-        a = [r.normal() for r in spawn_rngs(11, 2)]
-        b = [r.normal() for r in spawn_rngs(11, 2)]
-        assert a == b
 
 
 class TestSerialization:
