@@ -268,7 +268,7 @@ class Master:
                 try:
                     drive = self._runs[job.id] = self._make_drive(job)
                 except Exception as error:
-                    self._finalize(job, None, jobqueue.FAILED,
+                    self._finalize(job, jobqueue.FAILED,
                                    error=f"{type(error).__name__}: {error}")
                     continue
             resumed = job.state == jobqueue.PAUSED
@@ -279,12 +279,7 @@ class Master:
                 self.queue.mark(job, jobqueue.PAUSED)
                 self._emit_state(job)
                 continue
-            del self._runs[job.id]
-            # A stopped drive cancels its bets first, so the job's
-            # summary settles every one; its running tasks finish as
-            # stragglers whose outcomes no drive reads.
-            drive.cancel_speculations()
-            self._finalize(job, drive, state, error=error)
+            self._finalize(job, state, error=error)
 
     def _make_drive(self, job) -> SchedulerDrive:
         kind, _, payload = resolve_spec(job.spec)
@@ -377,8 +372,17 @@ class Master:
             }
         return summary
 
-    def _finalize(self, job, drive: SchedulerDrive | None, state: str,
-                  error: str | None = None) -> None:
+    def _finalize(self, job, state: str, error: str | None = None) -> None:
+        """End ``job`` in ``state``: drop its drive, persist, emit ``done``.
+
+        A stopped drive (done, failed, cancelled while running or while
+        paused) cancels its bets first, so the job's summary settles
+        every one; its running tasks finish as stragglers whose
+        outcomes no drive reads.
+        """
+        drive = self._runs.pop(job.id, None)
+        if drive is not None:
+            drive.cancel_speculations()
         self.queue.mark(job, state, error=error,
                         summary=self._summarize(drive))
         self.log(f"job {job.id} ({job.name}): {state}"
@@ -556,12 +560,9 @@ class Master:
                 protocol.E_INVALID_STATE, str(error)
             ) from None
         if outcome == jobqueue.CANCELLED:
-            # A paused job's drive is finalized here, as a stopped one
-            # is in the loop: nothing would ever resume it.
-            drive = self._runs.pop(job.id, None)
-            if drive is not None:
-                drive.cancel_speculations()
-            self._finalize(job, drive, jobqueue.CANCELLED)
+            # A queued or paused job is not driving, so no loop will
+            # end it: a paused one's drive would stay in _runs forever.
+            self._finalize(job, jobqueue.CANCELLED)
         self.log(f"job {job.id} ({job.name}): cancel {outcome}")
         self._wake.set()
         return {"job": job.id, "cancel": outcome, "state": job.state}

@@ -135,6 +135,18 @@ def wait_for_state(client, job, states, timeout=15):
     )
 
 
+def wait_started(gates, seed, timeout=15):
+    """Block until the gated trial of ``seed`` has started."""
+    deadline = time.time() + timeout
+    while not (gates / f"started-{seed}").exists():
+        assert time.time() < deadline, f"seed {seed} never started"
+        time.sleep(0.01)
+
+
+def release(gates, seed):
+    (gates / f"release-{seed}").touch()
+
+
 class TestJobLifecycle:
     def test_submit_watch_completes_with_streamed_events(self, harness):
         with harness.client() as client:
@@ -237,27 +249,21 @@ class TestPriorityAndPreemption:
         gates.mkdir()
         monkeypatch.setenv("REPRO_TEST_GATES", str(gates))
 
-        def wait_started(seed):
-            deadline = time.time() + 15
-            while not (gates / f"started-{seed}").exists():
-                assert time.time() < deadline, f"seed {seed} never started"
-                time.sleep(0.01)
-
         harness = MasterHarness(tmp_path)
         master = harness.start(jobs=1)
         try:
             with harness.client() as client:
                 bulk = client.submit(**sweep_spec(
                     "bulk", seeds=(1, GATE_SEED, 2, 3)))["job"]
-                wait_started(GATE_SEED)
+                wait_started(gates, GATE_SEED)
                 urgent = client.submit(
                     **sweep_spec("urgent", seeds=(GATE_SEED + 1,)),
                     priority=10)["job"]
-                (gates / f"release-{GATE_SEED}").touch()
-                wait_started(GATE_SEED + 1)
+                release(gates, GATE_SEED)
+                wait_started(gates, GATE_SEED + 1)
                 assert wait_for_state(client, bulk, ("paused",))
                 assert client.cancel(bulk)["state"] == "cancelled"
-                (gates / f"release-{GATE_SEED + 1}").touch()
+                release(gates, GATE_SEED + 1)
                 assert client.watch(urgent)["state"] == "done"
                 events = []
                 final = client.watch(bulk, on_event=events.append)
@@ -265,7 +271,7 @@ class TestPriorityAndPreemption:
             emitted = [m["event"] for m in master._history[bulk]]
         finally:
             for seed in (GATE_SEED, GATE_SEED + 1):
-                (gates / f"release-{seed}").touch()
+                release(gates, seed)
             harness.stop()
         assert final["state"] == "cancelled"
         assert emitted.count("done") == 1
@@ -294,37 +300,28 @@ class TestStragglers:
         gates.mkdir()
         monkeypatch.setenv("REPRO_TEST_GATES", str(gates))
 
-        def wait_started(seed):
-            deadline = time.time() + 15
-            while not (gates / f"started-{seed}").exists():
-                assert time.time() < deadline, f"seed {seed} never started"
-                time.sleep(0.01)
-
-        def release(seed):
-            (gates / f"release-{seed}").touch()
-
         harness = MasterHarness(tmp_path)
         harness.start(jobs=2)
         try:
             with harness.client() as client:
                 first = client.submit(**sweep_spec(
                     "first", seeds=(GATE_SEED, GATE_SEED + 1)))["job"]
-                wait_started(GATE_SEED)
-                wait_started(GATE_SEED + 1)
+                wait_started(gates, GATE_SEED)
+                wait_started(gates, GATE_SEED + 1)
                 client.cancel(first)
-                release(GATE_SEED + 1)  # its outcome shows the cancel
+                release(gates, GATE_SEED + 1)  # its outcome shows the cancel
                 assert client.watch(first)["state"] == "cancelled"
                 second = client.submit(**sweep_spec(
                     "second", seeds=(GATE_SEED + 2, GATE_SEED + 3)))["job"]
-                wait_started(GATE_SEED + 2)
-                release(GATE_SEED)
-                wait_started(GATE_SEED + 3)
-                release(GATE_SEED + 2)
-                release(GATE_SEED + 3)
+                wait_started(gates, GATE_SEED + 2)
+                release(gates, GATE_SEED)
+                wait_started(gates, GATE_SEED + 3)
+                release(gates, GATE_SEED + 2)
+                release(gates, GATE_SEED + 3)
                 final = client.watch(second)
         finally:
             for seed in range(GATE_SEED, GATE_SEED + 4):
-                release(seed)
+                release(gates, seed)
             harness.stop()
         assert final["state"] == "done"
         assert final["summary"]["stats"]["executed"] == 2
