@@ -77,10 +77,9 @@ class TestWidthExtremes:
     def test_resnet_width_scaling(self, rng):
         narrow = resnet18(width_multiplier=0.125, rng=rng)
         wide = resnet18(width_multiplier=0.25, rng=np.random.default_rng(0))
-        def count(model):
-            return sum(p.data.size for p in model.parameters())
-
-        assert count(wide) > 3 * count(narrow)
+        n_narrow, n_wide = (sum(p.data.size for p in model.parameters())
+                            for model in (narrow, wide))
+        assert n_wide > 3 * n_narrow
 
 
 class TestRegistryNavigation:
