@@ -12,6 +12,7 @@ from repro.autograd.conv import (
     im2col,
     max_pool2d,
 )
+from repro.backend import use_backend
 
 
 def naive_conv2d(x, w, b=None, stride=1, padding=0):
@@ -32,6 +33,21 @@ def naive_conv2d(x, w, b=None, stride=1, padding=0):
             if b is not None:
                 out[img, oc] += b[oc]
     return out
+
+
+def naive_max_pool_grad(x, upstream, kernel, stride):
+    """Each window's upstream gradient lands on its first maximum."""
+    grad = np.zeros_like(x)
+    n, c, out_h, out_w = upstream.shape
+    for img in range(n):
+        for ch in range(c):
+            for i in range(out_h):
+                for j in range(out_w):
+                    window = x[img, ch, i * stride : i * stride + kernel,
+                               j * stride : j * stride + kernel]
+                    di, dj = np.unravel_index(window.argmax(), window.shape)
+                    grad[img, ch, i * stride + di, j * stride + dj] += upstream[img, ch, i, j]
+    return grad
 
 
 class TestOutputSize:
@@ -94,6 +110,48 @@ class TestConv2d:
             lambda x_, w_: conv2d(x_, w_, stride=2, padding=1), [x, w], atol=1e-5
         )
 
+    @pytest.mark.parametrize("padding", [1, 2])
+    def test_padding_equals_explicit_zero_padding(self, rng, padding):
+        x = rng.normal(size=(2, 3, 5, 5))
+        w = rng.normal(size=(4, 3, 3, 3))
+        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        out = conv2d(Tensor(x), Tensor(w), padding=padding)
+        assert np.allclose(out.data, conv2d(Tensor(padded), Tensor(w)).data)
+
+    def test_bias_gradient_sums_batch_and_space(self, rng):
+        x = Tensor(rng.normal(size=(3, 2, 5, 5)))
+        w = Tensor(rng.normal(size=(4, 2, 3, 3)))
+        b = Tensor(np.zeros(4), requires_grad=True)
+        upstream = rng.normal(size=(3, 4, 3, 3))
+        conv2d(x, w, b).backward(upstream)
+        assert np.allclose(b.grad, upstream.sum(axis=(0, 2, 3)))
+
+    def test_data_input_gets_no_gradient(self, rng):
+        # The first conv's input is data: its gradient is skipped, and
+        # the weight gradient is the one a grad-requiring input gets.
+        x = rng.normal(size=(2, 2, 5, 5))
+        w = rng.normal(size=(3, 2, 3, 3))
+        grads = []
+        for needs_x in (False, True):
+            xt = Tensor(x, requires_grad=needs_x)
+            wt = Tensor(w, requires_grad=True)
+            conv2d(xt, wt, padding=1).sum().backward()
+            assert (xt.grad is not None) == needs_x
+            grads.append(wt.grad)
+        assert np.array_equal(grads[0], grads[1])
+
+    @pytest.mark.parametrize("kernel,stride,padding",
+                             [(1, 1, 0), (5, 1, 2), (3, 2, 0), (2, 2, 0)])
+    def test_gradients_numerically_geometries(self, rng, kernel, stride, padding):
+        x = Tensor(rng.normal(size=(1, 2, 7, 7)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 2, kernel, kernel)), requires_grad=True)
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        assert grad_check(
+            lambda x_, w_, b_: conv2d(x_, w_, b_, stride=stride, padding=padding),
+            [x, w, b],
+            atol=1e-5,
+        )
+
     def test_channel_mismatch_raises(self, rng):
         x = Tensor(rng.normal(size=(1, 3, 5, 5)))
         w = Tensor(rng.normal(size=(2, 4, 3, 3)))
@@ -141,6 +199,43 @@ class TestMaxPool:
         x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
         assert grad_check(lambda x_: max_pool2d(x_, 3, stride=2), [x], atol=1e-5)
 
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 3), (2, 1), (3, 2)])
+    def test_grad_goes_to_window_argmax(self, rng, kernel, stride):
+        x = rng.normal(size=(2, 2, 6, 6))
+        xt = Tensor(x, requires_grad=True)
+        out = max_pool2d(xt, kernel, stride=stride)
+        upstream = rng.normal(size=out.shape)
+        out.backward(upstream)
+        assert np.allclose(xt.grad, naive_max_pool_grad(x, upstream, kernel, stride))
+
+    @pytest.mark.parametrize("backend_name", ["reference", "fast"])
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1)],
+                             ids=["fused", "strided"])
+    def test_tied_window_routes_gradient_to_first_maximum(self, backend_name,
+                                                          kernel, stride):
+        with use_backend(backend_name):
+            x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
+            max_pool2d(x, kernel, stride=stride).sum().backward()
+        out_size = (4 - kernel) // stride + 1
+        expected = naive_max_pool_grad(np.ones((1, 1, 4, 4)),
+                                       np.ones((1, 1, out_size, out_size)),
+                                       kernel, stride)
+        assert np.array_equal(x.grad, expected)
+        # Each window's gradient went to one tap, not split across ties.
+        assert x.grad.sum() == out_size ** 2
+
+    def test_trailing_rows_and_columns_get_no_gradient(self, rng):
+        x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
+        out = max_pool2d(x, 2)
+        assert out.shape == (1, 2, 2, 2)
+        for i in range(2):
+            for j in range(2):
+                window = x.data[:, :, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+                assert np.array_equal(out.data[:, :, i, j], window.max(axis=(2, 3)))
+        out.sum().backward()
+        assert not x.grad[:, :, 4, :].any()
+        assert not x.grad[:, :, :, 4].any()
+
 
 class TestGlobalAvgPool:
     def test_values_and_shape(self, rng):
@@ -153,3 +248,15 @@ class TestGlobalAvgPool:
         x = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
         global_avg_pool2d(x).sum().backward()
         assert np.allclose(x.grad, np.full((1, 2, 4, 4), 1.0 / 16.0))
+
+    @pytest.mark.parametrize("height,width", [(1, 1), (3, 5), (4, 4)])
+    def test_grad_scales_inverse_area(self, rng, height, width):
+        x = Tensor(rng.normal(size=(2, 3, height, width)), requires_grad=True)
+        upstream = rng.normal(size=(2, 3, 1, 1))
+        global_avg_pool2d(x).backward(upstream)
+        expected = np.broadcast_to(upstream / (height * width), x.shape)
+        assert np.allclose(x.grad, expected)
+
+    def test_gradient_numerically(self, rng):
+        x = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
+        assert grad_check(lambda x_: global_avg_pool2d(x_), [x], atol=1e-6)

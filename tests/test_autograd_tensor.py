@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, is_grad_enabled, no_grad
+from repro.autograd import Tensor, grad_check, is_grad_enabled, no_grad
 from repro.autograd.tensor import unbroadcast
 
 
@@ -28,6 +28,21 @@ class TestConstruction:
 
     def test_item_scalar(self):
         assert Tensor(3.5).item() == 3.5
+
+    def test_repr_names_op_and_grad_flag(self):
+        leaf = Tensor(np.zeros((2, 3)), requires_grad=True)
+        assert repr(leaf) == "Tensor(shape=(2, 3), requires_grad=True, op=leaf)"
+        assert repr(leaf.relu()) == "Tensor(shape=(2, 3), requires_grad=True, op=relu)"
+        assert repr(Tensor([1.0])) == "Tensor(shape=(1,), op=leaf)"
+
+    def test_numpy_returns_data_without_copy(self):
+        t = Tensor([1.0, 2.0])
+        assert t.numpy() is t.data
+
+    def test_op_on_tensors_without_grad_records_no_node(self):
+        out = Tensor([1.0, 2.0]) * 3.0
+        assert not out.requires_grad
+        assert out._node is None
 
 
 class TestArithmetic:
@@ -72,6 +87,28 @@ class TestArithmetic:
         out.sum().backward()
         assert a.grad.shape == (4, 2, 3)
         assert b.grad.shape == (4, 3, 5)
+
+    def test_rmul_with_scalar(self):
+        a = Tensor([2.0, -1.0], requires_grad=True)
+        out = 3.0 * a
+        out.backward(np.ones(2))
+        assert np.allclose(out.data, [6.0, -3.0])
+        assert np.allclose(a.grad, [3.0, 3.0])
+
+    def test_array_operand_gets_no_gradient(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        const = np.array([10.0, 20.0])
+        out = a * const + const
+        out.backward(np.ones(2))
+        assert np.allclose(out.data, [20.0, 60.0])
+        assert np.allclose(a.grad, const)
+
+    def test_array_on_the_left_defers_to_tensor(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        out = np.array([3.0, 4.0]) * a + np.array([1.0, 1.0])
+        assert isinstance(out, Tensor)
+        out.backward(np.ones(2))
+        assert np.allclose(a.grad, [3.0, 4.0])
 
 
 class TestBroadcasting:
@@ -204,6 +241,19 @@ class TestReductions:
         out.backward(np.ones((2, 1)))
         assert np.allclose(a.grad, np.ones((2, 3)))
 
+    def test_sum_axis_tuple(self):
+        a = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+        out = a.sum(axis=(0, 2))
+        assert np.allclose(out.data, a.data.sum(axis=(0, 2)))
+        upstream = np.array([1.0, 2.0, 3.0])
+        out.backward(upstream)
+        assert np.allclose(a.grad, np.broadcast_to(upstream[None, :, None], (2, 3, 4)))
+
+    def test_sum_negative_axis(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        a.sum(axis=-1).backward(np.array([2.0, 5.0]))
+        assert np.allclose(a.grad, [[2.0] * 3, [5.0] * 3])
+
 
 class TestShapeOps:
     def test_reshape_roundtrip_grad(self):
@@ -227,3 +277,64 @@ class TestShapeOps:
     def test_flatten_from(self):
         a = Tensor(np.zeros((2, 3, 4)))
         assert a.flatten_from(1).shape == (2, 12)
+
+    def test_transpose_accepts_tuple(self):
+        a = Tensor(np.zeros((2, 3, 4)))
+        assert a.transpose((1, 2, 0)).shape == (3, 4, 2)
+
+    def test_transpose_grad_inverts_permutation(self):
+        a = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
+        out = a.transpose(2, 0, 1)
+        upstream = np.arange(24.0).reshape(4, 2, 3)
+        out.backward(upstream)
+        assert np.array_equal(a.grad, upstream.transpose(1, 2, 0))
+
+    def test_flatten_from_grad_restores_shape(self):
+        a = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
+        upstream = np.arange(24.0).reshape(2, 12)
+        a.flatten_from(1).backward(upstream)
+        assert np.array_equal(a.grad, upstream.reshape(2, 3, 4))
+
+
+# Compositions of the ops the models record, each finite-differenced.
+COMPOSITES = {
+    "mul_add": (lambda a, b: a * b + a, [(3, 4), (3, 4)]),
+    "broadcast_mul": (lambda a, b: a * b + b, [(2, 3, 4), (4,)]),
+    "matmul_relu": (lambda a, b: (a @ b).relu(), [(3, 5), (5, 2)]),
+    "batched_matmul": (lambda a, b: a @ b, [(2, 3, 4), (2, 4, 2)]),
+    "reshape_transpose_sum": (
+        lambda a: (a.reshape(4, 6).transpose() * a.reshape(6, 4)).sum(axis=0),
+        [(2, 3, 4)],
+    ),
+}
+
+
+class TestGradCheck:
+    @pytest.mark.parametrize("name", sorted(COMPOSITES))
+    def test_composite_gradients(self, rng, name):
+        func, shapes = COMPOSITES[name]
+        inputs = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        assert grad_check(func, inputs, atol=1e-6)
+
+    def test_detects_a_wrong_gradient(self, rng):
+        def doubled_grad(x):
+            def backward(grad):
+                return (2.0 * grad,)
+
+            return Tensor.from_op(x.data.copy(), (x,), backward, "wrong")
+
+        x = Tensor(rng.normal(size=4), requires_grad=True)
+        with pytest.raises(AssertionError, match="gradient mismatch on input 0"):
+            grad_check(doubled_grad, [x])
+
+    def test_flags_an_input_without_gradient(self, rng):
+        a = Tensor(rng.normal(size=3), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        with pytest.raises(AssertionError, match="input 1 received no gradient"):
+            grad_check(lambda a_, b_: a_ * 2.0, [a, b])
+
+    def test_skips_inputs_without_requires_grad(self, rng):
+        a = Tensor(rng.normal(size=3), requires_grad=True)
+        c = Tensor(rng.normal(size=3))
+        assert grad_check(lambda a_, c_: a_ * c_, [a, c])
+        assert c.grad is None

@@ -462,6 +462,27 @@ class TestNonContiguousInputs:
 
     @given(ARRAYS)
     @settings(max_examples=10, deadline=None)
+    def test_cross_entropy_on_view(self, rng):
+        base = rng.normal(size=(5, 8)) * 3.0
+        view = base.T  # (8, 5) logits, non-contiguous
+        targets = rng.integers(0, 5, size=8)
+        assert_fast_matches_reference(
+            lambda a: F.cross_entropy(a, targets), [view]
+        )
+
+    @given(ARRAYS)
+    @settings(max_examples=10, deadline=None)
+    def test_linear_on_view(self, rng):
+        base = rng.normal(size=(6, 5))
+        view = base.T  # (5, 6) input, non-contiguous
+
+        def apply(a):
+            return Linear(6, 4, rng=np.random.default_rng(13))(a)
+
+        assert_fast_matches_reference(apply, [view], rtol=5e-3, atol=5e-3)
+
+    @given(ARRAYS)
+    @settings(max_examples=10, deadline=None)
     def test_batchnorm_on_view(self, rng):
         base = rng.normal(size=(6, 6, 4, 3))
         view = base.transpose(0, 3, 2, 1)  # (6, 3, 4, 6), non-contiguous

@@ -31,6 +31,16 @@ class TestArrayDataset:
         data = ArrayDataset(np.zeros((4, 1, 2, 2)), np.array([0, 1, 2, 2]))
         assert data.num_classes == 3
 
+    def test_empty_dataset_has_no_classes(self):
+        data = ArrayDataset(np.zeros((0, 1, 2, 2)), np.zeros(0))
+        assert len(data) == 0
+        assert data.num_classes == 0
+
+    def test_arrays_converted_to_float64_images_and_int64_labels(self):
+        data = ArrayDataset(np.ones((2, 1, 2, 2), dtype=np.float32), [0.0, 1.0])
+        assert data.images.dtype == np.float64
+        assert data.labels.dtype == np.int64
+
 
 class TestDataLoader:
     def test_batches_cover_dataset(self, tiny_dataset):
@@ -72,6 +82,32 @@ class TestDataLoader:
     def test_invalid_batch_size(self, tiny_dataset):
         with pytest.raises(ValueError):
             DataLoader(tiny_dataset, 0)
+
+    def test_shuffled_epoch_visits_each_sample_once(self, tiny_dataset):
+        loader = DataLoader(tiny_dataset, 5, shuffle=True,
+                            rng=np.random.default_rng(1))
+        seen = np.concatenate([images[:, 0, 0, 0] for images, _ in loader])
+        assert sorted(seen) == sorted(tiny_dataset.images[:, 0, 0, 0])
+
+    def test_each_epoch_reshuffles(self, tiny_dataset):
+        loader = DataLoader(tiny_dataset, 16, shuffle=True,
+                            rng=np.random.default_rng(2))
+        first = next(iter(loader))[0][:, 0, 0, 0]
+        second = next(iter(loader))[0][:, 0, 0, 0]
+        assert not np.array_equal(first, second)
+
+    def test_unshuffled_batches_follow_dataset_order(self, tiny_dataset):
+        images = np.concatenate([b for b, _ in DataLoader(tiny_dataset, 5)])
+        assert np.array_equal(images, tiny_dataset.images)
+
+    def test_last_batch_holds_the_remainder(self, tiny_dataset):
+        sizes = [len(labels) for _, labels in DataLoader(tiny_dataset, 6)]
+        assert sizes == [6, 6, 4]
+
+    @pytest.mark.parametrize("batch_size", [1, 5, 16, 17])
+    def test_len_matches_batches_yielded(self, tiny_dataset, batch_size):
+        loader = DataLoader(tiny_dataset, batch_size)
+        assert len(loader) == sum(1 for _ in loader)
 
 
 class TestSyntheticGenerator:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
+from repro.backend import use_backend
 from repro.nn import BatchNorm2d, Conv2d, Linear, Module, Parameter
 from repro.nn.module import ModuleList
 
@@ -41,6 +42,12 @@ class TestRegistration:
         leaf.weight = None
         assert "weight" not in leaf._parameters
 
+    def test_reassigning_a_module_to_a_plain_value_unregisters(self):
+        nested = Nested()
+        nested.a = None
+        assert list(nested._modules) == ["b"]
+        assert [n for n, _ in nested.named_parameters()] == ["b.weight"]
+
     def test_buffer_registration(self):
         bn = BatchNorm2d(4)
         names = dict(bn.named_buffers())
@@ -66,6 +73,21 @@ class TestTraversal:
     def test_modules_yields_all(self):
         nested = Nested()
         assert len(list(nested.modules())) == 3
+
+    def test_named_modules_prefixes(self):
+        nested = Nested()
+        named = list(nested.named_modules())
+        assert [n for n, _ in named] == ["", "a", "b"]
+        assert named[1][1] is nested.a
+
+    def test_named_buffers_nested_prefixes(self):
+        class Holder(Module):
+            def __init__(self):
+                super().__init__()
+                self.bn = BatchNorm2d(2)
+
+        names = [n for n, _ in Holder().named_buffers()]
+        assert names == ["bn.running_mean", "bn.running_var"]
 
 
 class TestModes:
@@ -139,6 +161,17 @@ class TestStateDict:
         state["weight"][:] = 0
         assert not np.allclose(layer.weight.data, 0)
 
+    @pytest.mark.parametrize("backend_name,dtype",
+                             [("reference", np.float64), ("fast", np.float32)])
+    def test_load_casts_to_the_active_backend_dtype(self, rng, backend_name, dtype):
+        state = BatchNorm2d(3).state_dict()
+        state["gamma"] = rng.normal(size=3)
+        with use_backend(backend_name):
+            bn = BatchNorm2d(3)
+            bn.load_state_dict(state)
+        assert bn.gamma.data.dtype == bn.running_mean.dtype == dtype
+        assert np.allclose(bn.gamma.data, state["gamma"], rtol=1e-6)
+
 
 class TestModuleList:
     def test_registration_and_iteration(self):
@@ -160,9 +193,23 @@ class TestModuleList:
         mlist = ModuleList([Leaf(), Leaf()])
         assert sum(p.size for p in mlist.parameters()) == 6
 
+    def test_entries_are_named_by_position(self):
+        first, second = Leaf(), Leaf()
+        mlist = ModuleList([first]).append(second)
+        assert mlist[-1] is second
+        assert [n for n, _ in mlist.named_parameters()] == ["0.weight", "1.weight"]
+
 
 class TestRepr:
     def test_repr_contains_children(self):
         text = repr(Nested())
         assert "Leaf" in text
         assert "(a)" in text
+
+    def test_parameter_repr(self):
+        assert repr(Parameter(np.zeros((2, 3)))) == "Parameter(shape=(2, 3))"
+
+
+def test_base_module_forward_is_abstract():
+    with pytest.raises(NotImplementedError):
+        Module()(Tensor(np.zeros(1)))

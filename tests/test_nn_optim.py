@@ -1,8 +1,9 @@
-"""Optimizer and scheduler math."""
+"""Optimizer math and checkpointed optimizer state."""
 
 import numpy as np
 import pytest
 
+from repro.backend import use_backend
 from repro.nn import SGD, Adam
 from repro.nn.module import Parameter
 
@@ -56,6 +57,23 @@ class TestSGD:
         opt.zero_grad()
         assert p.grad is None
 
+    def test_state_round_trip_resumes_identically(self):
+        run = _run_steps(lambda ps: SGD(ps, lr=0.05, momentum=0.9), steps=6)
+        resumed = _run_steps(lambda ps: SGD(ps, lr=0.05, momentum=0.9),
+                             steps=6, resume_after=3)
+        assert np.array_equal(resumed, run)
+
+    def test_matches_reference_on_fast_backend(self):
+        # sgd_update in float32 tracks the float64 reference.
+        results = []
+        for name in ("reference", "fast"):
+            with use_backend(name):
+                results.append(_run_steps(
+                    lambda ps: SGD(ps, lr=0.05, momentum=0.9, weight_decay=0.01),
+                    steps=5))
+        assert results[1].dtype == np.float32
+        np.testing.assert_allclose(results[1], results[0], rtol=1e-5, atol=1e-6)
+
 
 class TestAdam:
     def test_first_step_is_lr_sized(self):
@@ -96,3 +114,53 @@ class TestAdam:
             opt.step()
         # Adam normalizes per-dimension: both coordinates move similarly.
         assert abs(p.data[0] - p.data[1]) < abs(p.data[0]) * 0.2
+
+    def test_none_grad_skipped(self):
+        p = Parameter(np.ones(2))
+        opt = Adam([p], lr=0.1)
+        opt.step()
+        assert np.array_equal(p.data, [1.0, 1.0])
+        assert opt.state_meta() == {"step_count": 1}
+
+    def test_state_round_trip_resumes_identically(self):
+        run = _run_steps(lambda ps: Adam(ps, lr=0.01), steps=6)
+        resumed = _run_steps(lambda ps: Adam(ps, lr=0.01), steps=6,
+                             resume_after=3)
+        assert np.array_equal(resumed, run)
+
+    def test_load_state_missing_slot_raises(self):
+        opt = Adam([make_param([1.0]), make_param([2.0, 3.0])], lr=0.1)
+        arrays = opt.state_arrays()
+        del arrays["v.1"]
+        with pytest.raises(KeyError, match="v.1"):
+            Adam([make_param([1.0]), make_param([2.0, 3.0])], lr=0.1).load_state(
+                arrays, {"step_count": 1})
+
+    def test_load_state_shape_mismatch_raises(self):
+        opt = Adam([make_param([1.0, 2.0])], lr=0.1)
+        arrays = dict(opt.state_arrays(), **{"m.0": np.zeros(3)})
+        with pytest.raises(ValueError, match="m.0"):
+            Adam([make_param([1.0, 2.0])], lr=0.1).load_state(arrays, {})
+
+
+def _run_steps(make_optimizer, steps, resume_after=None):
+    """Parameters after ``steps`` steps on a fixed gradient stream.
+
+    With ``resume_after``, the optimizer's state is saved after that
+    many steps and the rest run on a fresh optimizer that loads it, as
+    a checkpoint resume does.
+    """
+    rng = np.random.default_rng(0)
+    params = [Parameter(rng.normal(size=(3, 2))), Parameter(rng.normal(size=4))]
+    grads = [[rng.normal(size=p.shape) for p in params] for _ in range(steps)]
+    opt = make_optimizer(params)
+    for step, step_grads in enumerate(grads):
+        if step == resume_after:
+            arrays = {k: v.copy() for k, v in opt.state_arrays().items()}
+            meta = dict(opt.state_meta())
+            opt = make_optimizer(params)
+            opt.load_state(arrays, meta)
+        for param, grad in zip(params, step_grads):
+            param.grad = grad.astype(param.data.dtype)
+        opt.step()
+    return np.concatenate([p.data.ravel() for p in params])

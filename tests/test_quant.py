@@ -61,6 +61,10 @@ class TestQuantizeFunction:
         vals = dequantize(np.array([0, 0]), 4, 1.5, 1.5)
         assert np.allclose(vals, [1.5, 1.5])
 
+    def test_dequantize_invalid_bits(self):
+        with pytest.raises(ValueError):
+            dequantize(np.array([0, 1]), 0, 0.0, 1.0)
+
     @given(arrays, st.integers(min_value=1, max_value=16))
     @settings(max_examples=60, deadline=None)
     def test_property_fake_quant_error_bounded(self, x, bits):
@@ -118,6 +122,19 @@ class TestUniformQuantizer:
     def test_num_levels(self):
         assert UniformQuantizer(3).num_levels == 8
 
+    def test_invalid_bits(self):
+        with pytest.raises(ValueError):
+            UniformQuantizer(0)
+
+    def test_static_decode_uses_the_calibrated_range(self):
+        q = UniformQuantizer(2, dynamic=False).calibrate(np.array([-1.0, 2.0]))
+        assert np.allclose(q.decode(np.array([0, 1, 2, 3])), [-1.0, 0.0, 1.0, 2.0])
+
+    def test_dynamic_decode_uses_the_reference_range(self, rng):
+        x = rng.normal(size=30)
+        q = UniformQuantizer(3)
+        assert np.allclose(q.decode(q.encode(x), reference=x), q.fake_quant(x))
+
     def test_dynamic_decode_requires_reference(self):
         q = UniformQuantizer(4)
         with pytest.raises(ValueError):
@@ -162,6 +179,10 @@ class TestSTE:
         assert fq.bits == 3
         with pytest.raises(ValueError):
             fq.bits = 0
+
+    def test_fake_quantize_repr(self):
+        assert repr(FakeQuantize(4)) == "FakeQuantize(4b)"
+        assert repr(FakeQuantize(4, enabled=False)) == "FakeQuantize(disabled)"
 
 
 class TestSnapping:

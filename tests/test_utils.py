@@ -10,6 +10,7 @@ import pytest
 from repro.utils import (
     format_table,
     load_checkpoint,
+    load_json,
     save_checkpoint,
     save_json,
 )
@@ -43,6 +44,13 @@ class TestSerialization:
         state, _ = load_checkpoint(path)
         for key, value in original.items():
             assert np.array_equal(state[key], value)
+
+    def test_json_roundtrip_keeps_key_order(self, tmp_path):
+        payload = {"rows": [{"b": 1, "a": 2.5}], "config": {"name": "x"}}
+        save_json(tmp_path / "run.json", payload)
+        loaded = load_json(tmp_path / "run.json")
+        assert loaded == payload
+        assert list(loaded["rows"][0]) == ["b", "a"]
 
     def test_failed_json_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "report.json"
