@@ -15,12 +15,13 @@ widened to a 17-layer vgg19-shaped vector).  Surrogates rather than
 real compute because speculation's entire win is overlap — racing
 predicted trials on otherwise-idle workers — and real trials are
 CPU-bound, so measuring them benchmarks the host's core count, not
-the orchestration (the bench container pins to a single core, where
-CPU-bound overlap is physically zero).  Fixed-latency trials overlap
-on any host, so the number below is the pipelining win of the
-speculation machinery itself; on a multi-core host the same overlap
-applies to real fast-backend trials, which is what ``--speculate``
-ships for.
+the orchestration.  Fixed-latency trials overlap on any host, so the
+number below is the pipelining win of the speculation machinery
+itself; on a multi-core host the same overlap applies to real
+fast-backend trials, which is what ``--speculate`` ships for.  At
+``--jobs 4`` all three bets run, so their rank does not matter here;
+perfbench's ``search-layer-bits`` (real trials, 2 workers) is where it
+does.
 
 Each mode is timed ``REPRO_BENCH_REPEATS`` times (the *minimum* is
 the honest cost) and the measured pair is written to

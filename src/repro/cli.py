@@ -572,8 +572,11 @@ def _speculation_note(stats: dict) -> str:
     """The summary-line suffix surfacing speculative-execution activity."""
     if "speculated" not in stats:
         return ""
+    # Job summaries persisted before head starts were counted lack it.
+    head_starts = (f", {stats['head_starts']} with a head start"
+                   if "head_starts" in stats else "")
     return (f"; speculation: {stats['confirmed']} of "
-            f"{stats['speculated']} bet(s) confirmed, "
+            f"{stats['speculated']} bet(s) confirmed{head_starts}, "
             f"{stats['cancelled']} cancelled, "
             f"{stats['wasted_trials']} wasted trial(s)")
 

@@ -276,9 +276,12 @@ def format_job_table(jobs: list[dict]) -> str:
                       f"{stats.get('failed', 0)} failed)")
             if "speculated" in stats:
                 # Speculative searches: how many of the scheduler's bets
-                # the confirm step kept, straight from the result stats.
+                # the confirm step kept, straight from the result stats,
+                # and how many of those a worker had already started.
                 detail += (f", {stats.get('confirmed', 0)}/"
                            f"{stats['speculated']} bets confirmed")
+                if "head_starts" in stats:
+                    detail += f" ({stats['head_starts']} with a head start)"
         elif job.get("error"):
             detail = job["error"]
         else:

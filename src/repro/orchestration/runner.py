@@ -363,7 +363,9 @@ class SweepResult:
     fanning out to N duplicate points is one hit) — and is ``None`` when
     the run had no cache at all.  ``speculation_stats`` likewise records
     speculative-execution accounting (``{"speculated", "confirmed",
-    "cancelled", "wasted_trials"}``) and is ``None`` when the scheduler
+    "head_starts", "cancelled", "wasted_trials"}``; ``head_starts``
+    counts the confirmed bets a worker had started or finished before
+    their proposal adopted them) and is ``None`` when the scheduler
     does not speculate.
     """
 
@@ -380,8 +382,8 @@ class SweepResult:
         ``cache_hits`` / ``cache_misses`` (per unique config, see
         ``cache_stats``) so cache activity is visible without
         ``--progress`` logging.  A speculative run additionally carries
-        ``speculated`` / ``confirmed`` / ``cancelled`` /
-        ``wasted_trials``.  Both are run-local diagnostics, excluded
+        ``speculated`` / ``confirmed`` / ``head_starts`` / ``cancelled``
+        / ``wasted_trials``.  Both are run-local diagnostics, excluded
         from :meth:`to_dict` so transport payloads stay replay-stable.
         """
         counts = _status_counts(self.points)
@@ -484,7 +486,7 @@ class SchedulerDrive:
         )
         # A scheduler speculates when it has ``bets()``.
         self.speculation_stats = (
-            {"speculated": 0, "confirmed": 0,
+            {"speculated": 0, "confirmed": 0, "head_starts": 0,
              "cancelled": 0, "wasted_trials": 0}
             if hasattr(scheduler, "bets") else None
         )
@@ -548,16 +550,14 @@ class SchedulerDrive:
         """Hand out up to ``slots`` queued tasks for the caller to submit.
 
         Tasks something waits on (a real point's, an adopted bet's) go
-        first, live bets after them, each group oldest first.  The
-        caller must :meth:`deliver` every taken task's outcome.
+        first, oldest first; live bets after them, in the order the
+        scheduler's ``bets()`` last ranked them (:meth:`round` keeps
+        the queue so).  The caller must :meth:`deliver` every taken
+        task's outcome.
         """
-        taken = sorted(
-            self._queue, key=lambda task: task["index"] not in self._by_task
-        )[:max(slots, 0)]
-        ids = {task["index"] for task in taken}
-        self._queue = [task for task in self._queue
-                       if task["index"] not in ids]
-        self._running |= ids
+        taken = self._queue[:max(slots, 0)]
+        self._queue = self._queue[len(taken):]
+        self._running |= {task["index"] for task in taken}
         return taken
 
     def _schedule(self, batch: list[SweepPoint]) -> None:
@@ -589,7 +589,12 @@ class SchedulerDrive:
             if bet is not None:
                 # The proposal is a live bet's config: adopt the bet's
                 # running or finished execution instead of a new task.
+                # A bet a worker runs or ran already had a head start.
                 self.speculation_stats["confirmed"] += 1
+                if bet["task"] in self._running or (
+                        bet["task"] is None
+                        and bet["outcome"]["status"] != "cached"):
+                    self.speculation_stats["head_starts"] += 1
             else:
                 bet = {"task": None, "outcome": self._cached(config)}
             outcome = bet["outcome"]
@@ -623,9 +628,11 @@ class SchedulerDrive:
     def _refresh_bets(self) -> None:
         """Keep exactly the scheduler's current bets live.
 
-        Bets that dropped out are cancelled; new ones are placed, their
-        tasks queued behind any real work.  A config that is already a
-        real point needs no bet.
+        Bets that dropped out are cancelled; new ones are placed.  The
+        queue then holds real work first, oldest first, and the queued
+        bets behind it in ``bets()`` order, so a new bet that outranks
+        a surviving one is handed out first.  A config that is already
+        a real point needs no bet.
         """
         if self.speculation_stats is None:
             return  # the scheduler does not speculate
@@ -650,6 +657,9 @@ class SchedulerDrive:
                 self._queue.append({"index": bet["task"],
                                     "config": config.to_dict()})
             self._bets[key] = bet
+        rank = {self._bets[key]["task"]: position
+                for position, key in enumerate(wanted)}
+        self._queue.sort(key=lambda task: rank.get(task["index"], -1))
 
     def _cancel_bet(self, key: str) -> None:
         """Abandon one bet; nothing it computed becomes visible."""

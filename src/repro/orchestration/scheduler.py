@@ -32,10 +32,11 @@ A sequential search (one proposal in flight at a time) can still use
 idle workers by *betting* on its likely next proposals.  A speculating
 scheduler (:class:`~repro.orchestration.search.SpeculativeScheduler`)
 also has a ``bets()`` method returning the configs worth betting on
-now.  The driver asks for them once per round, when the scheduler
-waits, and keeps exactly those live: it starts new bets, cancels the
-ones that dropped out, and when a proposal carries a live bet's config
-(matched by cache key) it adopts that bet's running or finished
+now, the likeliest first.  The driver asks for them once per round,
+when the scheduler waits, and keeps exactly those live: it places new
+bets (starting queued ones in that order as workers free up), cancels
+the ones that dropped out, and when a proposal carries a live bet's
+config (matched by cache key) it adopts that bet's running or finished
 execution instead of starting a new task.
 
 Bet outcomes are quarantined by the driver: they never enter

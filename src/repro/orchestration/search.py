@@ -300,6 +300,27 @@ def bit_vector_of(result: PointResult) -> dict | None:
     return dict(zip(names, bits))
 
 
+def rank_bets(trials: list[dict], exact: list, guessed: list) -> list:
+    """A fork's bets, the branch this search keeps taking first.
+
+    The in-flight trial's pending verdict forks the schedule.  The
+    *exact* branch is the rejection: its next proposal needs no metric
+    from the trial in flight, so a bet on it is adopted whenever the
+    branch happens.  The *guessed* branch is the acceptance: its next
+    proposal stands in for numbers that trial has not produced yet, so
+    a bet on it is adopted only if the branch happens *and* the
+    stand-in rounds to the same proposal.  ``trials`` (reference first)
+    say which branch the search has been taking: the guessed branch
+    ranks first only when most finished verdicts after the reference
+    (feasible by definition, so not counted) were feasible; a tie, or
+    no verdict yet, goes to the exact branch.
+    """
+    verdicts = [t["feasible"] for t in trials[1:] if t["feasible"] is not None]
+    if 2 * sum(verdicts) > len(verdicts):
+        return guessed + exact
+    return exact + guessed
+
+
 def objective_value(objective: str, metrics: dict) -> float:
     """The (maximized) score of a trial under ``objective``.
 
@@ -464,17 +485,17 @@ class ADSearchScheduler(Scheduler):
         """Configs the next proposal may be, predictable mid-flight.
 
         Called by :class:`SpeculativeScheduler` while the latest trial
-        is still running, best guess first.  Both branches of the
-        pending feasibility verdict are covered:
+        is still running.  Both branches of the pending feasibility
+        verdict are covered, ranked by :func:`rank_bets`:
 
-        * *feasible* — the eqn.-3 step needs the in-flight trial's
-          final AD, so the last **finished** trial's density stands in
-          (AD changes slowly as the descent converges, so the rounded
-          step usually lands on the same width); plus the saturated
-          1-bit step (``density = 1``), the fallback when eqn. 3 stops
-          making progress.
-        * *infeasible* — the upward bisection, which needs no metrics
-          at all and is therefore an exact prediction.
+        * *feasible* (guessed) — the eqn.-3 step needs the in-flight
+          trial's final AD, so the last **finished** trial's density
+          stands in (AD changes slowly as the descent converges, so the
+          rounded step usually lands on the same width); plus the
+          saturated 1-bit step (``density = 1``), the fallback when
+          eqn. 3 stops making progress.
+        * *infeasible* (exact) — the upward bisection, which needs no
+          metrics at all.
 
         Pure: reads scheduler state, mutates nothing.  Empty before the
         first density estimate exists minus the 1-bit/bisection
@@ -484,16 +505,16 @@ class ADSearchScheduler(Scheduler):
         if not self._in_flight or len(self._trials) >= self.search.max_trials:
             return []
         bits = self._trials[-1]["bits"]  # the in-flight proposal
-        candidates: list[int | None] = []
+        guessed: list[int | None] = []
         density = next(
             (t["metrics"]["total_ad"] for t in reversed(self._trials)
              if t["metrics"] is not None and "total_ad" in t["metrics"]),
             None,
         )
         if density is not None:
-            candidates.append(self._descend(bits, float(density)))
-        candidates.append(self._descend(bits, 1.0))
-        candidates.append(self._bisect_up(bits))
+            guessed.append(self._descend(bits, float(density)))
+        guessed.append(self._descend(bits, 1.0))
+        candidates = rank_bets(self._trials, [self._bisect_up(bits)], guessed)
         seen: set[int] = set()
         configs: list[ExperimentConfig] = []
         for value in candidates:
@@ -750,19 +771,22 @@ class LayerBitSearchScheduler(Scheduler):
     def speculative_candidates(self) -> list[ExperimentConfig]:
         """Configs the next proposal may be, predictable mid-flight.
 
-        Seed phase delegates to the inner scalar scheduler.  In the
-        layer phase the in-flight trial's pending verdict forks the
-        schedule two ways, both covered here, best guess first:
+        Seed phase delegates to the inner scalar scheduler, whose
+        verdicts are all this search has so far.  In the layer phase
+        the in-flight trial's pending verdict forks the schedule two
+        ways, both covered here and ranked by :func:`rank_bets` over
+        both phases' verdicts:
 
-        * *accepted* — the next move ranks the trial's vector by its
-          own per-layer energies; those are not known yet, so the
-          incumbent's (stale) energies stand in.  Energy shares shift
-          slowly under one-bit moves, so the ranking usually agrees.
-        * *rejected* — the trial's layer is blocked and the next move
-          re-ranks the *unchanged* incumbent vector: an exact
-          prediction.  Walking that chain further (each move's layer
-          blocked in turn) yields the moves proposed if several
-          rejections follow, giving top-K bets beyond the first fork.
+        * *accepted* (guessed) — the next move ranks the trial's vector
+          by its own per-layer energies; those are not known yet, so
+          the incumbent's (stale) energies stand in.  Energy shares
+          shift slowly under one-bit moves, so the ranking usually
+          agrees.
+        * *rejected* (exact) — the trial's layer is blocked and the
+          next move re-ranks the *unchanged* incumbent vector.  Walking
+          that chain further (each move's layer blocked in turn) yields
+          the moves proposed if several rejections follow, giving top-K
+          bets beyond the first fork.
 
         Pure: reads scheduler state, mutates nothing.
         """
@@ -773,14 +797,11 @@ class LayerBitSearchScheduler(Scheduler):
             return []
         trial = self._trials[-1]
         tried = set(self._tried)
-        configs: list[ExperimentConfig] = []
         move = self._next_move(
             trial["vector"], self._incumbent, self._blocked, tried,
         )
-        if move is not None:
-            _, candidate = move
-            tried.add(tuple(sorted(candidate.items())))
-            configs.append(self._config_for(candidate))
+        guessed = [] if move is None else [move[1]]
+        exact = []
         blocked = set(self._blocked) | {trial["layer"]}
         for _ in range(len(self._vector)):
             move = self._next_move(
@@ -791,8 +812,11 @@ class LayerBitSearchScheduler(Scheduler):
             name, candidate = move
             blocked.add(name)
             tried.add(tuple(sorted(candidate.items())))
-            configs.append(self._config_for(candidate))
-        return configs
+            exact.append(candidate)
+        return [
+            self._config_for(vector)
+            for vector in rank_bets(self._all_trials(), exact, guessed)
+        ]
 
     # ------------------------------------------------------------------
     def _all_trials(self) -> list[dict]:
@@ -1005,7 +1029,9 @@ class SpeculativeScheduler(Scheduler):
         return self.inner.next_points(completed)
 
     def bets(self) -> list[ExperimentConfig]:
-        """The first ``k`` distinct candidates, best guess first."""
+        """The first ``k`` distinct candidates, in the inner scheduler's
+        rank (:func:`rank_bets`: the branch the search keeps taking
+        first); the driver hands queued bets out in this order."""
         configs: dict[str, ExperimentConfig] = {}
         for config in self.inner.speculative_candidates():
             configs.setdefault(config.cache_key(), config)

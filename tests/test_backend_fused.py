@@ -594,13 +594,13 @@ class TestJobTableConfirmRates:
             {"id": 1, "state": "done", "priority": 0, "kind": "search",
              "name": "s", "summary": {"stats": {
                  "total": 6, "executed": 5, "cached": 1, "failed": 0,
-                 "speculated": 4, "confirmed": 3, "cancelled": 1,
-                 "wasted_trials": 1}}},
+                 "speculated": 4, "confirmed": 3, "head_starts": 2,
+                 "cancelled": 1, "wasted_trials": 1}}},
             {"id": 2, "state": "done", "priority": 0, "kind": "sweep",
              "name": "w", "summary": {"stats": {
                  "total": 3, "executed": 3, "cached": 0, "failed": 0}}},
         ]
         table = format_job_table(jobs)
-        assert "3/4 bets confirmed" in table
+        assert "3/4 bets confirmed (2 with a head start)" in table
         # Non-speculative jobs keep the original cell format.
         assert "3 (3 run, 0 cached, 0 failed)" in table

@@ -205,6 +205,7 @@ class TestSpeculateFlag:
                      "--out", str(spec_out)]) == 0
         summary = capsys.readouterr().out
         assert "speculation:" in summary and "wasted trial(s)" in summary
+        assert "with a head start" in summary
         sequential = self._normalized(json.loads(seq_out.read_text()))
         speculative = self._normalized(json.loads(spec_out.read_text()))
         assert speculative == sequential

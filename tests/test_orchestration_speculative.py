@@ -27,9 +27,11 @@ import pytest
 
 from repro.api import experiments
 from repro.orchestration import (
+    DONE,
     ResultCache,
     SerialExecutor,
     SweepInterrupted,
+    SweepPoint,
     SweepRunner,
 )
 from repro.orchestration.search import (
@@ -343,6 +345,20 @@ class TestBitIdentity:
         assert_bit_identical(reference, ref_stream, ref_cache,
                              candidate, cand_stream, cand_cache)
 
+    @pytest.mark.parametrize("strategy", sorted(SEARCHES))
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_process_executor_two_workers(self, tmp_path, strategy, k):
+        # With one spare worker only the top-ranked bet runs, so the
+        # rank decides which bets train ahead of their proposal.
+        make = SEARCHES[strategy]
+        ref_cache = ResultCache(tmp_path / "seq")
+        reference, ref_stream = run_once(make(), jobs=1, cache=ref_cache)
+        cand_cache = ResultCache(tmp_path / f"spec{k}")
+        candidate, cand_stream = run_once(
+            make(speculation=k), jobs=2, cache=cand_cache)
+        assert_bit_identical(reference, ref_stream, ref_cache,
+                             candidate, cand_stream, cand_cache)
+
     def test_warm_cache_replay_identical(self, tmp_path):
         # Both runs warm: every trial is a cache hit (speculative bets
         # included — a bet on a cached config is held, not re-run), and
@@ -362,7 +378,8 @@ class TestBitIdentity:
         assert candidate.stats["executed"] == 0
 
 
-BET_COUNTERS = ("speculated", "confirmed", "cancelled", "wasted_trials")
+BET_COUNTERS = ("speculated", "confirmed", "head_starts", "cancelled",
+                "wasted_trials")
 
 
 def submitted_after_cancel(events) -> list:
@@ -380,15 +397,36 @@ class TestBetPlacement:
     """Where the bets go: the order and disposition of every executor
     call, which is what sets a speculative search's wall time."""
 
-    # speculated/confirmed/cancelled/wasted_trials on a cold cache, at
-    # jobs 1 (the real serial executor) and jobs 4 (the scripted pool).
+    # BET_COUNTERS on a cold cache, at jobs 1 (the real serial
+    # executor: no bet runs before its proposal, so no head start and
+    # no waste) and jobs 4 (the scripted pool: every bet runs, so each
+    # confirmed bet has a head start and each cancelled one is wasted
+    # unless cancelled while queued).  Each round's bets, ranked by
+    # rank_bets over the verdicts after the reference:
+    #   8 runs:  [7]; no density yet, so only the 1-bit step; lost to 4.
+    #   4 runs:  [6, 2, 3]; no verdict yet, so the bisection 6 (exact)
+    #            outranks eqn. 3's 2 and the 1-bit step 3 (guessed).
+    #            4 is accepted, so 2 is confirmed and 6 lost: k 1 bets
+    #            on 6 alone and confirms nothing here.
+    #   2 runs:  [3]; one feasible verdict, but nothing lies below 2,
+    #            so only the bisection; 2 fails and 3 is confirmed.
+    # ad-bits: k 1 bets 7, 6, 3 (confirms 3); k 2 and 3 bet 7, 6, 2, 3
+    # (3 is already live when k is 3) and confirm 2 and 3.
+    # layer-bits adds its moves from the uniform-4 survivor:
+    #   conv1=3 runs: [conv2=3, conv1=2]; one of three verdicts
+    #            feasible, so the rejection's move comes first.  conv1=3
+    #            is accepted, so conv1=2 is confirmed and conv2=3 lost.
+    #   conv1=2 runs: [conv2=3 on 4/3/4/4, conv1=2 plus conv2=3]; two of
+    #            four feasible, a tie, so the rejection first again.
+    #            conv1=2 fails, so conv2=3 is confirmed.
+    # k 1 adds 2 bets and 1 confirmed; k 2 and 3 add 4 and 2.
     COLD = {
-        ("ad-bits", 1): ((3, 2, 1, 0), (3, 2, 1, 1)),
-        ("ad-bits", 2): ((3, 2, 1, 0), (3, 2, 1, 1)),
-        ("ad-bits", 3): ((4, 2, 2, 0), (4, 2, 2, 2)),
-        ("layer-bits", 1): ((5, 3, 2, 0), (5, 3, 2, 2)),
-        ("layer-bits", 2): ((7, 4, 3, 0), (7, 4, 3, 3)),
-        ("layer-bits", 3): ((8, 4, 4, 0), (8, 4, 4, 4)),
+        ("ad-bits", 1): ((3, 1, 0, 2, 0), (3, 1, 1, 2, 2)),
+        ("ad-bits", 2): ((4, 2, 0, 2, 0), (4, 2, 2, 2, 2)),
+        ("ad-bits", 3): ((4, 2, 0, 2, 0), (4, 2, 2, 2, 2)),
+        ("layer-bits", 1): ((5, 2, 0, 3, 0), (5, 2, 2, 3, 3)),
+        ("layer-bits", 2): ((8, 4, 0, 4, 0), (8, 4, 4, 4, 4)),
+        ("layer-bits", 3): ((8, 4, 0, 4, 0), (8, 4, 4, 4, 4)),
     }
 
     @pytest.mark.parametrize("strategy", sorted(SEARCHES))
@@ -398,8 +436,10 @@ class TestBetPlacement:
             result, _, events = recorded(
                 SEARCHES[strategy](speculation=k), jobs,
                 ResultCache(tmp_path / f"jobs{jobs}"))
-            assert tuple(result.stats[key] for key in BET_COUNTERS) \
-                == expected
+            stats = result.stats
+            assert tuple(stats[key] for key in BET_COUNTERS) == expected
+            assert stats["speculated"] == \
+                stats["confirmed"] + stats["cancelled"]
             assert submitted_after_cancel(events) == []
 
     @pytest.mark.parametrize("strategy", sorted(SEARCHES))
@@ -415,29 +455,126 @@ class TestBetPlacement:
                 if kind == "submit" and index < 0]
         assert [event for event in events if event[0] == "cancel"] == []
         assert len(bets) == result.stats["confirmed"]
+        assert result.stats["head_starts"] == 0
 
     def test_ad_bits_event_list(self, tmp_path, recorded):
         # 8 runs with a bet on the saturated step 7; 8's density puts
         # the real trial at 4, so 7 is cancelled mid-run and 4 races
-        # bets on 2 (eqn. 3), 3 (saturated step) and 6 (bisection).
-        # The abandoned 7 still holds a worker, so 6 waits in the drive
-        # until 7's outcome (dropped unread) frees it.  4 is feasible
-        # and its density confirms 2; 2 fails and the bisection
-        # confirms 3, so the running bet on 6 is abandoned.
+        # bets on 6 (bisection: no verdict after the reference yet, so
+        # the exact branch ranks first), 2 (eqn. 3) and 3 (saturated
+        # step).  The abandoned 7 still holds a worker, so 3 waits in
+        # the drive until 7's outcome (dropped unread) frees it.  4 is
+        # feasible and its density confirms 2, so the running bet on 6
+        # is abandoned; 2 fails and the bisection confirms 3.
         _, _, events = recorded(ad_search(speculation=3), 4,
                                 ResultCache(tmp_path / "cache"))
         assert events == [
             ("submit", 0, "ib8"), ("submit", -1, "ib7"),
             ("result", 0, "ok"),
             ("cancel", -1, "running"),
-            ("submit", 1, "ib4"), ("submit", -2, "ib2"),
-            ("submit", -3, "ib3"),
+            ("submit", 1, "ib4"), ("submit", -2, "ib6"),
+            ("submit", -3, "ib2"),
             ("result", -1, "ok"),
-            ("submit", -4, "ib6"),
+            ("submit", -4, "ib3"),
             ("result", 1, "ok"),
-            ("cancel", -4, "running"),
+            ("cancel", -2, "running"),
             ("result", -2, "ok"), ("result", -3, "ok"),
+            ("result", -4, "ok"),
         ]
+
+    def test_rejection_heavy_search_trains_the_bets_it_adopts(
+            self, tmp_path, recorded, monkeypatch):
+        # A feasibility bar at mean width 7 rejects as the bench search
+        # does: 8 (reference), 4 (eqn. 3) fails, 6 (bisection) fails,
+        # 7 holds; from uniform-7 both one-bit moves fail.  With no
+        # verdict or mostly rejections behind every fork, the exact
+        # branch ranks first, so the one spare worker trains the
+        # bisections 6 and 7 and the rejection's move conv2=6 ahead of
+        # their proposals.  Only the 1-bit step 7 (the sole bet while
+        # the reference runs) and conv2=5 (the sole bet while the last
+        # move runs) are wasted; ranking the guessed branch first at
+        # every fork would waste five.
+        monkeypatch.setattr(sys.modules[__name__], "FEASIBLE_MEAN_BITS", 7.0)
+        ref_cache = ResultCache(tmp_path / "seq")
+        reference, ref_stream = run_once(layer_search(), jobs=1,
+                                         cache=ref_cache)
+        assert list(reference.feasibility.values()) == \
+            [True, False, False, True, False, False]
+        cand_cache = ResultCache(tmp_path / "spec")
+        result, stream, events = recorded(layer_search(speculation=3), 2,
+                                          cand_cache)
+        assert_bit_identical(reference, ref_stream, ref_cache,
+                             result, stream, cand_cache)
+        assert events == [
+            ("submit", 0, "ib8"), ("submit", -1, "ib7"),
+            ("result", 0, "ok"),
+            ("cancel", -1, "running"),
+            ("submit", 1, "ib4"),
+            ("result", -1, "ok"),
+            ("submit", -2, "ib6"),
+            ("result", 1, "ok"),
+            ("submit", -5, "ib7"),
+            ("result", -2, "ok"),
+            ("result", -5, "ok"),
+            ("submit", 4, "7/6/7/7"), ("submit", -7, "7/7/6/7"),
+            ("result", 4, "ok"),
+            ("submit", -9, "7/7/5/7"),
+            ("result", -7, "ok"),
+            ("cancel", -9, "running"),
+        ]
+        assert tuple(result.stats[key] for key in BET_COUNTERS) == \
+            (9, 3, 3, 6, 2)
+
+    def test_new_bet_outranking_a_queued_survivor_runs_first(
+            self, monkeypatch):
+        # While ib8 runs the scheduler bets on ib6, then ib5; while ib4
+        # runs, on ib7, then ib5.  At jobs 2, ib6 runs beside ib8 and
+        # ib5 waits in the drive.  The next round cancels the running
+        # ib6, keeps the queued ib5 and places ib7 above it, so when
+        # ib6's worker frees up the new, higher-ranked ib7 starts.
+        base = spec_base()
+
+        def config(bits):
+            return base.evolve(quant={"initial_bits": bits})
+
+        class Reranking:
+            name = "rerank"
+
+            def __init__(self):
+                self.proposed = 0
+
+            def next_points(self, completed):
+                if len(completed) < self.proposed:
+                    return []
+                if self.proposed == 2:
+                    return DONE
+                bits = (8, 4)[self.proposed]
+                self.proposed += 1
+                return [SweepPoint(label=f"ib{bits}", config=config(bits),
+                                   index=self.proposed - 1)]
+
+            def bets(self):
+                return [config(bits)
+                        for bits in ((6, 5), (7, 5))[self.proposed - 1]]
+
+        events = []
+        monkeypatch.setattr(
+            SweepRunner, "_make_executor",
+            lambda runner: ScriptedPool(runner.jobs, runner.execute, events))
+        result = SweepRunner(jobs=2, execute=fake_execute).run_scheduler(
+            Reranking())
+        assert events == [
+            ("submit", 0, "ib8"), ("submit", -1, "ib6"),
+            ("result", 0, "ok"),
+            ("cancel", -1, "running"),
+            ("submit", 1, "ib4"),
+            ("result", -1, "ok"),
+            ("submit", -3, "ib7"),
+            ("result", 1, "ok"),
+            ("cancel", -3, "running"),
+        ]
+        assert tuple(result.stats[key] for key in BET_COUNTERS) == \
+            (3, 0, 0, 3, 2)
 
 
 class TestWarmBets:
@@ -553,7 +690,8 @@ class TestAccounting:
     """Satellite: speculation stats surface in ``.stats`` only —
     excluded from ``to_dict()`` exactly like the cache stats."""
 
-    SPEC_KEYS = {"speculated", "confirmed", "cancelled", "wasted_trials"}
+    SPEC_KEYS = {"speculated", "confirmed", "head_starts", "cancelled",
+                 "wasted_trials"}
 
     def test_stats_present_and_settled(self, tmp_path):
         result, _ = run_once(ad_search(speculation=2), jobs=2,
@@ -566,6 +704,8 @@ class TestAccounting:
             stats["confirmed"] + stats["cancelled"]
         assert stats["confirmed"] >= 1  # the landscape is predictable
         assert 0 <= stats["wasted_trials"] <= stats["cancelled"]
+        # Only a confirmed bet can have had a head start.
+        assert 0 <= stats["head_starts"] <= stats["confirmed"]
 
     def test_stats_excluded_from_payloads(self, tmp_path):
         result, stream = run_once(ad_search(speculation=2), jobs=2,

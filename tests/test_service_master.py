@@ -478,6 +478,7 @@ class TestSpeculativeSubmission:
         assert stats["confirmed"] == 0
         assert stats["cancelled"] == 1
         assert stats["wasted_trials"] == 0  # serial: bets die queued
+        assert stats["head_starts"] == 0
 
     def test_unspeculated_search_carries_no_speculation_stats(
             self, harness):
@@ -573,6 +574,7 @@ class TestSpeculativeSubmission:
         stats = final["summary"]["stats"]
         assert (stats["executed"], stats["cached"]) == (3, 2)
         assert stats["wasted_trials"] == 0
+        assert stats["head_starts"] == 0
 
 
 class TestResolveSpecSpeculation:
