@@ -19,9 +19,11 @@ the orchestration.  Fixed-latency trials overlap on any host, so the
 number below is the pipelining win of the speculation machinery
 itself; on a multi-core host the same overlap applies to real
 fast-backend trials, which is what ``--speculate`` ships for.  At
-``--jobs 4`` all three bets run, so their rank does not matter here;
-perfbench's ``search-layer-bits`` (real trials, 2 workers) is where it
-does.
+``--jobs 4`` all three bets run, so their rank matters here only in
+which three candidates are bets: this landscape mostly accepts, so
+the accept-guesses must rank into the top three.  perfbench's
+``search-layer-bits`` (real trials, 2 workers) is where the rank also
+decides which bet starts first.
 
 Each mode is timed ``REPRO_BENCH_REPEATS`` times (the *minimum* is
 the honest cost) and the measured pair is written to

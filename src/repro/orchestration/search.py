@@ -306,14 +306,18 @@ def rank_bets(trials: list[dict], exact: list, guessed: list) -> list:
     The in-flight trial's pending verdict forks the schedule.  The
     *exact* branch is the rejection: its next proposal needs no metric
     from the trial in flight, so a bet on it is adopted whenever the
-    branch happens.  The *guessed* branch is the acceptance: its next
-    proposal stands in for numbers that trial has not produced yet, so
-    a bet on it is adopted only if the branch happens *and* the
-    stand-in rounds to the same proposal.  ``trials`` (reference first)
-    say which branch the search has been taking: the guessed branch
-    ranks first only when most finished verdicts after the reference
-    (feasible by definition, so not counted) were feasible; a tie, or
-    no verdict yet, goes to the exact branch.
+    branch happens; a layer search's further moves (``exact[1:]``)
+    follow only if more rejections do.  The *guessed* branch is the
+    acceptance: its next proposal stands in for numbers that trial has
+    not produced yet, so a bet on it is adopted only if the branch
+    happens *and* the stand-in rounds to the same proposal.
+    ``trials`` (reference first) say which branch the search has been
+    taking: the guessed branch ranks first only when most finished
+    verdicts after the reference (feasible by definition, so not
+    counted) were feasible; a tie, or no verdict yet, goes to the exact
+    branch, and then its whole chain ranks ahead of the guess: on a
+    search that mostly rejects, a move two rejections away is still
+    likelier than an acceptance.
     """
     verdicts = [t["feasible"] for t in trials[1:] if t["feasible"] is not None]
     if 2 * sum(verdicts) > len(verdicts):

@@ -333,29 +333,18 @@ class TestBitIdentity:
             assert stats["wasted_trials"] == 0
             assert stats["executed"] == reference.stats["executed"]
 
+    # At jobs 4 every bet runs; at jobs 2 only the top-ranked one does,
+    # so the rank decides which bets train ahead of their proposal.
+    @pytest.mark.parametrize("jobs", [4, 2])
     @pytest.mark.parametrize("strategy", sorted(SEARCHES))
     @pytest.mark.parametrize("k", [1, 3])
-    def test_process_executor(self, tmp_path, strategy, k):
+    def test_process_executor(self, tmp_path, strategy, k, jobs):
         make = SEARCHES[strategy]
         ref_cache = ResultCache(tmp_path / "seq")
         reference, ref_stream = run_once(make(), jobs=1, cache=ref_cache)
         cand_cache = ResultCache(tmp_path / f"spec{k}")
         candidate, cand_stream = run_once(
-            make(speculation=k), jobs=4, cache=cand_cache)
-        assert_bit_identical(reference, ref_stream, ref_cache,
-                             candidate, cand_stream, cand_cache)
-
-    @pytest.mark.parametrize("strategy", sorted(SEARCHES))
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_process_executor_two_workers(self, tmp_path, strategy, k):
-        # With one spare worker only the top-ranked bet runs, so the
-        # rank decides which bets train ahead of their proposal.
-        make = SEARCHES[strategy]
-        ref_cache = ResultCache(tmp_path / "seq")
-        reference, ref_stream = run_once(make(), jobs=1, cache=ref_cache)
-        cand_cache = ResultCache(tmp_path / f"spec{k}")
-        candidate, cand_stream = run_once(
-            make(speculation=k), jobs=2, cache=cand_cache)
+            make(speculation=k), jobs=jobs, cache=cand_cache)
         assert_bit_identical(reference, ref_stream, ref_cache,
                              candidate, cand_stream, cand_cache)
 
@@ -524,6 +513,90 @@ class TestBetPlacement:
         ]
         assert tuple(result.stats[key] for key in BET_COUNTERS) == \
             (9, 3, 3, 6, 2)
+
+    def test_accept_heavy_search_bets_on_the_guess(
+            self, tmp_path, recorded, monkeypatch):
+        # Every width is feasible, so the descent from 16 takes eqn. 3
+        # at each step: 16, 11, 7, 4, 2, 1.  While 16 runs the only
+        # bet is the 1-bit step 15 (no density yet); while 11 runs no
+        # verdict after the reference exists, so the bisection 13
+        # (exact) ranks first.  Both are wasted.  From then on every
+        # verdict was feasible, so the guess ranks first: eqn. 3 at
+        # the last finished trial's density names 4, 2 and 1 while 7,
+        # 4 and 2 run, and each is adopted with a head start.  Ranking
+        # the exact branch first at every fork would train the
+        # bisections 9, 5 and 3 instead, and waste all five bets.
+        monkeypatch.setattr(sys.modules[__name__], "FEASIBLE_MEAN_BITS", 0.0)
+        base = spec_base().evolve(quant={"initial_bits": 16})
+        ref_cache = ResultCache(tmp_path / "seq")
+        reference, ref_stream = run_once(
+            ad_search(base=base, min_bits=1, max_trials=8), jobs=1,
+            cache=ref_cache)
+        assert all(reference.feasibility.values())
+        cand_cache = ResultCache(tmp_path / "spec")
+        result, stream, events = recorded(
+            ad_search(base=base, min_bits=1, max_trials=8, speculation=1),
+            2, cand_cache)
+        assert_bit_identical(reference, ref_stream, ref_cache,
+                             result, stream, cand_cache)
+        assert events == [
+            ("submit", 0, "ib16"), ("submit", -1, "ib15"),
+            ("result", 0, "ok"),
+            ("cancel", -1, "running"),
+            ("submit", 1, "ib11"),
+            ("result", -1, "ok"),
+            ("submit", -2, "ib13"),
+            ("result", 1, "ok"),
+            ("cancel", -2, "running"),
+            ("submit", 2, "ib7"),
+            ("result", -2, "ok"),
+            ("submit", -3, "ib4"),
+            ("result", 2, "ok"),
+            ("submit", -4, "ib2"),
+            ("result", -3, "ok"),
+            ("submit", -5, "ib1"),
+            ("result", -4, "ok"),
+            ("result", -5, "ok"),
+        ]
+        assert tuple(result.stats[key] for key in BET_COUNTERS) == \
+            (5, 3, 3, 2, 2)
+
+    def test_spare_workers_train_the_rejection_chain_first(
+            self, tmp_path, recorded, monkeypatch):
+        # A third movable layer, conv3, makes the rejection chain two
+        # moves long, and the bench search's feasibility bar (mean
+        # width 7) makes every one-bit move from the uniform-7 seed
+        # survivor fail.  The scalar search caches the seed trials, so
+        # only the layer moves train, at jobs 3 (two spare workers) and
+        # k 2.  Two of the three verdicts after the reference were
+        # rejections, so while conv1=6 runs the bets are conv2=6 and
+        # conv3=6, the whole chain; the accept-guess conv1=5 ranks
+        # third and drops out.  conv1=6 fails and adopts the running
+        # conv2=6; conv3=6 is still live and running, so the freed
+        # worker trains the next guess 7/7/5/7/7, wasted when conv2=6
+        # fails too.  conv3=6 had a head start from the first fork.
+        # Ranking the guess second would train conv1=5 there and start
+        # conv3=6 only after conv1=6's verdict.
+        module = sys.modules[__name__]
+        monkeypatch.setattr(module, "LAYERS",
+                            ("conv0", "conv1", "conv2", "conv3", "fc"))
+        monkeypatch.setattr(module, "WEIGHTS", dict(WEIGHTS, conv3=5.0))
+        monkeypatch.setattr(module, "FEASIBLE_MEAN_BITS", 7.0)
+        cache = ResultCache(tmp_path / "cache")
+        run_once(ad_search(), jobs=1, cache=cache)
+        result, _, events = recorded(layer_search(speculation=2), 3, cache)
+        assert list(result.feasibility.values())[4:] == [False] * 3
+        assert events == [
+            ("submit", 4, "7/6/7/7/7"),
+            ("submit", -1, "7/7/6/7/7"), ("submit", -2, "7/7/7/6/7"),
+            ("result", 4, "ok"),
+            ("submit", -3, "7/7/5/7/7"),
+            ("result", -1, "ok"),
+            ("cancel", -3, "running"),
+            ("result", -2, "ok"),
+        ]
+        assert tuple(result.stats[key] for key in BET_COUNTERS) == \
+            (3, 2, 2, 1, 1)
 
     def test_new_bet_outranking_a_queued_survivor_runs_first(
             self, monkeypatch):
